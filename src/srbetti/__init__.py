@@ -43,7 +43,7 @@ from .complexes import (
     vertices_of,
 )
 from .corpus import cycle_complex, random_complex, rp2_complex
-from .linalg import GF2, GF3, QQ, FieldSpec, Matrix, image_dim, kernel_dim, rank
+from .linalg import GF2, GF3, QQ, FieldSpec, SparseMap, rank
 from .tor import (
     TorThreeWayReport,
     TorTable,

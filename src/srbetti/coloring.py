@@ -13,6 +13,7 @@ from functools import cached_property
 from .complexes import SimplicialComplex, mask_of, vertices_of
 from .errors import (
     ColorOutOfRange,
+    MismatchFound,
     NotAMember,
     PartitionMismatch,
     VertexBudgetExceeded,
@@ -93,7 +94,11 @@ def is_nondegenerate(K: SimplicialComplex, alpha: Partition) -> bool:
     by_faces = all(
         not any((f & b).bit_count() > 1 for b in alpha.blocks) for f in K.faces
     )
-    assert by_edges == by_faces, "edge and face nondegeneracy criteria disagree"
+    if by_edges != by_faces:
+        raise MismatchFound(
+            f"edge and face nondegeneracy criteria disagree for {alpha!r}: "
+            f"edges say {by_edges}, faces say {by_faces}"
+        )
     return by_edges
 
 
@@ -160,7 +165,10 @@ def minimum_coloring(K: SimplicialComplex) -> Partition:
         found = search(limit)
         if found is not None:
             return partition_from_colors(found, K.m)
-    raise AssertionError("greedy upper bound violated")
+    raise MismatchFound(
+        f"no coloring with at most {upper} colors found, "
+        f"though the greedy coloring uses {upper}"
+    )
 
 
 def _as_color_mask(L, r: int) -> int:

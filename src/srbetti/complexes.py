@@ -107,6 +107,19 @@ class SimplicialComplex:
         return tuple(tuple(sorted(b)) for b in buckets)
 
     @cached_property
+    def coface_vertices(self) -> dict[int, int]:
+        """Face -> bitmask of the vertices v outside it with face ∪ {v} a face."""
+        ext = dict.fromkeys(self.faces, 0)
+        for g in self.faces:
+            rest = g
+            while rest:
+                low = rest & -rest
+                if g ^ low in ext:
+                    ext[g ^ low] |= low
+                rest ^= low
+        return ext
+
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
 
@@ -180,28 +193,33 @@ def full_subcomplex(K: SimplicialComplex, omega) -> SimplicialComplex:
     """The faces of K contained in omega, re-indexed onto 1..|omega|.
 
     Original vertex names are kept in ``labels``.  omega = 0 yields the
-    empty complex {∅}.
+    empty complex {∅}.  The faces are generated from ∅ by adding vertices of
+    omega in increasing order, each step a coface-membership test on
+    ``K.coface_vertices``; a face is a facet when no vertex of omega extends
+    it.  The cost is O(|faces| + |omega|) per face found, not a scan of K.
     """
     om = _as_mask(omega)
     if om & ~K.full_mask:
         raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
+    ext = K.coface_vertices
+    faces = []
+    maximal = []
+    stack = [(0, 0)]  # (face of K, the same face re-indexed)
+    while stack:
+        f, g = stack.pop()
+        faces.append(g)
+        up = ext[f] & om
+        if not up:
+            maximal.append(g)
+        up &= -(1 << f.bit_length())  # only vertices above those of f
+        while up:
+            low = up & -up
+            stack.append((f | low, g | 1 << (om & (low - 1)).bit_count()))
+            up ^= low
     verts = vertices_of(om)
-    new_index = {v: i + 1 for i, v in enumerate(verts)}
-
-    def reindex(mask: int) -> int:
-        out = 0
-        for v in vertices_of(mask):
-            out |= 1 << (new_index[v] - 1)
-        return out
-
-    sub = {f for f in K.faces if f & ~om == 0}
-    re_faces = frozenset(reindex(f) for f in sub)
-    maximal = frozenset(
-        f for f in re_faces if not any(f != g and f & g == f for g in re_faces)
-    )
     old_labels = K.labels or tuple(range(1, K.m + 1))
     labels = tuple(old_labels[v - 1] for v in verts)
-    return SimplicialComplex(len(verts), maximal, re_faces, labels)
+    return SimplicialComplex(len(verts), frozenset(maximal), frozenset(faces), labels)
 
 
 def boundary_simplex(n: int, *, max_vertices: int | None = None) -> SimplicialComplex:

@@ -47,7 +47,16 @@ class DegeneratePartition(SRBettiError):
 
 
 class NotAComplex(SRBettiError):
-    """Coboundary maps do not compose to zero."""
+    """Coboundary maps do not compose to zero, or do not fit their bases.
+
+    Carries the degree q, the label of the offending face or generator, and
+    for a Koszul piece its color weight w."""
+
+    def __init__(self, message, q=None, label=None, weight=None):
+        super().__init__(message)
+        self.q = q
+        self.label = label
+        self.weight = weight
 
 
 class MismatchFound(SRBettiError):

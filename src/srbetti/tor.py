@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .betti import betti_number, subcomplex_cohomology
-from .cohomology import CochainComplex, cohomology_dims
-from .coloring import Partition, colors_of, is_nondegenerate, omega_L
+from .cohomology import CochainComplex, assemble, cohomology_dims
+from .coloring import Partition, _as_color_mask, colors_of, is_nondegenerate, omega_L
 from .complexes import SimplicialComplex, submasks, vertices_of
-from .errors import ColorOutOfRange, DegeneratePartition, MismatchFound
-from .linalg import FieldSpec, Matrix
+from .errors import DegeneratePartition, MismatchFound, NotAComplex
+from .linalg import FieldSpec, SparseMap
 
 # A Koszul generator t_I v^(σ,h) and equally a fattened cell: h is a weight
 # tuple of length m with support exactly σ.
@@ -46,7 +46,9 @@ Gen = tuple[int, tuple[int, ...], int]
 class _Ctx:
     """Precomputed combinatorics of (K, α): colors, cofaces, block tables."""
 
-    __slots__ = ("K", "alpha", "r", "m", "block_verts", "_colorsets", "_cofaces")
+    __slots__ = (
+        "K", "alpha", "r", "m", "block_verts", "_colorsets", "_cofaces", "faces_by_colorset"
+    )
 
     def __init__(self, K: SimplicialComplex, alpha: Partition):
         self.K = K
@@ -56,6 +58,12 @@ class _Ctx:
         self.block_verts = tuple(vertices_of(b) for b in alpha.blocks)
         self._colorsets = {f: colors_of(alpha, f) for f in K.faces}
         vc = alpha.color_of
+        # I_α(σ) -> [(σ, ((color, vertex) for each vertex of σ))], σ ascending
+        by_cset: dict[int, list] = {}
+        for f in sorted(K.faces):
+            pairs = tuple((vc[v], v) for v in vertices_of(f))
+            by_cset.setdefault(self._colorsets[f], []).append((f, pairs))
+        self.faces_by_colorset = by_cset
         cofaces = {}
         for f in K.faces:
             lst = []
@@ -190,11 +198,33 @@ def quotient_coboundary(ctx: _Ctx, cell: tuple[int, int]) -> list[tuple[int, tup
     return out
 
 
-def _check_colors(L, r: int) -> int:
-    mask = L if isinstance(L, int) else sum(1 << (i - 1) for i in L)
-    if mask & ~((1 << r) - 1):
-        raise ColorOutOfRange(f"L={vertices_of(mask)} outside [{r}]")
-    return mask
+def _coboundary_map(
+    ctx: _Ctx, coboundary, lower: list, upper: list, q: int, weight=None
+) -> SparseMap:
+    """Matrix of ``coboundary`` from the basis ``lower`` of degree q to the
+    basis ``upper``; a target outside ``upper`` means the maps are wrong."""
+    index = {g: k for k, g in enumerate(upper)}
+    data: list[list[tuple[int, int]]] = [[] for _ in upper]
+    for j, gen in enumerate(lower):
+        for coeff, target in coboundary(ctx, gen):
+            k = index.get(target)
+            if k is None:
+                where = "" if weight is None else (
+                    f"; weight {color_weight(ctx, target)}, piece w={weight}"
+                )
+                raise NotAComplex(
+                    f"coboundary in degree {q} leaves the basis: {gen} -> {target}{where}",
+                    q=q,
+                    label=gen,
+                    weight=weight,
+                )
+            row = data[k]
+            if row and row[-1][0] == j:  # a second term on the same target
+                coeff += row.pop()[1]
+                if not coeff:
+                    continue
+            row.append((j, coeff))
+    return SparseMap(len(upper), len(lower), data)
 
 
 def quotient_cochain_complex(
@@ -206,31 +236,25 @@ def quotient_cochain_complex(
     cell dimension 2|σ|+|I|; one cell per face of K|ω_L.
     """
     ctx = _context(K, alpha)
-    lmask = _check_colors(L, ctx.r)
+    lmask = _as_color_mask(L, ctx.r)
     lsize = lmask.bit_count()
     cells_by_deg: dict[int, list[tuple[int, int]]] = {}
-    for f in K.faces:
-        cset = ctx.colorset(f)
+    for cset, faces in ctx.faces_by_colorset.items():
         if cset & ~lmask == 0:
-            cell = (f, lmask & ~cset)
-            cells_by_deg.setdefault(lsize + f.bit_count(), []).append(cell)
+            for f, _pairs in faces:
+                cell = (f, lmask & ~cset)
+                cells_by_deg.setdefault(lsize + f.bit_count(), []).append(cell)
     lo = lsize
     hi = max(cells_by_deg)
     for deg in cells_by_deg:
         cells_by_deg[deg].sort()
-    sizes = {deg: len(cells_by_deg.get(deg, ())) for deg in range(lo, hi + 1)}
-    labels = {deg: list(cells_by_deg.get(deg, ())) for deg in range(lo, hi + 1)}
-    d: dict[int, Matrix] = {}
-    for deg in range(lo, hi):
-        lower = cells_by_deg.get(deg, [])
-        upper = cells_by_deg.get(deg + 1, [])
-        index = {c: k for k, c in enumerate(upper)}
-        mat = Matrix(len(upper), len(lower))
-        for j, cell in enumerate(lower):
-            for coeff, target in quotient_coboundary(ctx, cell):
-                mat.data[index[target]][j] += coeff
-        d[deg] = mat
-    return CochainComplex(lo, hi, sizes, d, labels)
+    labels = {deg: cells_by_deg.get(deg, []) for deg in range(lo, hi + 1)}
+    return assemble(
+        lo,
+        hi,
+        labels,
+        lambda deg: _coboundary_map(ctx, quotient_coboundary, labels[deg], labels[deg + 1], deg),
+    )
 
 
 def quotient_cohomology_dims(
@@ -278,48 +302,39 @@ def koszul_piece(
     suppw = sum(1 << i for i, x in enumerate(w) if x > 0)
     emask = sum(1 << i for i, x in enumerate(w) if x >= 2)
     gens_by_q: dict[int, list[Gen]] = {}
-    for sigma in K.faces:
-        cset = ctx.colorset(sigma)
+    jmasks = list(submasks(emask))
+    for cset, faces in ctx.faces_by_colorset.items():
         if emask & ~cset or cset & ~suppw:
             continue
         forced = suppw & ~cset
-        base_h = [0] * ctx.m
-        for i in vertices_of(cset):
-            base_h[ctx.sigma_vertex(sigma, i) - 1] = w[i - 1]
-        for jmask in submasks(emask):
-            imask = forced | jmask
-            h = list(base_h)
-            for i in vertices_of(jmask):
-                h[ctx.sigma_vertex(sigma, i) - 1] -= 1
-            gens_by_q.setdefault(imask.bit_count(), []).append(
-                (sigma, tuple(h), imask)
-            )
+        for sigma, pairs in faces:
+            base_h = [0] * ctx.m
+            for i, v in pairs:
+                base_h[v - 1] = w[i - 1]
+            for jmask in jmasks:
+                imask = forced | jmask
+                h = list(base_h)
+                for i, v in pairs:
+                    if jmask >> (i - 1) & 1:
+                        h[v - 1] -= 1
+                gens_by_q.setdefault(imask.bit_count(), []).append((sigma, tuple(h), imask))
     if not gens_by_q:
-        return CochainComplex(0, 0, {0: 0}, {}, {0: []})
+        return CochainComplex(0, 0, {0: 0}, {}, {0: []}, checked=True)
     qmax = max(gens_by_q)
     qmin = min(gens_by_q)
     for q in gens_by_q:
         gens_by_q[q].sort()
-    sizes = {-q: len(gens_by_q.get(q, ())) for q in range(qmin, qmax + 1)}
-    labels = {-q: list(gens_by_q.get(q, ())) for q in range(qmin, qmax + 1)}
-    d: dict[int, Matrix] = {}
-    for q in range(qmax, qmin, -1):
-        lower = gens_by_q.get(q, [])
-        upper = gens_by_q.get(q - 1, [])
-        index = {g: k for k, g in enumerate(upper)}
-        mat = Matrix(len(upper), len(lower))
-        for j, gen in enumerate(lower):
-            for coeff, target in koszul_coboundary(ctx, gen):
-                k = index.get(target)
-                if k is None:
-                    # the differential must preserve the color weight
-                    raise AssertionError(
-                        f"coboundary left the weight piece: {gen} -> {target}, "
-                        f"w={color_weight(ctx, target)} expected {tuple(w)}"
-                    )
-                mat.data[k][j] += coeff
-        d[-q] = mat
-    return CochainComplex(-qmax, -qmin, sizes, d, labels)
+    labels = {-q: gens_by_q.get(q, []) for q in range(qmin, qmax + 1)}
+    # the differential must preserve the color weight: a target outside the
+    # piece raises NotAComplex naming w and the generator
+    return assemble(
+        -qmax,
+        -qmin,
+        labels,
+        lambda deg: _coboundary_map(
+            ctx, koszul_coboundary, labels[deg], labels[deg + 1], deg, tuple(w)
+        ),
+    )
 
 
 @dataclass

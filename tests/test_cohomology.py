@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srbetti.cohomology
 from srbetti.cohomology import (
     CochainComplex,
     cohomology_dims,
@@ -11,6 +12,7 @@ from srbetti.cohomology import (
     reduced_cohomology_dims,
 )
 from srbetti.complexes import (
+    boundary_simplex,
     empty_complex,
     from_facets,
     full_simplex,
@@ -18,7 +20,7 @@ from srbetti.complexes import (
 )
 from srbetti.corpus import cycle_complex, rp2_complex
 from srbetti.errors import NotAComplex
-from srbetti.linalg import GF2, GF3, QQ, Matrix, rank
+from srbetti.linalg import GF2, GF3, QQ, SparseMap, rank
 
 
 def test_empty_complex_chain():
@@ -32,7 +34,7 @@ def test_two_points():
     K = from_facets(2, [1, 2])
     C = reduced_cochain_complex(K)
     assert {q: C.size(q) for q in (-1, 0)} == {-1: 1, 0: 2}
-    assert C.differential(-1).data == [[1], [1]]
+    assert C.differential(-1).data == [[(0, 1)], [(0, 1)]]
     assert reduced_cohomology_dims(K, QQ) == {0: 1}
 
 
@@ -57,21 +59,18 @@ def test_simplex_contractible():
 
 
 def test_not_a_complex_raises():
-    bad = CochainComplex(
-        0,
-        1,
-        {0: 1, 1: 1},
-        {0: Matrix.from_rows([[1]]), 1: Matrix.from_rows([[1]])},
-    )
+    one = SparseMap(1, 1, [[(0, 1)]])
+    bad = CochainComplex(0, 1, {0: 1, 1: 1}, {0: one, 1: one})
     # need a degree-2 slot for the composite to be testable
     bad.sizes[2] = 1
     bad.hi = 2
-    with pytest.raises(NotAComplex):
+    with pytest.raises(NotAComplex) as err:
         cohomology_dims(bad, QQ)
+    assert err.value.q == 0
 
 
 def test_shape_mismatch_raises():
-    bad = CochainComplex(0, 1, {0: 2, 1: 1}, {0: Matrix.from_rows([[1]])})
+    bad = CochainComplex(0, 1, {0: 2, 1: 1}, {0: SparseMap(1, 1, [[(0, 1)]])})
     with pytest.raises(NotAComplex):
         cohomology_dims(bad, QQ)
 
@@ -110,3 +109,33 @@ def test_relabeling_leaves_dims_unchanged(K, rng, f):
 def test_dd_zero_checked_on_every_reduced_complex():
     for K in (cycle_complex(5), rp2_complex(), full_simplex(3)):
         reduced_cochain_complex(K).check_dd_zero()
+
+
+def test_cached_dims_cannot_be_corrupted_by_a_caller():
+    K = boundary_simplex(2)
+    d = reduced_cohomology_dims(K, QQ)
+    with pytest.raises(TypeError):
+        d[1] = 99
+    assert reduced_cohomology_dims(K, QQ) == {1: 1}
+
+
+def test_flipped_sign_in_the_reduced_builder_is_caught(monkeypatch):
+    # mutation check: one wrong sign in d_1 (edges -> triangles) of the
+    # 2-sphere must make the fused d∘d check fail on d_1 ∘ d_0, that is from
+    # degree 0, at a triangle
+    build = srbetti.cohomology.boundary_map
+
+    def flipped(lower, upper):
+        M = build(lower, upper)
+        if upper and upper[0].bit_count() == 3:
+            (j, a), *rest = M.data[0]
+            M.data[0] = [(j, -a), *rest]
+        return M
+
+    monkeypatch.setattr(srbetti.cohomology, "boundary_map", flipped)
+    K = boundary_simplex(3)
+    with pytest.raises(NotAComplex) as err:
+        reduced_cochain_complex(K)
+    assert err.value.q == 0
+    assert "from degree 0" in str(err.value)
+    assert err.value.label == K.faces_by_card[3][0]

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+
+import srbetti.tor
 from hypothesis import given, settings, strategies as st
 
 from srbetti.betti import betti_table, zk_cohomology_dims
@@ -20,7 +22,7 @@ from srbetti.complexes import (
     submasks,
 )
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
-from srbetti.errors import DegeneratePartition
+from srbetti.errors import ColorOutOfRange, DegeneratePartition, NotAComplex
 from srbetti.linalg import GF2, GF3, QQ
 from srbetti.tor import (
     _context,
@@ -59,7 +61,7 @@ def test_quotient_complex_single_color():
     C = quotient_cochain_complex(K, alpha, mask_of([1]))
     assert {q: C.size(q) for q in range(C.lo, C.hi + 1)} == {1: 1, 2: 2}
     # d sends the (∅,{1}) cell to the sum of the two vertex cells
-    assert C.differential(1).data == [[1], [1]]
+    assert C.differential(1).data == [[(0, 1)], [(0, 1)]]
     assert cohomology_dims(C, QQ) == {2: 1}
 
 
@@ -113,7 +115,7 @@ def test_koszul_piece_w10():
     C = koszul_piece(K, alpha, (1, 0))
     # generators: t_1 in degree -1; v_1, v_3 in degree 0
     assert {q: C.size(q) for q in (-1, 0)} == {-1: 1, 0: 2}
-    assert C.differential(-1).data == [[1], [1]]
+    assert C.differential(-1).data == [[(0, 1)], [(0, 1)]]
     assert cohomology_dims(C, QQ) == {0: 1}
 
 
@@ -124,6 +126,34 @@ def test_koszul_piece_w11_nine_generators():
     assert {q: C.size(q) for q in (-2, -1, 0)} == {-2: 1, -1: 4, 0: 4}
     C.check_dd_zero()
     assert cohomology_dims(C, QQ) == {0: 1}
+
+
+def test_koszul_piece_names_weight_and_generator_when_leaving_the_piece(monkeypatch):
+    K, alpha = square_with_coloring()
+    good = srbetti.tor.koszul_coboundary
+
+    def leaky(ctx, gen):
+        # bump the weight of every target once more: it leaves the piece
+        out = []
+        for coeff, (sigma, h, imask) in good(ctx, gen):
+            out.append((coeff, (sigma, tuple(x + 1 if x else 0 for x in h), imask)))
+        return out
+
+    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", leaky)
+    with pytest.raises(NotAComplex) as err:
+        koszul_piece(K, alpha, (1, 0))
+    assert err.value.weight == (1, 0)
+    assert err.value.label == (0, (0, 0, 0, 0), 1)
+    assert err.value.q == -1
+    assert "w=(1, 0)" in str(err.value)
+
+
+def test_quotient_complex_rejects_colors_outside_r():
+    K, alpha = square_with_coloring()
+    with pytest.raises(ColorOutOfRange):
+        quotient_cochain_complex(K, alpha, 0b100)
+    with pytest.raises(ColorOutOfRange):
+        quotient_cochain_complex(K, alpha, [1, 3])
 
 
 def test_koszul_piece_differential_structure():
