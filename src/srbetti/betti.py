@@ -3,15 +3,20 @@ cohomology dimensions.
 
 Hochster's formula is the only Betti engine here: β_{i,ω} is the dimension of
 the reduced cohomology of the full subcomplex K|ω in degree |ω|-i-1.  The
-moment-angle dimensions are computed twice, once directly from subcomplex
-cohomology and once through the Betti table, and the two routes must agree.
+2^m sweep never re-indexes or rebuilds K|ω:
+:func:`~srbetti.cohomology.reduced_cohomology_dims` reads its cochain complex
+off K's own, which is built and d∘d-checked once per K and shared by every ω
+and every field.  The moment-angle dimensions are computed twice, once
+directly from subcomplex cohomology and once through the Betti table, and
+the two routes must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from .complexes import SimplicialComplex, full_subcomplex, mask_of, submasks, vertices_of
+from .complexes import SimplicialComplex, mask_of, submasks, vertices_of
 from .errors import MismatchFound, VertexBudgetExceeded, VertexOutOfRange
 from .cohomology import reduced_cohomology_dims
 from .linalg import FieldSpec
@@ -60,8 +65,7 @@ def betti_number(K: SimplicialComplex, i: int, omega, f: FieldSpec) -> int:
     deg = om.bit_count() - i - 1
     if deg < -1:
         return 0
-    sub = full_subcomplex(K, om)
-    return reduced_cohomology_dims(sub, f).get(deg, 0)
+    return reduced_cohomology_dims(K, f, om).get(deg, 0)
 
 
 def _check_cap(K: SimplicialComplex, max_vertices) -> None:
@@ -70,9 +74,9 @@ def _check_cap(K: SimplicialComplex, max_vertices) -> None:
         raise VertexBudgetExceeded(f"m={K.m} exceeds the cap {cap} for 2^m enumeration")
 
 
-def subcomplex_cohomology(K: SimplicialComplex, omega: int, f: FieldSpec) -> dict[int, int]:
+def subcomplex_cohomology(K: SimplicialComplex, omega: int, f: FieldSpec) -> Mapping[int, int]:
     """Reduced cohomology dimensions of K|ω (shared cached primitive)."""
-    return reduced_cohomology_dims(full_subcomplex(K, omega), f)
+    return reduced_cohomology_dims(K, f, omega)
 
 
 def betti_table(K: SimplicialComplex, f: FieldSpec, *, max_vertices=None) -> BettiTable:

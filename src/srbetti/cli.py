@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -71,7 +70,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 def _add_partition_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--blocks", metavar="SPEC", help='partition blocks, e.g. "1 3 | 2 4" (or a file path)')
+    g.add_argument("--blocks", metavar="SPEC", help='inline partition blocks, e.g. "1 3 | 2 4"')
+    g.add_argument("--blocks-file", metavar="PATH", help="partition file (blocks format)")
     g.add_argument("--greedy", action="store_true", help="greedy coloring (default)")
     g.add_argument("--minimum", action="store_true", help="exact minimum coloring")
     g.add_argument("--trivial", action="store_true", help="trivial partition (r = m)")
@@ -143,13 +143,11 @@ def _load_complex(args) -> SimplicialComplex:
 
 
 def _resolve_partition(args, K: SimplicialComplex) -> tuple[str, Partition]:
+    if getattr(args, "blocks_file", None):
+        with open(args.blocks_file, encoding="utf-8") as fh:
+            return "file", parse_blocks(fh.read(), K.m)
     if getattr(args, "blocks", None):
-        text = args.blocks
-        if os.path.exists(text):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-            return "file", parse_blocks(text, K.m)
-        return "inline", parse_blocks(text, K.m)
+        return "inline", parse_blocks(args.blocks, K.m)
     if getattr(args, "minimum", False):
         return "minimum", minimum_coloring(K)
     if getattr(args, "trivial", False):

@@ -9,7 +9,10 @@ is known to be a complex; ranks then come from the one kernel
 
 The reduced (augmented) cochain complex is the only flavor here: the empty
 face contributes a generator in degree -1, so H̃^{-1}({∅}) is one-dimensional
-and every Hochster-type formula comes out without convention traps.
+and every Hochster-type formula comes out without convention traps.  It is
+built and checked once per complex K (``K.cochains``), and the cohomology of
+a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to the
+rows of the faces inside ω (:func:`reduced_cohomology_dims`).
 
 Orientation convention: the vertices of each face are ordered ascending and
 the coboundary sign is (-1)^position of the inserted vertex.  Any fixed
@@ -23,7 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, faces_within
 from .errors import NotAComplex
 from .linalg import FieldSpec, SparseMap, rank
 
@@ -107,18 +110,35 @@ def assemble(
     return CochainComplex(lo, hi, sizes, d, labels, checked=True)
 
 
-def cohomology_dims(C: CochainComplex, f: FieldSpec) -> dict[int, int]:
+def cohomology_dims(C: CochainComplex, f: FieldSpec, keep=None) -> dict[int, int]:
     """dim H^q = (size(q) - rank d_q) - rank d_{q-1}; zero entries omitted.
+
+    ``keep``, if given, restricts C to the subcomplex whose degree C.lo + k
+    basis is the ascending positions ``keep[k]``: each d_q is cut down to its
+    kept rows and keeps C's columns.  The kept basis must be closed under
+    taking faces (the faces of K inside ω, say), so a kept row reaches kept
+    columns only, and every restricted composite is a block of C's composite,
+    which C's d∘d check has covered.
 
     A complex that was not checked when it was built is checked here."""
     if not C.checked:
         C.check_dd_zero()
-    ranks = {q: rank(C.differential(q), f) for q in range(C.lo, C.hi + 1)}
+    lo = C.lo
+    if keep is None:
+        sizes = [C.size(q) for q in range(lo, C.hi + 1)]
+        maps = [C.differential(q) for q in range(lo, C.hi + 1)]
+    else:
+        sizes = [len(rows) for rows in keep]
+        maps = []
+        for q, rows in enumerate([*keep[1:], ()], lo):
+            M = C.differential(q)
+            maps.append(SparseMap(len(rows), M.cols, [M.data[i] for i in rows]))
+    ranks = [rank(M, f) for M in maps]
     out = {}
-    for q in range(C.lo, C.hi + 1):
-        h = (C.size(q) - ranks[q]) - ranks.get(q - 1, 0)
+    for k, size in enumerate(sizes):
+        h = (size - ranks[k]) - (ranks[k - 1] if k else 0)
         if h:
-            out[q] = h
+            out[lo + k] = h
     return out
 
 
@@ -151,9 +171,21 @@ def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
 
 
 @lru_cache(maxsize=1 << 18)
-def reduced_cohomology_dims(K: SimplicialComplex, f: FieldSpec) -> Mapping[int, int]:
-    """Reduced cohomology dimensions of K over f (cached, read-only view)."""
-    return MappingProxyType(cohomology_dims(reduced_cochain_complex(K), f))
+def reduced_cohomology_dims(
+    K: SimplicialComplex, f: FieldSpec, omega: int | None = None
+) -> Mapping[int, int]:
+    """Reduced cohomology dimensions of K|ω over f, ω all of [m] when None
+    (cached, read-only view).
+
+    C^*(K|ω) is not built: it is read off ``K.cochains``, K's own complex,
+    built and d∘d-checked once per K, as the rows of the faces inside ω.
+    """
+    C = K.cochains
+    if omega is None:
+        return MappingProxyType(cohomology_dims(C, f))
+    index = K.face_index  # ascending positions are ascending masks, as in K|ω's own complex
+    keep = [sorted(map(index.__getitem__, level)) for level in faces_within(K, omega)]
+    return MappingProxyType(cohomology_dims(C, f, keep))
 
 
 def euler_characteristic_reduced(K: SimplicialComplex) -> int:

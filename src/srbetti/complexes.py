@@ -120,6 +120,19 @@ class SimplicialComplex:
         return ext
 
     @cached_property
+    def face_index(self) -> dict[int, int]:
+        """Face -> its position in ``faces_by_card[|face|]``."""
+        return {f: i for bucket in self.faces_by_card for i, f in enumerate(bucket)}
+
+    @cached_property
+    def cochains(self):
+        """The reduced cochain complex, built and d∘d-checked once per K (see
+        :func:`srbetti.cohomology.reduced_cochain_complex`)."""
+        from .cohomology import reduced_cochain_complex  # cohomology imports this module
+
+        return reduced_cochain_complex(self)
+
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
 
@@ -189,37 +202,52 @@ def from_facets(
     return SimplicialComplex(m, maximal, frozenset(faces))
 
 
-def full_subcomplex(K: SimplicialComplex, omega) -> SimplicialComplex:
-    """The faces of K contained in omega, re-indexed onto 1..|omega|.
+def faces_within(K: SimplicialComplex, omega) -> list[list[int]]:
+    """The faces of K contained in omega, in K's own vertex coordinates:
+    entry k lists those of cardinality k, up to the largest.
 
-    Original vertex names are kept in ``labels``.  omega = 0 yields the
-    empty complex {∅}.  The faces are generated from ∅ by adding vertices of
-    omega in increasing order, each step a coface-membership test on
-    ``K.coface_vertices``; a face is a facet when no vertex of omega extends
-    it.  The cost is O(|faces| + |omega|) per face found, not a scan of K.
+    Each face of cardinality k+1 is made from one of cardinality k by adding
+    a vertex of omega above all of its own, with one coface-membership test
+    on ``K.coface_vertices``, so the cost is O(|omega|) per face found, not a
+    scan of K.
     """
     om = _as_mask(omega)
     if om & ~K.full_mask:
         raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
     ext = K.coface_vertices
-    faces = []
-    maximal = []
-    stack = [(0, 0)]  # (face of K, the same face re-indexed)
-    while stack:
-        f, g = stack.pop()
-        faces.append(g)
-        up = ext[f] & om
-        if not up:
-            maximal.append(g)
-        up &= -(1 << f.bit_length())  # only vertices above those of f
-        while up:
-            low = up & -up
-            stack.append((f | low, g | 1 << (om & (low - 1)).bit_count()))
-            up ^= low
+    levels = [[0]]
+    while True:
+        nxt = []
+        for f in levels[-1]:
+            up = ext[f] & om & -(1 << f.bit_length())  # only vertices above those of f
+            while up:
+                low = up & -up
+                nxt.append(f | low)
+                up ^= low
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
+def full_subcomplex(K: SimplicialComplex, omega) -> SimplicialComplex:
+    """The faces of K contained in omega, re-indexed onto 1..|omega|.
+
+    Original vertex names are kept in ``labels``.  omega = 0 yields the
+    empty complex {∅}.  The faces come from :func:`faces_within`; a face is
+    a facet when no vertex of omega extends it.
+    """
+    om = _as_mask(omega)
+    faces = [f for level in faces_within(K, om) for f in level]
+    ext = K.coface_vertices
     verts = vertices_of(om)
+
+    def reindex(f: int) -> int:
+        return sum(1 << i for i, v in enumerate(verts) if f >> (v - 1) & 1)
+
+    maximal = frozenset(reindex(f) for f in faces if not ext[f] & om)
     old_labels = K.labels or tuple(range(1, K.m + 1))
     labels = tuple(old_labels[v - 1] for v in verts)
-    return SimplicialComplex(len(verts), frozenset(maximal), frozenset(faces), labels)
+    return SimplicialComplex(len(verts), maximal, frozenset(map(reindex, faces)), labels)
 
 
 def boundary_simplex(n: int, *, max_vertices: int | None = None) -> SimplicialComplex:

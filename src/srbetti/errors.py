@@ -69,4 +69,9 @@ class MismatchFound(SRBettiError):
 
 
 class StabilizationNotReached(Warning):
-    """Koszul weight shells still contributed homology at the bound (warning)."""
+    """Koszul weight shells still contributed homology at the bound (warning);
+    carries the color sets L that did not stabilize, as lists of colors."""
+
+    def __init__(self, message, colors=None):
+        super().__init__(message)
+        self.colors = colors

@@ -28,6 +28,7 @@ sum without enumerating every vector.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,7 +36,7 @@ from .betti import betti_number, subcomplex_cohomology
 from .cohomology import CochainComplex, assemble, cohomology_dims
 from .coloring import Partition, _as_color_mask, colors_of, is_nondegenerate, omega_L
 from .complexes import SimplicialComplex, submasks, vertices_of
-from .errors import DegeneratePartition, MismatchFound, NotAComplex
+from .errors import DegeneratePartition, MismatchFound, NotAComplex, StabilizationNotReached
 from .linalg import FieldSpec, SparseMap
 
 # A Koszul generator t_I v^(σ,h) and equally a fattened cell: h is a weight
@@ -337,6 +338,14 @@ def koszul_piece(
     )
 
 
+def _stabilized_json(stabilized: dict[int, bool]) -> list[dict]:
+    """Per-L stabilization flags, ordered by (|L|, L)."""
+    return [
+        {"L": list(vertices_of(L)), "stabilized": flag}
+        for L, flag in sorted(stabilized.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+    ]
+
+
 @dataclass
 class TorTable:
     """Sparse (q, L) -> dim Tor_{q,L}, plus per-L weight-shell stabilization."""
@@ -369,12 +378,7 @@ class TorTable:
                 {"q": q, "L": list(vertices_of(L)), "dim": v}
                 for (q, L), v in self.sorted_items()
             ],
-            "stabilized": [
-                {"L": list(vertices_of(L)), "stabilized": flag}
-                for L, flag in sorted(
-                    self.stabilized.items(), key=lambda kv: (kv[0].bit_count(), kv[0])
-                )
-            ],
+            "stabilized": _stabilized_json(self.stabilized),
         }
 
 
@@ -401,7 +405,9 @@ def tor_dims(
     the number of weight vectors in the class (pieces with a coordinate >= 2
     are pairwise isomorphic along that coordinate).  The stabilization flag
     per L records that the two outermost weight shells (maximum coordinate
-    B-1 and B) contributed zero homology.
+    B-1 and B) contributed zero homology; a
+    :class:`~srbetti.errors.StabilizationNotReached` warning lists the L whose
+    flag is unset.
     """
     ctx = _context(K, alpha)
     bound = default_weight_bound(K, alpha) if weight_bound is None else weight_bound
@@ -438,6 +444,10 @@ def tor_dims(
         if bound < 2 and any(e for e in patterns):
             outer_ok = False  # shells with a coordinate 2 were never inspected
         table.stabilized[lmask] = outer_ok
+    unstable = [e["L"] for e in _stabilized_json(table.stabilized) if not e["stabilized"]]
+    if unstable:
+        message = f"weight shells still contribute at the bound {bound} for L in {unstable}"
+        warnings.warn(StabilizationNotReached(message, colors=unstable), stacklevel=2)
     return table
 
 
@@ -581,12 +591,7 @@ class TorThreeWayReport:
         return {
             "weight_bound": self.weight_bound,
             "records": [rec.to_json() for rec in self.records],
-            "stabilized": [
-                {"L": list(vertices_of(L)), "stabilized": flag}
-                for L, flag in sorted(
-                    self.stabilized.items(), key=lambda kv: (kv[0].bit_count(), kv[0])
-                )
-            ],
+            "stabilized": _stabilized_json(self.stabilized),
             "pass": self.ok,
         }
 

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srbetti.betti import betti_number, betti_table, zk_cohomology_dims
+import srbetti.cohomology
+from srbetti.betti import betti_number, betti_table, subcomplex_cohomology, zk_cohomology_dims
+from srbetti.cohomology import reduced_cohomology_dims
 from srbetti.complexes import (
     boundary_simplex,
     from_facets,
@@ -12,7 +14,7 @@ from srbetti.complexes import (
     relabel_complex,
 )
 from srbetti.corpus import cycle_complex, rp2_complex
-from srbetti.errors import VertexBudgetExceeded, VertexOutOfRange
+from srbetti.errors import NotAComplex, VertexBudgetExceeded, VertexOutOfRange
 from srbetti.linalg import GF2, GF3, QQ
 
 
@@ -24,6 +26,56 @@ def test_betti_number_base_cases():
     assert betti_number(K, 1, mask_of((1, 2)), QQ) == 0
     with pytest.raises(VertexOutOfRange):
         betti_number(K, 0, mask_of((5,)), QQ)
+
+
+def test_subcomplex_cohomology_rejects_omega_outside_m():
+    K = cycle_complex(4)
+    for omega in (mask_of((5,)), mask_of((1, 2, 6))):
+        with pytest.raises(VertexOutOfRange):
+            subcomplex_cohomology(K, omega, QQ)
+        with pytest.raises(VertexOutOfRange):
+            reduced_cohomology_dims(K, QQ, omega)
+
+
+def test_flipped_sign_in_the_builder_is_caught_by_the_sweep(monkeypatch):
+    # mutation check: one wrong sign in d_1 (edges -> triangles) of the
+    # 2-sphere must stop betti_table at K's own d∘d check, from degree 0, at
+    # a triangle named in K's coordinates
+    build = srbetti.cohomology.boundary_map
+
+    def flipped(lower, upper):
+        M = build(lower, upper)
+        if upper and upper[0].bit_count() == 3:
+            (j, a), *rest = M.data[0]
+            M.data[0] = [(j, -a), *rest]
+        return M
+
+    monkeypatch.setattr(srbetti.cohomology, "boundary_map", flipped)
+    reduced_cohomology_dims.cache_clear()  # an equal K may be cached already
+    K = boundary_simplex(3)
+    with pytest.raises(NotAComplex) as err:
+        betti_table(K, GF2)
+    assert err.value.q == 0
+    assert err.value.label == mask_of((1, 2, 3)) == K.faces_by_card[3][0]
+
+
+def test_only_the_dims_cache_holds_rank_results(monkeypatch):
+    # a table computed with a wrong rank must not survive clearing the one
+    # cache: K's own complex, kept with K, holds maps and no ranks
+    rank = srbetti.cohomology.rank
+
+    def off_by_one(M, f):
+        return rank(M, f) + 1 if M.rows and M.cols else rank(M, f)
+
+    K = rp2_complex()
+    reduced_cohomology_dims.cache_clear()
+    good = dict(betti_table(K, QQ).entries)
+    reduced_cohomology_dims.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(srbetti.cohomology, "rank", off_by_one)
+        assert betti_table(K, QQ).entries != good
+    reduced_cohomology_dims.cache_clear()
+    assert betti_table(K, QQ).entries == good
 
 
 def test_betti_table_boundary_1_simplex():

@@ -7,6 +7,7 @@ import pytest
 from srbetti.cli import main
 from srbetti.complexes import complex_from_json, from_facets, mask_of
 from srbetti.corpus import random_complex
+from srbetti.errors import StabilizationNotReached
 
 SQUARE = "m 4\nfacet 1 2\nfacet 2 3\nfacet 3 4\nfacet 1 4\n"
 
@@ -81,13 +82,32 @@ def test_tor(square_file, capsys):
 
 
 def test_tor_low_bound_warns_but_exits_zero(square_file, capsys):
-    code, out, err = run(
-        capsys, "tor", "--in", square_file, "--blocks", "1 3 | 2 4", "--weight-bound", "1"
-    )
+    with pytest.warns(StabilizationNotReached):
+        code, out, err = run(
+            capsys, "tor", "--in", square_file, "--blocks", "1 3 | 2 4", "--weight-bound", "1"
+        )
     assert code == 0
     assert "StabilizationNotReached" in err
     payload = json.loads(out)
     assert not all(s["stabilized"] for s in payload["stabilized"])
+
+
+def test_blocks_is_inline_even_when_a_file_has_that_name(
+    square_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1 3 | 2 4").write_text("blocks 1 2 | 3 4\n")  # a degenerate coloring
+    code, out, _ = run(capsys, "color", "--in", square_file, "--blocks", "1 3 | 2 4")
+    assert code == 0
+    assert json.loads(out)["source"] == "inline"
+    assert json.loads(out)["blocks"] == "blocks 1 3 | 2 4"
+    code, out, _ = run(capsys, "color", "--in", square_file, "--blocks-file", "1 3 | 2 4")
+    assert code == 1
+    assert json.loads(out)["source"] == "file"
+    assert json.loads(out)["blocks"] == "blocks 1 2 | 3 4"
+    code, _, err = run(capsys, "color", "--in", square_file, "--blocks-file", "no such file")
+    assert code == 2
+    assert "FileNotFoundError" in err
 
 
 def test_verify_pass(square_file, capsys):

@@ -16,6 +16,7 @@ from srbetti.complexes import (
     empty_complex,
     from_facets,
     full_simplex,
+    full_subcomplex,
     relabel_complex,
 )
 from srbetti.corpus import cycle_complex, rp2_complex
@@ -104,6 +105,16 @@ def test_relabeling_leaves_dims_unchanged(K, rng, f):
     rng.shuffle(new)
     perm = {old: new[old - 1] for old in range(1, K.m + 1)}
     assert reduced_cohomology_dims(relabel_complex(K, perm), f) == reduced_cohomology_dims(K, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(max_m=6), st.data(), st.sampled_from([QQ, GF2, GF3]))
+def test_subcomplex_dims_read_off_k_match_a_rebuilt_subcomplex(K, data, f):
+    # the route through K's own complex against re-indexing K|ω and building
+    # its complex from scratch
+    omega = data.draw(st.integers(0, K.full_mask))
+    rebuilt = cohomology_dims(reduced_cochain_complex(full_subcomplex(K, omega)), f)
+    assert reduced_cohomology_dims(K, f, omega) == rebuilt
 
 
 def test_dd_zero_checked_on_every_reduced_complex():

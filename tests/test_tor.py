@@ -1,6 +1,8 @@
 """Colored cochain complexes, Koszul weight pieces, and Tor verification."""
 
 import itertools
+import re
+import warnings
 
 import pytest
 
@@ -22,7 +24,12 @@ from srbetti.complexes import (
     submasks,
 )
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
-from srbetti.errors import ColorOutOfRange, DegeneratePartition, NotAComplex
+from srbetti.errors import (
+    ColorOutOfRange,
+    DegeneratePartition,
+    NotAComplex,
+    StabilizationNotReached,
+)
 from srbetti.linalg import GF2, GF3, QQ
 from srbetti.tor import (
     _context,
@@ -221,8 +228,9 @@ def test_tor_dims_full_simplex_trivial():
     table = tor_dims(K, trivial_partition(3), QQ)
     assert table.entries == {(0, 0): 1}
     assert table.all_stabilized()
-    # the value is already complete at weight bound 1
-    assert tor_dims(K, trivial_partition(3), QQ, 1).entries == {(0, 0): 1}
+    # the value is already complete at weight bound 1, though not certified
+    with pytest.warns(StabilizationNotReached):
+        assert tor_dims(K, trivial_partition(3), QQ, 1).entries == {(0, 0): 1}
 
 
 def test_tor_dims_four_cycle_colored():
@@ -245,6 +253,7 @@ def test_tor_dims_four_cycle_trivial_matches_betti():
             assert table.get(q, lmask) == bt.get(q, om)
 
 
+@pytest.mark.filterwarnings("ignore::srbetti.errors.StabilizationNotReached")
 def test_tor_dims_matches_literal_weight_enumeration():
     cases = [
         square_with_coloring(),
@@ -266,8 +275,13 @@ def test_tor_dims_matches_literal_weight_enumeration():
 
 def test_tor_dims_stabilization_flag_low_bound():
     K, alpha = square_with_coloring()
-    assert not tor_dims(K, alpha, QQ, 1).all_stabilized()
-    assert tor_dims(K, alpha, QQ, 3).all_stabilized()
+    listed = re.escape("bound 1 for L in [[], [1], [2], [1, 2]]")
+    with pytest.warns(StabilizationNotReached, match=listed) as rec:
+        assert not tor_dims(K, alpha, QQ, 1).all_stabilized()
+    assert rec[0].message.colors == [[], [1], [2], [1, 2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a stabilized table warns nothing
+        assert tor_dims(K, alpha, QQ, 3).all_stabilized()
 
 
 def test_tor_rejects_degenerate():
