@@ -31,9 +31,7 @@ from .coloring import (
 from .complexes import (
     SimplicialComplex,
     boundary_simplex,
-    dimension,
     empty_complex,
-    faces_by_dim,
     from_facets,
     full_simplex,
     full_subcomplex,

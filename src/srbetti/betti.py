@@ -83,7 +83,7 @@ def betti_table(K: SimplicialComplex, f: FieldSpec, *, max_vertices=None) -> Bet
     """All nonzero β_{i,ω}; 2^m subcomplex cohomology computations."""
     _check_cap(K, max_vertices)
     table = BettiTable(K.m, f)
-    for om in sorted(submasks(K.full_mask), key=lambda s: (s.bit_count(), s)):
+    for om in submasks(K.full_mask):
         card = om.bit_count()
         for deg, d in subcomplex_cohomology(K, om, f).items():
             i = card - deg - 1

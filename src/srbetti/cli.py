@@ -13,7 +13,6 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .betti import betti_table, zk_cohomology_dims
 from .bounds import all_bound_checks, sharpness_suite
@@ -39,19 +38,6 @@ from .corpus import random_complex
 from .errors import SRBettiError
 from .linalg import QQ, GF2, GF3, FieldSpec
 from .tor import quotient_cohomology_dims, tor_dims, verify_tor_threeway
-
-
-@dataclass
-class RunConfig:
-    command: str
-    complex_: SimplicialComplex | None
-    field: FieldSpec
-    partition_source: str | None
-    partition: Partition | None
-    weight_bound: int | None
-    seed: int | None
-    fmt: str
-    max_m: int | None
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:

@@ -1,32 +1,35 @@
 """Finite cochain complexes and reduced simplicial cohomology dimensions.
 
-Each coboundary d_q is a :class:`~srbetti.linalg.SparseMap` with one sparse
-row per basis element of degree q+1, built directly from face bitmasks (here)
-or generator indices (``tor``).  :func:`assemble` checks d_q ∘ d_{q-1} = 0 as
-a sparse product the moment d_q is built, so every complex a builder returns
-is known to be a complex; ranks then come from the one kernel
-:func:`~srbetti.linalg.rank`.
+Every complex in the package (the reduced one here, the colored ones in
+``tor``) is given by its bases and a coboundary rule, basis element ↦
+(coefficient, target) terms.  :func:`assemble` turns the rule into one
+:class:`~srbetti.linalg.SparseMap` per degree with the one builder
+:func:`coboundary_map`, and checks d_q ∘ d_{q-1} = 0 as a sparse product the
+moment d_q is built, so every complex a builder returns is known to be a
+complex; ranks then come from the one kernel :func:`~srbetti.linalg.rank`.
 
 The reduced (augmented) cochain complex is the only flavor here: the empty
 face contributes a generator in degree -1, so H̃^{-1}({∅}) is one-dimensional
 and every Hochster-type formula comes out without convention traps.  It is
 built and checked once per complex K (``K.cochains``), and the cohomology of
 a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to the
-rows of the faces inside ω (:func:`reduced_cohomology_dims`).
+rows of the faces inside ω (:func:`reduced_cohomology_dims`, with the faces
+from :func:`~srbetti.complexes.faces_inside`).
 
-Orientation convention: the vertices of each face are ordered ascending and
-the coboundary sign is (-1)^position of the inserted vertex.  Any fixed
-convention yields the same dimensions (tested).
+Orientation convention: the vertices of each face are ordered ascending, the
+coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
+sign is (-1)^position of v in σ∪{v}.  Any fixed convention yields the same
+dimensions (tested).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .complexes import SimplicialComplex, faces_within
+from .complexes import SimplicialComplex, faces_inside
 from .errors import NotAComplex
 from .linalg import FieldSpec, SparseMap, rank
 
@@ -96,14 +99,42 @@ def _check_composite(first: SparseMap, second: SparseMap, q: int, labels=None) -
             raise NotAComplex(f"d∘d != 0 from degree {q} at {label!r}", q=q, label=label)
 
 
+def coboundary_map(rule: Callable, lower: list, upper: list, q: int, weight=None) -> SparseMap:
+    """Matrix of d from the basis ``lower`` of degree q to the basis ``upper``,
+    where ``rule(x)`` lists the (coefficient, target) terms of d x.  A target
+    outside ``upper`` means the maps are wrong; for a Koszul piece the error
+    also names its color weight ``weight``."""
+    index = {g: k for k, g in enumerate(upper)}
+    data: list[list[tuple[int, int]]] = [[] for _ in upper]
+    for j, gen in enumerate(lower):
+        for coeff, target in rule(gen):
+            k = index.get(target)
+            if k is None:
+                where = "" if weight is None else f"; piece w={weight}"
+                raise NotAComplex(
+                    f"coboundary in degree {q} leaves the basis: {gen} -> {target}{where}",
+                    q=q,
+                    label=gen,
+                    weight=weight,
+                )
+            row = data[k]
+            if row and row[-1][0] == j:  # a second term on the same target
+                coeff += row.pop()[1]
+                if not coeff:
+                    continue
+            row.append((j, coeff))
+    return SparseMap(len(upper), len(lower), data)
+
+
 def assemble(
-    lo: int, hi: int, labels: dict[int, list], build: Callable[[int], SparseMap]
+    lo: int, hi: int, labels: dict[int, list], rule: Callable, weight=None
 ) -> CochainComplex:
-    """The complex with bases ``labels[lo..hi]`` and d_q = build(q), each
-    d_q checked against d_{q-1} as soon as it is built."""
+    """The complex with bases ``labels[lo..hi]`` and coboundary ``rule`` (see
+    :func:`coboundary_map`), each d_q checked against d_{q-1} as soon as it
+    is built."""
     d: dict[int, SparseMap] = {}
     for q in range(lo, hi):
-        d[q] = build(q)
+        d[q] = coboundary_map(rule, labels[q], labels[q + 1], q, weight)
         if q > lo:
             _check_composite(d[q - 1], d[q], q - 1, labels[q + 1])
     sizes = {q: len(labels[q]) for q in range(lo, hi + 1)}
@@ -142,32 +173,22 @@ def cohomology_dims(C: CochainComplex, f: FieldSpec, keep=None) -> dict[int, int
     return out
 
 
-def boundary_map(lower, upper) -> SparseMap:
-    """d from the faces ``lower`` to the faces ``upper`` one vertex larger:
-    the row of a face lists its facets with sign (-1)^position of the vertex
-    left out."""
-    index = {f: i for i, f in enumerate(lower)}
-    data = []
-    for f in upper:
-        row = []
-        sign = 1
-        rest = f
-        while rest:
-            low = rest & -rest
-            j = index.get(f ^ low)
-            if j is not None:
-                row.append((j, sign))
-            sign = -sign
-            rest ^= low
-        data.append(row)
-    return SparseMap(len(upper), len(lower), data)
+def _face_coboundary(cofaces: dict[int, int], sigma: int) -> list[tuple[int, int]]:
+    """σ ↦ Σ ± σ∪{v} over the v in ``cofaces[σ]``, the sign (-1)^(number of
+    vertices of σ below v)."""
+    out = []
+    up = cofaces[sigma]
+    while up:
+        low = up & -up
+        out.append((-1 if (sigma & (low - 1)).bit_count() & 1 else 1, sigma | low))
+        up ^= low
+    return out
 
 
 def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
     """Reduced simplicial cochain complex of K, degrees -1..dim K."""
-    by_card = K.faces_by_card
-    labels = {q: by_card[q + 1] for q in range(-1, K.dim + 1)}
-    return assemble(-1, K.dim, labels, lambda q: boundary_map(by_card[q + 1], by_card[q + 2]))
+    labels = {q: K.faces_by_card[q + 1] for q in range(-1, K.dim + 1)}
+    return assemble(-1, K.dim, labels, partial(_face_coboundary, K.coface_vertices))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -180,12 +201,8 @@ def reduced_cohomology_dims(
     C^*(K|ω) is not built: it is read off ``K.cochains``, K's own complex,
     built and d∘d-checked once per K, as the rows of the faces inside ω.
     """
-    C = K.cochains
-    if omega is None:
-        return MappingProxyType(cohomology_dims(C, f))
-    index = K.face_index  # ascending positions are ascending masks, as in K|ω's own complex
-    keep = [sorted(map(index.__getitem__, level)) for level in faces_within(K, omega)]
-    return MappingProxyType(cohomology_dims(C, f, keep))
+    keep = None if omega is None else faces_inside(K, omega)
+    return MappingProxyType(cohomology_dims(K.cochains, f, keep))
 
 
 def euler_characteristic_reduced(K: SimplicialComplex) -> int:

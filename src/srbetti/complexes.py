@@ -3,7 +3,9 @@
 A vertex subset is an int whose bit j-1 stands for vertex j.  Complexes keep
 both their facets and the fully expanded downward-closed face family (the
 empty face included); everything downstream iterates faces, and at the
-supported scale (m <= 24 by default) the 2^m expansion is cheap.
+supported scale (m <= 24 by default) the 2^m expansion is cheap.  Each K
+keeps the one coface table (``coface_vertices``) and its faces sorted by size
+(``faces_by_card``); the faces inside ω are one filter over the latter.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -120,11 +122,6 @@ class SimplicialComplex:
         return ext
 
     @cached_property
-    def face_index(self) -> dict[int, int]:
-        """Face -> its position in ``faces_by_card[|face|]``."""
-        return {f: i for bucket in self.faces_by_card for i, f in enumerate(bucket)}
-
-    @cached_property
     def cochains(self):
         """The reduced cochain complex, built and d∘d-checked once per K (see
         :func:`srbetti.cohomology.reduced_cochain_complex`)."""
@@ -135,9 +132,6 @@ class SimplicialComplex:
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
-
-    def has_face(self, mask: int) -> bool:
-        return mask in self.faces
 
     @cached_property
     def edges(self) -> tuple[int, ...]:
@@ -202,42 +196,33 @@ def from_facets(
     return SimplicialComplex(m, maximal, frozenset(faces))
 
 
-def faces_within(K: SimplicialComplex, omega) -> list[list[int]]:
-    """The faces of K contained in omega, in K's own vertex coordinates:
-    entry k lists those of cardinality k, up to the largest.
-
-    Each face of cardinality k+1 is made from one of cardinality k by adding
-    a vertex of omega above all of its own, with one coface-membership test
-    on ``K.coface_vertices``, so the cost is O(|omega|) per face found, not a
-    scan of K.
-    """
+def faces_inside(K: SimplicialComplex, omega) -> list[list[int]]:
+    """The faces of K contained in omega: entry k lists their ascending
+    positions in ``K.faces_by_card[k]``, so in ascending mask order, up to the
+    first cardinality with none."""
     om = _as_mask(omega)
     if om & ~K.full_mask:
         raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
-    ext = K.coface_vertices
-    levels = [[0]]
-    while True:
-        nxt = []
-        for f in levels[-1]:
-            up = ext[f] & om & -(1 << f.bit_length())  # only vertices above those of f
-            while up:
-                low = up & -up
-                nxt.append(f | low)
-                up ^= low
-        if not nxt:
-            return levels
-        levels.append(nxt)
+    outside = K.full_mask ^ om
+    levels = []
+    for level in K.faces_by_card:
+        rows = [i for i, g in enumerate(level) if not g & outside]
+        if not rows:
+            break
+        levels.append(rows)
+    return levels
 
 
 def full_subcomplex(K: SimplicialComplex, omega) -> SimplicialComplex:
     """The faces of K contained in omega, re-indexed onto 1..|omega|.
 
     Original vertex names are kept in ``labels``.  omega = 0 yields the
-    empty complex {∅}.  The faces come from :func:`faces_within`; a face is
+    empty complex {∅}.  The faces come from :func:`faces_inside`; a face is
     a facet when no vertex of omega extends it.
     """
     om = _as_mask(omega)
-    faces = [f for level in faces_within(K, om) for f in level]
+    by_card = K.faces_by_card
+    faces = [by_card[k][i] for k, rows in enumerate(faces_inside(K, om)) for i in rows]
     ext = K.coface_vertices
     verts = vertices_of(om)
 
@@ -278,15 +263,6 @@ def join(
     faces = frozenset(f1 | (f2 << K1.m) for f1 in K1.faces for f2 in K2.faces)
     facets = frozenset(f1 | (f2 << K1.m) for f1 in K1.facets for f2 in K2.facets)
     return SimplicialComplex(m, facets, faces)
-
-
-def dimension(K: SimplicialComplex) -> int:
-    return K.dim
-
-
-def faces_by_dim(K: SimplicialComplex) -> list[list[int]]:
-    """Face lists grouped by cardinality; entry k holds the (k-1)-dimensional faces."""
-    return [list(b) for b in K.faces_by_card]
 
 
 def relabel_complex(K: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:

@@ -15,6 +15,10 @@ The Koszul differential is implemented through the module structure
 cellular coboundary is implemented independently from the cell formula, so
 comparing them is a genuine check, not a tautology.
 
+Each complex is its bases plus one of these rules, built and d∘d-checked by
+:func:`~srbetti.cohomology.assemble`; cofaces by a vertex of color i are read
+off K's one coface table as ``K.coface_vertices[σ] & α_i``.
+
 Everything is made finite by the color-weight vector
 w_i = [i ∈ I] + Σ_{j∈α_i} h(j), which the differential preserves.  Each
 weight piece is a finite complex; the L-graded Tor is the sum over w with
@@ -30,14 +34,14 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .betti import betti_number, subcomplex_cohomology
 from .cohomology import CochainComplex, assemble, cohomology_dims
 from .coloring import Partition, _as_color_mask, colors_of, is_nondegenerate, omega_L
 from .complexes import SimplicialComplex, submasks, vertices_of
-from .errors import DegeneratePartition, MismatchFound, NotAComplex, StabilizationNotReached
-from .linalg import FieldSpec, SparseMap
+from .errors import DegeneratePartition, MismatchFound, StabilizationNotReached
+from .linalg import FieldSpec
 
 # A Koszul generator t_I v^(σ,h) and equally a fattened cell: h is a weight
 # tuple of length m with support exactly σ.
@@ -45,10 +49,11 @@ Gen = tuple[int, tuple[int, ...], int]
 
 
 class _Ctx:
-    """Precomputed combinatorics of (K, α): colors, cofaces, block tables."""
+    """Precomputed combinatorics of (K, α): color sets and block tables.  The
+    cofaces of a face come from ``K.coface_vertices``, masked by a block."""
 
     __slots__ = (
-        "K", "alpha", "r", "m", "block_verts", "_colorsets", "_cofaces", "faces_by_colorset"
+        "K", "alpha", "r", "m", "block_verts", "_colorsets", "faces_by_colorset"
     )
 
     def __init__(self, K: SimplicialComplex, alpha: Partition):
@@ -65,15 +70,6 @@ class _Ctx:
             pairs = tuple((vc[v], v) for v in vertices_of(f))
             by_cset.setdefault(self._colorsets[f], []).append((f, pairs))
         self.faces_by_colorset = by_cset
-        cofaces = {}
-        for f in K.faces:
-            lst = []
-            for v in range(1, self.m + 1):
-                bit = 1 << (v - 1)
-                if not f & bit and (f | bit) in K.faces:
-                    lst.append((v, vc[v], f | bit))
-            cofaces[f] = tuple(lst)
-        self._cofaces = cofaces
 
     def colorset(self, sigma: int) -> int:
         return self._colorsets[sigma]
@@ -82,10 +78,6 @@ class _Ctx:
         """The unique vertex of σ in block i (nondegeneracy)."""
         inter = sigma & self.alpha.blocks[i - 1]
         return inter.bit_length()
-
-    def cofaces(self, sigma: int):
-        """(added vertex, its color, new face) for every coface of σ in K."""
-        return self._cofaces[sigma]
 
 
 @lru_cache(maxsize=4096)
@@ -165,11 +157,13 @@ def x_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
         bit = 1 << (i - 1)
         sign = 1 - 2 * ((imask & (bit - 1)).bit_count() & 1)
         new_imask = imask & ~bit
-        for v, color, omega in ctx.cofaces(sigma):
-            if color == i:
-                new_h = list(h)
-                new_h[v - 1] += 1
-                out.append((sign, (omega, tuple(new_h), new_imask)))
+        up = ctx.K.coface_vertices[sigma] & ctx.alpha.blocks[i - 1]  # cofaces by color i
+        while up:
+            low = up & -up
+            up ^= low
+            new_h = list(h)
+            new_h[low.bit_length() - 1] += 1
+            out.append((sign, (sigma | low, tuple(new_h), new_imask)))
     return out
 
 
@@ -192,40 +186,13 @@ def quotient_coboundary(ctx: _Ctx, cell: tuple[int, int]) -> list[tuple[int, tup
     sign = 1
     for i in vertices_of(imask):
         new_imask = imask & ~(1 << (i - 1))
-        for _v, color, omega in ctx.cofaces(sigma):
-            if color == i:
-                out.append((sign, (omega, new_imask)))
+        up = ctx.K.coface_vertices[sigma] & ctx.alpha.blocks[i - 1]
+        while up:
+            low = up & -up
+            up ^= low
+            out.append((sign, (sigma | low, new_imask)))
         sign = -sign
     return out
-
-
-def _coboundary_map(
-    ctx: _Ctx, coboundary, lower: list, upper: list, q: int, weight=None
-) -> SparseMap:
-    """Matrix of ``coboundary`` from the basis ``lower`` of degree q to the
-    basis ``upper``; a target outside ``upper`` means the maps are wrong."""
-    index = {g: k for k, g in enumerate(upper)}
-    data: list[list[tuple[int, int]]] = [[] for _ in upper]
-    for j, gen in enumerate(lower):
-        for coeff, target in coboundary(ctx, gen):
-            k = index.get(target)
-            if k is None:
-                where = "" if weight is None else (
-                    f"; weight {color_weight(ctx, target)}, piece w={weight}"
-                )
-                raise NotAComplex(
-                    f"coboundary in degree {q} leaves the basis: {gen} -> {target}{where}",
-                    q=q,
-                    label=gen,
-                    weight=weight,
-                )
-            row = data[k]
-            if row and row[-1][0] == j:  # a second term on the same target
-                coeff += row.pop()[1]
-                if not coeff:
-                    continue
-            row.append((j, coeff))
-    return SparseMap(len(upper), len(lower), data)
 
 
 def quotient_cochain_complex(
@@ -250,12 +217,7 @@ def quotient_cochain_complex(
     for deg in cells_by_deg:
         cells_by_deg[deg].sort()
     labels = {deg: cells_by_deg.get(deg, []) for deg in range(lo, hi + 1)}
-    return assemble(
-        lo,
-        hi,
-        labels,
-        lambda deg: _coboundary_map(ctx, quotient_coboundary, labels[deg], labels[deg + 1], deg),
-    )
+    return assemble(lo, hi, labels, partial(quotient_coboundary, ctx))
 
 
 def quotient_cohomology_dims(
@@ -328,14 +290,7 @@ def koszul_piece(
     labels = {-q: gens_by_q.get(q, []) for q in range(qmin, qmax + 1)}
     # the differential must preserve the color weight: a target outside the
     # piece raises NotAComplex naming w and the generator
-    return assemble(
-        -qmax,
-        -qmin,
-        labels,
-        lambda deg: _coboundary_map(
-            ctx, koszul_coboundary, labels[deg], labels[deg + 1], deg, tuple(w)
-        ),
-    )
+    return assemble(-qmax, -qmin, labels, partial(koszul_coboundary, ctx), tuple(w))
 
 
 def _stabilized_json(stabilized: dict[int, bool]) -> list[dict]:

@@ -41,16 +41,16 @@ def test_flipped_sign_in_the_builder_is_caught_by_the_sweep(monkeypatch):
     # mutation check: one wrong sign in d_1 (edges -> triangles) of the
     # 2-sphere must stop betti_table at K's own d∘d check, from degree 0, at
     # a triangle named in K's coordinates
-    build = srbetti.cohomology.boundary_map
+    build = srbetti.cohomology.coboundary_map
 
-    def flipped(lower, upper):
-        M = build(lower, upper)
+    def flipped(rule, lower, upper, q, weight=None):
+        M = build(rule, lower, upper, q, weight)
         if upper and upper[0].bit_count() == 3:
             (j, a), *rest = M.data[0]
             M.data[0] = [(j, -a), *rest]
         return M
 
-    monkeypatch.setattr(srbetti.cohomology, "boundary_map", flipped)
+    monkeypatch.setattr(srbetti.cohomology, "coboundary_map", flipped)
     reduced_cohomology_dims.cache_clear()  # an equal K may be cached already
     K = boundary_simplex(3)
     with pytest.raises(NotAComplex) as err:

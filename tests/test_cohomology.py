@@ -134,16 +134,16 @@ def test_flipped_sign_in_the_reduced_builder_is_caught(monkeypatch):
     # mutation check: one wrong sign in d_1 (edges -> triangles) of the
     # 2-sphere must make the fused d∘d check fail on d_1 ∘ d_0, that is from
     # degree 0, at a triangle
-    build = srbetti.cohomology.boundary_map
+    build = srbetti.cohomology.coboundary_map
 
-    def flipped(lower, upper):
-        M = build(lower, upper)
+    def flipped(rule, lower, upper, q, weight=None):
+        M = build(rule, lower, upper, q, weight)
         if upper and upper[0].bit_count() == 3:
             (j, a), *rest = M.data[0]
             M.data[0] = [(j, -a), *rest]
         return M
 
-    monkeypatch.setattr(srbetti.cohomology, "boundary_map", flipped)
+    monkeypatch.setattr(srbetti.cohomology, "coboundary_map", flipped)
     K = boundary_simplex(3)
     with pytest.raises(NotAComplex) as err:
         reduced_cochain_complex(K)

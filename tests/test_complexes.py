@@ -7,9 +7,7 @@ from srbetti.complexes import (
     boundary_simplex,
     complex_from_json,
     complex_to_json,
-    dimension,
     empty_complex,
-    faces_by_dim,
     format_complex,
     from_facets,
     full_simplex,
@@ -145,10 +143,10 @@ def test_join_budget():
 
 
 def test_dimension_and_faces_by_dim():
-    assert dimension(four_cycle()) == 1
-    assert dimension(boundary_simplex(3)) == 2
-    assert dimension(empty_complex()) == -1
-    groups = faces_by_dim(four_cycle())
+    assert four_cycle().dim == 1
+    assert boundary_simplex(3).dim == 2
+    assert empty_complex().dim == -1
+    groups = four_cycle().faces_by_card
     assert [len(g) for g in groups] == [1, 4, 4]
 
 

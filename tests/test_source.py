@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import srbetti
@@ -35,4 +36,42 @@ def test_the_scan_sees_both_forms():
         "assert statement",
         "raise AssertionError",
         "raise AssertionError",
+    ]
+
+
+def _foreign_imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "srbetti":
+                yield node.lineno, name
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs on a bare interpreter: every absolute import names a
+    # standard-library module or srbetti itself (relative imports are fine)
+    found = [
+        f"{path.name}:{line}: import {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _foreign_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_import_scan_sees_every_form():
+    tree = ast.parse(
+        "import numpy.linalg\nfrom sympy import Matrix\nimport os, hypothesis\n"
+        "from . import linalg\nfrom .errors import NotAComplex\nimport srbetti.tor\n"
+        "from __future__ import annotations\n"
+    )
+    assert list(_foreign_imports(tree)) == [
+        (1, "numpy.linalg"),
+        (2, "sympy"),
+        (3, "hypothesis"),
     ]

@@ -155,6 +155,28 @@ def test_koszul_piece_names_weight_and_generator_when_leaving_the_piece(monkeypa
     assert "w=(1, 0)" in str(err.value)
 
 
+def test_flipped_sign_in_the_quotient_coboundary_is_caught(monkeypatch):
+    # mutation check: one wrong sign in d(∅, {1, 2}) of the square's L = {1, 2}
+    # block must stop the cellular route at its d∘d check, from degree 2, at
+    # the cell ({1, 2}, ∅)
+    K, alpha = square_with_coloring()
+    good = srbetti.tor.quotient_coboundary
+
+    def flipped(ctx, cell):
+        out = good(ctx, cell)
+        if cell == (0, 0b11):
+            (coeff, target), *rest = out
+            out = [(-coeff, target), *rest]
+        return out
+
+    monkeypatch.setattr(srbetti.tor, "quotient_coboundary", flipped)
+    with pytest.raises(NotAComplex) as err:
+        quotient_cochain_complex(K, alpha, [1, 2])
+    assert err.value.q == 2
+    assert err.value.label == (mask_of((1, 2)), 0)
+    assert "from degree 2" in str(err.value)
+
+
 def test_quotient_complex_rejects_colors_outside_r():
     K, alpha = square_with_coloring()
     with pytest.raises(ColorOutOfRange):
