@@ -38,9 +38,6 @@ class BettiTable:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def sum_for_i(self, i: int) -> int:
-        return sum(v for (j, _), v in self.entries.items() if j == i)
-
     def sorted_items(self):
         """Entries ordered by (|ω|, ω, i) — the canonical emission order."""
         return sorted(
@@ -85,10 +82,9 @@ def betti_table(K: SimplicialComplex, f: FieldSpec, *, max_vertices=None) -> Bet
     table = BettiTable(K.m, f)
     for om in submasks(K.full_mask):
         card = om.bit_count()
+        # the dims are nonzero and deg <= |ω| - 1, so every i = |ω| - deg - 1 is >= 0
         for deg, d in subcomplex_cohomology(K, om, f).items():
-            i = card - deg - 1
-            if i >= 0 and d:
-                table.entries[(i, om)] = d
+            table.entries[(card - deg - 1, om)] = d
     return table
 
 

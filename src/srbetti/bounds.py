@@ -66,9 +66,6 @@ class BoundReport:
             return all(row.slack == 0 for row in self.rows)
         return all(row.slack >= 0 for row in self.rows)
 
-    def total_lhs(self) -> int:
-        return sum(row.lhs for row in self.rows)
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

@@ -320,10 +320,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             return _COMMANDS[args.command](args)
-    except SRBettiError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SRBettiError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Finite cochain complexes and reduced simplicial cohomology dimensions.
 
 Every complex in the package (the reduced one here, the colored ones in
-``tor``) is given by its bases and a coboundary rule, basis element ↦
+``tor``) is given by its graded bases and a coboundary rule, basis element ↦
 (coefficient, target) terms.  :func:`assemble` turns the rule into one
 :class:`~srbetti.linalg.SparseMap` per degree with the one builder
 :func:`coboundary_map`, and checks d_q ∘ d_{q-1} = 0 as a sparse product the
@@ -126,12 +126,18 @@ def coboundary_map(rule: Callable, lower: list, upper: list, q: int, weight=None
     return SparseMap(len(upper), len(lower), data)
 
 
-def assemble(
-    lo: int, hi: int, labels: dict[int, list], rule: Callable, weight=None
-) -> CochainComplex:
-    """The complex with bases ``labels[lo..hi]`` and coboundary ``rule`` (see
-    :func:`coboundary_map`), each d_q checked against d_{q-1} as soon as it
-    is built."""
+def assemble(bases: dict[int, list], rule: Callable, weight=None) -> CochainComplex:
+    """The complex with the graded bases ``bases`` (degree -> elements) and
+    coboundary ``rule`` (see :func:`coboundary_map`), each d_q checked
+    against d_{q-1} as soon as it is built.
+
+    Degrees run from the least key to the greatest, a missing degree having
+    the empty basis; each basis is sorted.  No basis at all gives the zero
+    complex."""
+    if not bases:
+        return CochainComplex(0, 0, {0: 0}, {}, {0: []}, checked=True)
+    lo, hi = min(bases), max(bases)
+    labels = {q: sorted(bases.get(q, ())) for q in range(lo, hi + 1)}
     d: dict[int, SparseMap] = {}
     for q in range(lo, hi):
         d[q] = coboundary_map(rule, labels[q], labels[q + 1], q, weight)
@@ -187,8 +193,8 @@ def _face_coboundary(cofaces: dict[int, int], sigma: int) -> list[tuple[int, int
 
 def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
     """Reduced simplicial cochain complex of K, degrees -1..dim K."""
-    labels = {q: K.faces_by_card[q + 1] for q in range(-1, K.dim + 1)}
-    return assemble(-1, K.dim, labels, partial(_face_coboundary, K.coface_vertices))
+    bases = {q: K.faces_by_card[q + 1] for q in range(-1, K.dim + 1)}
+    return assemble(bases, partial(_face_coboundary, K.coface_vertices))
 
 
 @lru_cache(maxsize=1 << 18)

@@ -58,11 +58,6 @@ class Partition:
     def full_color_mask(self) -> int:
         return (1 << self.r) - 1
 
-    def block(self, i: int) -> int:
-        if not 1 <= i <= self.r:
-            raise ColorOutOfRange(f"color {i} outside [{self.r}]")
-        return self.blocks[i - 1]
-
     def __repr__(self):
         return f"Partition({format_blocks(self)!r})"
 

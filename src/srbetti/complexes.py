@@ -1,10 +1,11 @@
 """Abstract simplicial complexes on the vertex set [m], stored as bitmasks.
 
-A vertex subset is an int whose bit j-1 stands for vertex j.  Complexes keep
-both their facets and the fully expanded downward-closed face family (the
-empty face included); everything downstream iterates faces, and at the
-supported scale (m <= 24 by default) the 2^m expansion is cheap.  Each K
-keeps the one coface table (``coface_vertices``) and its faces sorted by size
+A vertex subset is an int whose bit j-1 stands for vertex j.  A complex is
+its fully expanded downward-closed face family (the empty face included);
+everything downstream iterates faces, and at the supported scale (m <= 24 by
+default) the 2^m expansion is cheap.  Everything else is derived from the
+faces once, on first use: the one coface table (``coface_vertices``), the
+facets (the faces that no vertex extends) and the faces sorted by size
 (``faces_by_card``); the faces inside ω are one filter over the latter.
 
 All values are immutable after construction and safe to share across threads.
@@ -85,14 +86,14 @@ def _check_cap(m: int, max_vertices: int | None) -> None:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Simplicial complex on [m]: facets plus the expanded face family.
+    """Simplicial complex on [m], stored as its expanded face family only;
+    the facets are derived from it.
 
     ``labels`` carries original vertex names after re-indexing (see
     :func:`full_subcomplex`); it is metadata and excluded from equality.
     """
 
     m: int
-    facets: frozenset[int]
     faces: frozenset[int]
     labels: tuple[int, ...] | None = field(default=None, compare=False)
 
@@ -122,6 +123,11 @@ class SimplicialComplex:
         return ext
 
     @cached_property
+    def facets(self) -> frozenset[int]:
+        """The faces that no vertex extends."""
+        return frozenset(f for f, up in self.coface_vertices.items() if not up)
+
+    @cached_property
     def cochains(self):
         """The reduced cochain complex, built and d∘d-checked once per K (see
         :func:`srbetti.cohomology.reduced_cochain_complex`)."""
@@ -146,7 +152,7 @@ class SimplicialComplex:
 
 def empty_complex() -> SimplicialComplex:
     """The complex on no vertices whose only face is the empty set."""
-    return SimplicialComplex(0, frozenset({0}), frozenset({0}))
+    return SimplicialComplex(0, frozenset({0}))
 
 
 def from_facets(
@@ -186,14 +192,10 @@ def from_facets(
                 f"vertices {missing} occur in no facet"
             )
         masks.extend(1 << (v - 1) for v in missing)
-    uniq = set(masks)
-    maximal = frozenset(
-        f for f in uniq if not any(f != g and f & g == f for g in uniq)
-    )
     faces = {0}
-    for f in maximal:
+    for f in set(masks):
         faces.update(submasks(f))
-    return SimplicialComplex(m, maximal, frozenset(faces))
+    return SimplicialComplex(m, frozenset(faces))
 
 
 def faces_inside(K: SimplicialComplex, omega) -> list[list[int]]:
@@ -217,22 +219,19 @@ def full_subcomplex(K: SimplicialComplex, omega) -> SimplicialComplex:
     """The faces of K contained in omega, re-indexed onto 1..|omega|.
 
     Original vertex names are kept in ``labels``.  omega = 0 yields the
-    empty complex {∅}.  The faces come from :func:`faces_inside`; a face is
-    a facet when no vertex of omega extends it.
+    empty complex {∅}.  The faces come from :func:`faces_inside`.
     """
     om = _as_mask(omega)
     by_card = K.faces_by_card
     faces = [by_card[k][i] for k, rows in enumerate(faces_inside(K, om)) for i in rows]
-    ext = K.coface_vertices
     verts = vertices_of(om)
 
     def reindex(f: int) -> int:
         return sum(1 << i for i, v in enumerate(verts) if f >> (v - 1) & 1)
 
-    maximal = frozenset(reindex(f) for f in faces if not ext[f] & om)
     old_labels = K.labels or tuple(range(1, K.m + 1))
     labels = tuple(old_labels[v - 1] for v in verts)
-    return SimplicialComplex(len(verts), maximal, frozenset(map(reindex, faces)), labels)
+    return SimplicialComplex(len(verts), frozenset(map(reindex, faces)), labels)
 
 
 def boundary_simplex(n: int, *, max_vertices: int | None = None) -> SimplicialComplex:
@@ -261,8 +260,7 @@ def join(
     m = K1.m + K2.m
     _check_cap(m, max_vertices)
     faces = frozenset(f1 | (f2 << K1.m) for f1 in K1.faces for f2 in K2.faces)
-    facets = frozenset(f1 | (f2 << K1.m) for f1 in K1.facets for f2 in K2.facets)
-    return SimplicialComplex(m, facets, faces)
+    return SimplicialComplex(m, faces)
 
 
 def relabel_complex(K: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:
@@ -276,11 +274,7 @@ def relabel_complex(K: SimplicialComplex, perm: dict[int, int]) -> SimplicialCom
             out |= 1 << (perm[v] - 1)
         return out
 
-    return SimplicialComplex(
-        K.m,
-        frozenset(remap(f) for f in K.facets),
-        frozenset(remap(f) for f in K.faces),
-    )
+    return SimplicialComplex(K.m, frozenset(remap(f) for f in K.faces))
 
 
 # --- text and JSON serialization ------------------------------------------

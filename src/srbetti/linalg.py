@@ -54,14 +54,6 @@ class FieldSpec:
                 raise ValueError(f"not a prime below 2^16: {self.p}")
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
-
-    @classmethod
-    def gf(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """Parse a CLI field selector: ``q``, ``f2``, ``f3`` or ``fp:P``."""
         t = text.strip().lower()
@@ -77,9 +69,9 @@ class FieldSpec:
         return "q" if self.p == 0 else f"f{self.p}"
 
 
-QQ = FieldSpec.rationals()
-GF2 = FieldSpec.gf(2)
-GF3 = FieldSpec.gf(3)
+QQ = FieldSpec(0)
+GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 
 
 class SparseMap(NamedTuple):

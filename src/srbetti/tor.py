@@ -118,6 +118,7 @@ def koszul_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
     and v_j multiplies v^(σ,h) in the face ring (zero if σ∪{j} is a nonface).
     """
     sigma, h, imask = gen
+    # face-ring membership, not K.coface_vertices: the three-way check must not rest on it
     faces = ctx.K.faces
     out = []
     sign = 1
@@ -212,12 +213,7 @@ def quotient_cochain_complex(
             for f, _pairs in faces:
                 cell = (f, lmask & ~cset)
                 cells_by_deg.setdefault(lsize + f.bit_count(), []).append(cell)
-    lo = lsize
-    hi = max(cells_by_deg)
-    for deg in cells_by_deg:
-        cells_by_deg[deg].sort()
-    labels = {deg: cells_by_deg.get(deg, []) for deg in range(lo, hi + 1)}
-    return assemble(lo, hi, labels, partial(quotient_coboundary, ctx))
+    return assemble(cells_by_deg, partial(quotient_coboundary, ctx))
 
 
 def quotient_cohomology_dims(
@@ -264,7 +260,7 @@ def koszul_piece(
         raise ValueError(f"weight vector must be in N^{ctx.r}, got {w}")
     suppw = sum(1 << i for i, x in enumerate(w) if x > 0)
     emask = sum(1 << i for i, x in enumerate(w) if x >= 2)
-    gens_by_q: dict[int, list[Gen]] = {}
+    gens_by_deg: dict[int, list[Gen]] = {}
     jmasks = list(submasks(emask))
     for cset, faces in ctx.faces_by_colorset.items():
         if emask & ~cset or cset & ~suppw:
@@ -280,17 +276,10 @@ def koszul_piece(
                 for i, v in pairs:
                     if jmask >> (i - 1) & 1:
                         h[v - 1] -= 1
-                gens_by_q.setdefault(imask.bit_count(), []).append((sigma, tuple(h), imask))
-    if not gens_by_q:
-        return CochainComplex(0, 0, {0: 0}, {}, {0: []}, checked=True)
-    qmax = max(gens_by_q)
-    qmin = min(gens_by_q)
-    for q in gens_by_q:
-        gens_by_q[q].sort()
-    labels = {-q: gens_by_q.get(q, []) for q in range(qmin, qmax + 1)}
+                gens_by_deg.setdefault(-imask.bit_count(), []).append((sigma, tuple(h), imask))
     # the differential must preserve the color weight: a target outside the
     # piece raises NotAComplex naming w and the generator
-    return assemble(-qmax, -qmin, labels, partial(koszul_coboundary, ctx), tuple(w))
+    return assemble(gens_by_deg, partial(koszul_coboundary, ctx), tuple(w))
 
 
 def _stabilized_json(stabilized: dict[int, bool]) -> list[dict]:
@@ -378,13 +367,12 @@ def tor_dims(
                 continue
             w = _pattern_weight(lmask, emask, ctx.r)
             dims = cohomology_dims(koszul_piece(K, alpha, w), f)
-            dims_by_e[emask] = {-deg: v for deg, v in dims.items() if v}
+            dims_by_e[emask] = {-deg: v for deg, v in dims.items()}
         for emask, dims in dims_by_e.items():
             mult = 1 if emask == 0 else (bound - 1) ** emask.bit_count()
             for q, v in dims.items():
-                if mult:
-                    key = (q, lmask)
-                    table.entries[key] = table.entries.get(key, 0) + mult * v
+                key = (q, lmask)
+                table.entries[key] = table.entries.get(key, 0) + mult * v
 
         def shell_zero(s: int) -> bool:
             if lmask == 0:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import srbetti.cohomology
 from srbetti.cohomology import (
     CochainComplex,
+    assemble,
     cohomology_dims,
     euler_characteristic_reduced,
     reduced_cochain_complex,
@@ -150,3 +151,21 @@ def test_flipped_sign_in_the_reduced_builder_is_caught(monkeypatch):
     assert err.value.q == 0
     assert "from degree 0" in str(err.value)
     assert err.value.label == K.faces_by_card[3][0]
+
+
+def test_assemble_sorts_each_basis_and_fills_a_degree_gap():
+    # degree 1 is missing and the bases arrive unsorted; d_{-1} sends
+    # 10 to 1 + 2 and 20 to -2
+    rule = {10: [(1, 1), (1, 2)], 20: [(-1, 2)]}.get
+    C = assemble({2: [7], -1: [20, 10], 0: [2, 1]}, lambda x: rule(x, []))
+    assert (C.lo, C.hi, C.checked) == (-1, 2, True)
+    assert C.labels == {-1: [10, 20], 0: [1, 2], 1: [], 2: [7]}
+    assert C.sizes == {-1: 2, 0: 2, 1: 0, 2: 1}
+    assert C.differential(-1).data == [[(0, 1)], [(0, 1), (1, -1)]]
+    assert cohomology_dims(C, QQ) == {2: 1}
+
+
+def test_assemble_with_no_basis_is_the_zero_complex():
+    C = assemble({}, lambda x: [])
+    assert (C.lo, C.hi, C.sizes, C.d, C.labels, C.checked) == (0, 0, {0: 0}, {}, {0: []}, True)
+    assert cohomology_dims(C, QQ) == {}

@@ -1,9 +1,12 @@
 """Construction, parsing, and combinatorial operations on complexes."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from srbetti.complexes import (
+    SimplicialComplex,
     boundary_simplex,
     complex_from_json,
     complex_to_json,
@@ -221,3 +224,66 @@ def test_property_relabel_preserves_face_counts(K, rng):
     assert len(L.faces) == len(K.faces)
     assert L.dim == K.dim
     assert [len(g) for g in L.faces_by_card] == [len(g) for g in K.faces_by_card]
+
+
+def maximal_faces(masks) -> frozenset[int]:
+    """Reference facet rule: the masks that no other given mask contains (the
+    quadratic scan complexes once stored the result of)."""
+    uniq = set(masks)
+    return frozenset(f for f in uniq if not any(f != g and f & g == f for g in uniq))
+
+
+def test_a_complex_stores_its_faces_only():
+    assert [f.name for f in dataclasses.fields(SimplicialComplex)] == ["m", "faces", "labels"]
+    assert empty_complex().facets == maximal_faces({0}) == frozenset({0})
+
+
+@st.composite
+def facet_inputs(draw, max_m=5):
+    """A facet list with duplicate and nested masks, in any order."""
+    m = draw(st.integers(1, max_m))
+    full = (1 << m) - 1
+    masks = draw(st.lists(st.integers(1, full), min_size=1, max_size=5))
+    nested = [f & draw(st.integers(0, full)) for f in masks]
+    dups = draw(st.lists(st.sampled_from(masks), max_size=3))
+    given_masks = draw(st.permutations(masks + [f for f in nested if f] + dups))
+    return m, given_masks, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(facet_inputs())
+def test_property_from_facets_matches_the_maximal_face_rule(data):
+    m, masks, allow_isolated = data
+    covered = 0
+    for f in masks:
+        covered |= f
+    missing = ((1 << m) - 1) & ~covered
+    if missing and not allow_isolated:
+        with pytest.raises(IsolatedVertexMissing):
+            from_facets(m, masks)
+        return
+    K = from_facets(m, masks, allow_isolated=allow_isolated)
+    singletons = [1 << (v - 1) for v in vertices_of(missing)]
+    assert K.facets == maximal_faces(masks + singletons) == maximal_faces(K.faces)
+    assert K == from_facets(m, sorted(K.facets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(), complexes(max_m=3), st.randoms(use_true_random=False))
+def test_property_derived_facets_match_the_maximal_face_rule(K, K2, rng):
+    joined = join(K, K2)
+    assert joined.facets == maximal_faces(joined.faces) == frozenset(
+        f1 | (f2 << K.m) for f1 in K.facets for f2 in K2.facets
+    )
+    omega = rng.randrange(1 << K.m)
+    sub = full_subcomplex(K, omega)
+    assert sub.facets == maximal_faces(sub.faces)
+    new = list(range(1, K.m + 1))
+    rng.shuffle(new)
+    perm = {old: new[old - 1] for old in range(1, K.m + 1)}
+    moved = relabel_complex(K, perm)
+    assert moved.facets == maximal_faces(moved.faces) == frozenset(
+        mask_of(perm[v] for v in vertices_of(f)) for f in K.facets
+    )
+    for X in (join(K, empty_complex()), full_subcomplex(K, 0)):
+        assert X.facets == maximal_faces(X.faces)

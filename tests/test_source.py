@@ -1,12 +1,14 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import srbetti
 
 SRC = Path(srbetti.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _assert_nodes(tree: ast.AST):
@@ -75,3 +77,64 @@ def test_the_import_scan_sees_every_form():
         (2, "sympy"),
         (3, "hypothesis"),
     ]
+
+
+def _definitions(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.lineno, node.name
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _references(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                yield from node.value.split(".")
+
+
+def test_every_definition_is_referenced():
+    # a function, method or class that no code, test or benchmark names is
+    # dead weight: delete it or give it a test (dunders are called implicitly)
+    used = {
+        name
+        for tree in ("src", "tests", "perfbench")
+        for path in sorted((REPO / tree).rglob("*.py"))
+        for name in _references(ast.parse(path.read_text(), str(path)))
+    }
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _definitions(ast.parse(path.read_text(), str(path)))
+        if name not in used
+    ]
+    assert found == []
+
+
+def test_the_dead_definition_scan_sees_every_form():
+    defs = ast.parse(
+        "def called(): pass\ndef attr(): pass\nclass Imported:\n"
+        "    def method(self): pass\n    def __repr__(self): pass\n"
+        "def dotted(): pass\ndef aliased(): pass\ndef dead(): pass\n"
+    )
+    uses = ast.parse(
+        "called()\nobj.attr\nfrom pkg import Imported\nimport pkg.aliased as other\n"
+        "WRAPPED = [('mod', 'Imported.method'), ('mod', 'dotted')]\n"
+        "text = 'dead code, not a name'\n"
+    )
+    used = set(_references(uses))
+    assert [name for _, name in _definitions(defs)] == [
+        "called", "attr", "Imported", "dotted", "aliased", "dead", "method"
+    ]
+    assert [name for _, name in _definitions(defs) if name not in used] == ["dead"]

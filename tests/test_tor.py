@@ -135,6 +135,14 @@ def test_koszul_piece_w11_nine_generators():
     assert cohomology_dims(C, QQ) == {0: 1}
 
 
+def test_koszul_piece_with_no_generator_is_the_zero_complex():
+    # two points colored apart: weight (2, 2) needs the nonface {1, 2}
+    K = from_facets(2, [mask_of([1]), mask_of([2])])
+    C = koszul_piece(K, parse_blocks("1 | 2", 2), (2, 2))
+    assert (C.lo, C.hi, C.sizes, C.d, C.labels) == (0, 0, {0: 0}, {}, {0: []})
+    assert cohomology_dims(C, QQ) == {}
+
+
 def test_koszul_piece_names_weight_and_generator_when_leaving_the_piece(monkeypatch):
     K, alpha = square_with_coloring()
     good = srbetti.tor.koszul_coboundary
