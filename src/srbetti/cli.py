@@ -37,7 +37,7 @@ from .complexes import (
 from .corpus import random_complex
 from .errors import SRBettiError
 from .linalg import QQ, GF2, GF3, FieldSpec
-from .tor import quotient_cohomology_dims, tor_dims, verify_tor_threeway
+from .tor import _unstabilized, quotient_cohomology_dims, tor_dims, verify_tor_threeway
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -274,6 +274,7 @@ def _corpus_member(task) -> dict:
         result["fields"][str(f)] = {
             "pass": ok,
             "stabilized": report.all_stabilized,
+            "unstabilized": _unstabilized(report.stabilized),
         }
         result["pass"] = result["pass"] and ok
     return result

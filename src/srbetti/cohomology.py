@@ -82,11 +82,14 @@ class CochainComplex:
         self.checked = True
 
 
-def _check_composite(first: SparseMap, second: SparseMap, q: int, labels=None) -> None:
+def _check_composite(
+    first: SparseMap, second: SparseMap, q: int, labels=None, weight=None
+) -> None:
     """Raise NotAComplex unless second ∘ first = 0, where first is d_q.
 
     Row i of the product is Σ a·(row k of first) over the entries (k, a) of
-    row i of second; ``labels`` names the degree q+2 basis in the error.
+    row i of second; ``labels`` names the degree q+2 basis in the error, and
+    ``weight`` the color weight of a Koszul piece.
     """
     prev = first.data
     for i, row in enumerate(second.data):
@@ -96,7 +99,13 @@ def _check_composite(first: SparseMap, second: SparseMap, q: int, labels=None) -
                 acc[j] = acc.get(j, 0) + a * b
         if any(acc.values()):
             label = labels[i] if labels is not None else i
-            raise NotAComplex(f"d∘d != 0 from degree {q} at {label!r}", q=q, label=label)
+            where = "" if weight is None else f"; piece w={weight}"
+            raise NotAComplex(
+                f"d∘d != 0 from degree {q} at {label!r}{where}",
+                q=q,
+                label=label,
+                weight=weight,
+            )
 
 
 def coboundary_map(rule: Callable, lower: list, upper: list, q: int, weight=None) -> SparseMap:
@@ -142,7 +151,7 @@ def assemble(bases: dict[int, list], rule: Callable, weight=None) -> CochainComp
     for q in range(lo, hi):
         d[q] = coboundary_map(rule, labels[q], labels[q + 1], q, weight)
         if q > lo:
-            _check_composite(d[q - 1], d[q], q - 1, labels[q + 1])
+            _check_composite(d[q - 1], d[q], q - 1, labels[q + 1], weight)
     sizes = {q: len(labels[q]) for q in range(lo, hi + 1)}
     return CochainComplex(lo, hi, sizes, d, labels, checked=True)
 

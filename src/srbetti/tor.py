@@ -25,8 +25,14 @@ weight piece is a finite complex; the L-graded Tor is the sum over w with
 supp(w) = L.  For a nondegenerate coloring, raising a coordinate that is
 already >= 2 is an isomorphism of pieces (pump the weight of the unique
 σ-vertex of that color), so a piece's homology depends only on the clamped
-pattern min(w_i, 2); tor_dims exploits this to evaluate the weight-bounded
-sum without enumerating every vector.
+pattern min(w_i, 2), and tor_dims evaluates one piece per pattern.
+
+A piece with some w_i >= 2 is in fact acyclic: t_i acts on it only through
+the σ-vertex v of color i, and H(σ, h, I) = κ(i, I∪{i})·(σ, h - e_v, I∪{i})
+inverts that action, so dH + Hd = id.  tor_dims does not assume this: it
+checks the identity over ℤ generator by generator (:func:`_contractible`,
+once per piece for every field) and builds and ranks the piece as before
+only where the check fails, counting those fallbacks.
 """
 
 from __future__ import annotations
@@ -38,7 +44,14 @@ from functools import lru_cache, partial
 
 from .betti import betti_number, subcomplex_cohomology
 from .cohomology import CochainComplex, assemble, cohomology_dims
-from .coloring import Partition, _as_color_mask, colors_of, is_nondegenerate, omega_L
+from .coloring import (
+    Partition,
+    _as_color_mask,
+    colors_of,
+    is_nondegenerate,
+    kappa,
+    omega_L,
+)
 from .complexes import SimplicialComplex, submasks, vertices_of
 from .errors import DegeneratePartition, MismatchFound, StabilizationNotReached
 from .linalg import FieldSpec
@@ -148,16 +161,13 @@ def x_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
     cset = ctx.colorset(sigma)
     out = []
     for i in vertices_of(imask & cset):
-        bit = 1 << (i - 1)
-        sign = 1 - 2 * ((imask & (bit - 1)).bit_count() & 1)
         v = ctx.sigma_vertex(sigma, i)
         new_h = list(h)
         new_h[v - 1] += 1
-        out.append((sign, (sigma, tuple(new_h), imask & ~bit)))
+        out.append((kappa(i, imask), (sigma, tuple(new_h), imask & ~(1 << (i - 1)))))
     for i in vertices_of(imask & ~cset):
-        bit = 1 << (i - 1)
-        sign = 1 - 2 * ((imask & (bit - 1)).bit_count() & 1)
-        new_imask = imask & ~bit
+        sign = kappa(i, imask)
+        new_imask = imask & ~(1 << (i - 1))
         up = ctx.K.coface_vertices[sigma] & ctx.alpha.blocks[i - 1]  # cofaces by color i
         while up:
             low = up & -up
@@ -250,17 +260,13 @@ def quotient_cohomology_dims(
     return cellular
 
 
-def koszul_piece(
-    K: SimplicialComplex, alpha: Partition, w: tuple[int, ...]
-) -> CochainComplex:
-    """The finite piece of the Koszul-type complex with color weight exactly w,
-    graded by -|I| (cohomological degree -q)."""
-    ctx = _context(K, alpha)
-    if len(w) != ctx.r or any(x < 0 for x in w):
-        raise ValueError(f"weight vector must be in N^{ctx.r}, got {w}")
+def _piece_generators(ctx: _Ctx, w: tuple[int, ...]):
+    """The generators (σ, h, I) of color weight exactly w: σ carries every
+    color e = {i : w_i >= 2} and none outside supp(w), I holds the colors of
+    supp(w) that σ misses plus any J ⊆ e, and h(v) = w_i - [i ∈ I] on the
+    σ-vertex v of color i."""
     suppw = sum(1 << i for i, x in enumerate(w) if x > 0)
     emask = sum(1 << i for i, x in enumerate(w) if x >= 2)
-    gens_by_deg: dict[int, list[Gen]] = {}
     jmasks = list(submasks(emask))
     for cset, faces in ctx.faces_by_colorset.items():
         if emask & ~cset or cset & ~suppw:
@@ -271,15 +277,70 @@ def koszul_piece(
             for i, v in pairs:
                 base_h[v - 1] = w[i - 1]
             for jmask in jmasks:
-                imask = forced | jmask
                 h = list(base_h)
                 for i, v in pairs:
                     if jmask >> (i - 1) & 1:
                         h[v - 1] -= 1
-                gens_by_deg.setdefault(-imask.bit_count(), []).append((sigma, tuple(h), imask))
+                yield (sigma, tuple(h), forced | jmask)
+
+
+def koszul_piece(
+    K: SimplicialComplex, alpha: Partition, w: tuple[int, ...]
+) -> CochainComplex:
+    """The finite piece of the Koszul-type complex with color weight exactly w,
+    graded by -|I| (cohomological degree -q)."""
+    ctx = _context(K, alpha)
+    if len(w) != ctx.r or any(x < 0 for x in w):
+        raise ValueError(f"weight vector must be in N^{ctx.r}, got {w}")
+    gens_by_deg: dict[int, list[Gen]] = {}
+    for gen in _piece_generators(ctx, w):
+        gens_by_deg.setdefault(-gen[2].bit_count(), []).append(gen)
     # the differential must preserve the color weight: a target outside the
     # piece raises NotAComplex naming w and the generator
     return assemble(gens_by_deg, partial(koszul_coboundary, ctx), tuple(w))
+
+
+def _homotopy(ctx: _Ctx, i: int, gen: Gen) -> list[tuple[int, Gen]]:
+    """H(σ, h, I) = κ(i, I∪{i})·(σ, h - e_v, I∪{i}) for the σ-vertex v of
+    color i, and 0 when i ∈ I: the signed inverse of the t_i-part of d."""
+    sigma, h, imask = gen
+    bit = 1 << (i - 1)
+    if imask & bit:
+        return []
+    new_h = list(h)
+    new_h[ctx.sigma_vertex(sigma, i) - 1] -= 1
+    return [(kappa(i, imask | bit), (sigma, tuple(new_h), imask | bit))]
+
+
+@lru_cache(maxsize=4096)
+def _contractible(K: SimplicialComplex, alpha: Partition, w: tuple[int, ...]) -> bool:
+    """Whether the piece w, with some w_i >= 2, carries the chain contraction
+    :func:`_homotopy` for the least such i, checked over ℤ generator by
+    generator: d stays in the piece, d∘d = 0 and dH + Hd = id.  Such a piece
+    is acyclic over every field.  No field enters, so one check serves all."""
+    ctx = _context(K, alpha)
+    i = next(k for k, x in enumerate(w, 1) if x >= 2)
+    gens = list(_piece_generators(ctx, w))
+    index = {gen: k for k, gen in enumerate(gens)}
+    # d and H on generator positions; None marks a target outside the piece
+    d = [[(c, index.get(t)) for c, t in koszul_coboundary(ctx, gen)] for gen in gens]
+    hom = [[(c, index.get(t)) for c, t in _homotopy(ctx, i, gen)] for gen in gens]
+    if any(t is None for rows in (d, hom) for row in rows for _, t in row):
+        return False
+    for k, dk in enumerate(d):
+        dd: dict[int, int] = {}
+        acc = {k: -1}  # dH + Hd - id
+        for c, t in dk:
+            for c2, t2 in d[t]:
+                dd[t2] = dd.get(t2, 0) + c * c2
+            for c2, t2 in hom[t]:
+                acc[t2] = acc.get(t2, 0) + c * c2
+        for c, t in hom[k]:
+            for c2, t2 in d[t]:
+                acc[t2] = acc.get(t2, 0) + c * c2
+        if any(dd.values()) or any(acc.values()):
+            return False
+    return True
 
 
 def _stabilized_json(stabilized: dict[int, bool]) -> list[dict]:
@@ -288,6 +349,11 @@ def _stabilized_json(stabilized: dict[int, bool]) -> list[dict]:
         {"L": list(vertices_of(L)), "stabilized": flag}
         for L, flag in sorted(stabilized.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     ]
+
+
+def _unstabilized(stabilized: dict[int, bool]) -> list[list[int]]:
+    """The L whose flag is unset, as color lists ordered by (|L|, L)."""
+    return [e["L"] for e in _stabilized_json(stabilized) if not e["stabilized"]]
 
 
 @dataclass
@@ -299,6 +365,10 @@ class TorTable:
     weight_bound: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
     stabilized: dict[int, bool] = field(default_factory=dict)
+    # e != 0 patterns proved acyclic by their contraction, and those built
+    # and ranked instead because the contraction check failed
+    certified: int = 0
+    fallbacks: int = 0
 
     def get(self, q: int, L: int) -> int:
         return self.entries.get((q, L), 0)
@@ -347,9 +417,11 @@ def tor_dims(
 
     Pieces are evaluated once per clamped pattern in {1,2}^L and multiplied by
     the number of weight vectors in the class (pieces with a coordinate >= 2
-    are pairwise isomorphic along that coordinate).  The stabilization flag
-    per L records that the two outermost weight shells (maximum coordinate
-    B-1 and B) contributed zero homology; a
+    are pairwise isomorphic along that coordinate); such a piece counts as
+    zero when its contraction certificate holds and is built and ranked when
+    it fails (``certified`` and ``fallbacks`` count the two).  The
+    stabilization flag per L records that the two outermost weight shells
+    (maximum coordinate B-1 and B) contributed zero homology; a
     :class:`~srbetti.errors.StabilizationNotReached` warning lists the L whose
     flag is unset.
     """
@@ -366,6 +438,12 @@ def tor_dims(
             if emask and bound < 2:
                 continue
             w = _pattern_weight(lmask, emask, ctx.r)
+            if emask:
+                if _contractible(K, alpha, w):
+                    table.certified += 1
+                    dims_by_e[emask] = {}
+                    continue
+                table.fallbacks += 1
             dims = cohomology_dims(koszul_piece(K, alpha, w), f)
             dims_by_e[emask] = {-deg: v for deg, v in dims.items()}
         for emask, dims in dims_by_e.items():
@@ -387,7 +465,7 @@ def tor_dims(
         if bound < 2 and any(e for e in patterns):
             outer_ok = False  # shells with a coordinate 2 were never inspected
         table.stabilized[lmask] = outer_ok
-    unstable = [e["L"] for e in _stabilized_json(table.stabilized) if not e["stabilized"]]
+    unstable = _unstabilized(table.stabilized)
     if unstable:
         message = f"weight shells still contribute at the bound {bound} for L in {unstable}"
         warnings.warn(StabilizationNotReached(message, colors=unstable), stacklevel=2)
@@ -521,6 +599,7 @@ class TorThreeWayReport:
     records: list[TorThreeWayRecord]
     stabilized: dict[int, bool]
     weight_bound: int
+    fallbacks: int  # e != 0 patterns of the Tor table that were built and ranked
 
     @property
     def ok(self) -> bool:
@@ -574,4 +653,4 @@ def verify_tor_threeway(
                     q=q,
                     colors=lmask,
                 )
-    return TorThreeWayReport(records, table.stabilized, table.weight_bound)
+    return TorThreeWayReport(records, table.stabilized, table.weight_bound, table.fallbacks)

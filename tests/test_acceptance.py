@@ -74,6 +74,7 @@ def test_criterion_2_tor_three_way_equality():
                 rep = verify_tor_threeway(K, alpha, f)
                 assert rep.ok, (name, pname, str(f))
                 assert rep.all_stabilized, (name, pname, str(f))
+                assert rep.fallbacks == 0, (name, pname, str(f))
                 checked += len(rep.records)
     elapsed = time.time() - start
     assert elapsed < 300, f"criterion 2 exceeded its budget: {elapsed:.1f}s"

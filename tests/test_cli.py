@@ -184,6 +184,22 @@ def test_corpus_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_corpus_lists_the_unstabilized_L_per_field(capsys):
+    args = ["corpus", "--seed", "11", "--count", "2", "--corpus-max-m", "5"]
+    with pytest.warns(StabilizationNotReached):
+        code, out, _ = run(capsys, *args, "--weight-bound", "1")
+    assert code == 0
+    for member in json.loads(out)["members"]:
+        for entry in member["fields"].values():
+            assert entry["stabilized"] is False
+            assert [] in entry["unstabilized"]  # L = ∅ has an unchecked shell
+    _, out, _ = run(capsys, *args)
+    for member in json.loads(out)["members"]:
+        for entry in member["fields"].values():
+            assert entry["stabilized"] is True
+            assert entry["unstabilized"] == []
+
+
 def test_random_complex_contract():
     # density 0: only singleton facets
     K = random_complex(4, 0.0, 9)

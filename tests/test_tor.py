@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from srbetti.betti import betti_table, zk_cohomology_dims
 from srbetti.cohomology import cohomology_dims
 from srbetti.coloring import (
+    greedy_coloring,
     omega_L,
     parse_blocks,
     trivial_partition,
@@ -33,6 +34,8 @@ from srbetti.errors import (
 from srbetti.linalg import GF2, GF3, QQ
 from srbetti.tor import (
     _context,
+    _contractible,
+    _pattern_weight,
     color_weight,
     generator_multidegree,
     iota_star,
@@ -301,6 +304,128 @@ def test_tor_dims_matches_literal_weight_enumeration():
                     f,
                     bound,
                 )
+
+
+# --- contraction certificates for pieces with a coordinate >= 2 ---------------
+
+@pytest.fixture
+def fresh_certificates():
+    # certificates are cached per (K, α, w): a mutation must not see, or
+    # leave behind, a verdict reached with the other rule
+    _contractible.cache_clear()
+    yield
+    _contractible.cache_clear()
+
+
+def _high_patterns(K, alpha):
+    """The piece of every clamped pattern with a coordinate 2 that tor_dims
+    visits at a weight bound >= 2."""
+    ctx = _context(K, alpha)
+    colorsets = {ctx.colorset(s) for s in K.faces}
+    for lmask in submasks(alpha.full_color_mask):
+        for emask in sorted(colorsets):
+            if emask and emask & ~lmask == 0:
+                yield _pattern_weight(lmask, emask, alpha.r)
+
+
+@pytest.mark.parametrize(
+    "m, seed", [(3, 1), (4, 2), (5, 3), (5, 4), (6, 5), (6, 6), (7, 7), (7, 8)]
+)
+def test_certificate_holds_on_every_acyclic_high_piece(m, seed):
+    K = random_complex(m, 0.6, seed)
+    for alpha in (greedy_coloring(K), trivial_partition(m)):
+        patterns = list(_high_patterns(K, alpha))
+        assert patterns
+        for w in patterns:
+            assert _contractible(K, alpha, w), (m, seed, alpha, w)
+            C = koszul_piece(K, alpha, w)
+            for f in (QQ, GF2, GF3):
+                assert cohomology_dims(C, f) == {}, (m, seed, alpha, w, str(f))
+
+
+def test_tor_dims_counts_certified_patterns_without_fallback(fresh_certificates):
+    K, alpha = square_with_coloring()
+    # L = {1}, {2} each see e = L; L = {1, 2} sees e = {1}, {2}, {1, 2}
+    for f in (QQ, GF2):  # the second field reads cached verdicts
+        table = tor_dims(K, alpha, f)
+        assert (table.certified, table.fallbacks) == (5, 0)
+    with pytest.warns(StabilizationNotReached):
+        low = tor_dims(K, alpha, QQ, 1)  # no coordinate reaches 2
+    assert (low.certified, low.fallbacks) == (0, 0)
+    assert verify_tor_threeway(K, alpha, GF3).fallbacks == 0
+
+
+def test_flipped_sign_in_the_koszul_coboundary_is_caught(monkeypatch, fresh_certificates):
+    # mutation check: one wrong sign in d({1}, (1,0,0,0), {1, 2}), a generator
+    # of the piece w = (2, 1), fails its certificate; the fallback build then
+    # stops at the d∘d check, naming the piece
+    K, alpha = square_with_coloring()
+    good = srbetti.tor.koszul_coboundary
+    bad_gen = (mask_of([1]), (1, 0, 0, 0), 0b11)
+
+    def flipped(ctx, gen):
+        out = good(ctx, gen)
+        if gen == bad_gen:
+            (coeff, target), *rest = out
+            out = [(-coeff, target), *rest]
+        return out
+
+    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", flipped)
+    assert not _contractible(K, alpha, (2, 1))
+    with pytest.raises(NotAComplex) as err:
+        verify_tor_threeway(K, alpha, QQ)
+    assert err.value.weight == (2, 1)
+    assert err.value.q == -2
+    assert "w=(2, 1)" in str(err.value)
+
+
+def test_certificate_checks_d_squared_on_its_own(monkeypatch, fresh_certificates):
+    # mutation check: d' = d + H still satisfies d'H + Hd' = id, as H∘H = 0,
+    # but d'∘d' = dH + Hd = id; only the d∘d leg of the certificate sees it
+    K, alpha = square_with_coloring()
+    good = srbetti.tor.koszul_coboundary
+
+    def skewed(ctx, gen):
+        return good(ctx, gen) + srbetti.tor._homotopy(ctx, 1, gen)
+
+    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", skewed)
+    assert not _contractible(K, alpha, (2, 1))
+
+
+def test_a_target_outside_the_piece_fails_the_certificate(monkeypatch, fresh_certificates):
+    K, alpha = square_with_coloring()
+    good = srbetti.tor.koszul_coboundary
+
+    def leaky(ctx, gen):
+        # every target one unit heavier on each of its vertices
+        return [
+            (c, (sigma, tuple(x + 1 if x else 0 for x in h), imask))
+            for c, (sigma, h, imask) in good(ctx, gen)
+        ]
+
+    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", leaky)
+    assert not _contractible(K, alpha, (2, 1))  # a verdict, not an error
+    with pytest.raises(NotAComplex, match="leaves the basis"):
+        tor_dims(K, alpha, QQ)
+
+
+def test_a_homotopy_with_a_term_dropped_falls_back_to_rank(monkeypatch, fresh_certificates):
+    K, alpha = square_with_coloring()
+    good = srbetti.tor._homotopy
+    dropped = (mask_of([1]), (2, 0, 0, 0), 0b10)  # in the piece w = (2, 1)
+
+    def lossy(ctx, i, gen):
+        return [] if gen == dropped else good(ctx, i, gen)
+
+    monkeypatch.setattr(srbetti.tor, "_homotopy", lossy)
+    assert not _contractible(K, alpha, (2, 1))
+    assert _contractible(K, alpha, (1, 2))
+    for f in (QQ, GF2):
+        table = tor_dims(K, alpha, f, 4)
+        assert (table.certified, table.fallbacks) == (4, 1)
+        assert table.all_stabilized()
+        assert table.entries == literal_tor_entries(K, alpha, f, 4)
+    assert verify_tor_threeway(K, alpha, QQ).fallbacks == 1
 
 
 def test_tor_dims_stabilization_flag_low_bound():
