@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .complexes import SimplicialComplex, mask_of, submasks, vertices_of
-from .errors import MismatchFound, VertexBudgetExceeded, VertexOutOfRange
+from .errors import MismatchFound, VertexOutOfRange
 from .cohomology import reduced_cohomology_dims
 from .linalg import FieldSpec
-
-BETTI_TABLE_CAP = 24
 
 
 @dataclass
@@ -65,20 +63,13 @@ def betti_number(K: SimplicialComplex, i: int, omega, f: FieldSpec) -> int:
     return reduced_cohomology_dims(K, f, om).get(deg, 0)
 
 
-def _check_cap(K: SimplicialComplex, max_vertices) -> None:
-    cap = BETTI_TABLE_CAP if max_vertices is None else max_vertices
-    if K.m > cap:
-        raise VertexBudgetExceeded(f"m={K.m} exceeds the cap {cap} for 2^m enumeration")
-
-
 def subcomplex_cohomology(K: SimplicialComplex, omega: int, f: FieldSpec) -> Mapping[int, int]:
     """Reduced cohomology dimensions of K|ω (shared cached primitive)."""
     return reduced_cohomology_dims(K, f, omega)
 
 
-def betti_table(K: SimplicialComplex, f: FieldSpec, *, max_vertices=None) -> BettiTable:
+def betti_table(K: SimplicialComplex, f: FieldSpec) -> BettiTable:
     """All nonzero β_{i,ω}; 2^m subcomplex cohomology computations."""
-    _check_cap(K, max_vertices)
     table = BettiTable(K.m, f)
     for om in submasks(K.full_mask):
         card = om.bit_count()
@@ -89,7 +80,7 @@ def betti_table(K: SimplicialComplex, f: FieldSpec, *, max_vertices=None) -> Bet
 
 
 def zk_cohomology_dims_two_routes(
-    K: SimplicialComplex, f: FieldSpec, *, max_vertices=None
+    K: SimplicialComplex, f: FieldSpec
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Moment-angle cohomology dims by both evaluation routes.
 
@@ -97,7 +88,6 @@ def zk_cohomology_dims_two_routes(
     dim H^q = Σ_ω dim H̃^{q-|ω|-1}(K|ω).  Route two reads the Betti table:
     dim H^q = Σ_ω β_{2|ω|-q, ω}.
     """
-    _check_cap(K, max_vertices)
     direct: dict[int, int] = {}
     for om in submasks(K.full_mask):
         shift = om.bit_count() + 1
@@ -105,17 +95,15 @@ def zk_cohomology_dims_two_routes(
             q = deg + shift
             direct[q] = direct.get(q, 0) + d
     via_betti: dict[int, int] = {}
-    for (i, om), b in betti_table(K, f, max_vertices=max_vertices).entries.items():
+    for (i, om), b in betti_table(K, f).entries.items():
         q = 2 * om.bit_count() - i
         via_betti[q] = via_betti.get(q, 0) + b
     return direct, via_betti
 
 
-def zk_cohomology_dims(
-    K: SimplicialComplex, f: FieldSpec, *, max_vertices=None
-) -> dict[int, int]:
+def zk_cohomology_dims(K: SimplicialComplex, f: FieldSpec) -> dict[int, int]:
     """Moment-angle cohomology dimensions; both routes computed and compared."""
-    direct, via_betti = zk_cohomology_dims_two_routes(K, f, max_vertices=max_vertices)
+    direct, via_betti = zk_cohomology_dims_two_routes(K, f)
     if direct != via_betti:
         raise MismatchFound(
             f"moment-angle routes disagree: direct={direct} betti={via_betti}"

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .betti import betti_number, betti_table, zk_cohomology_dims
-from .coloring import Partition, is_nondegenerate, omega_L
+from .coloring import Partition, omega_L, require_nondegenerate
 from .complexes import SimplicialComplex, boundary_simplex, join, submasks, vertices_of
-from .errors import DegeneratePartition, InvalidDimension
+from .errors import InvalidDimension
 from .linalg import FieldSpec
 
 
@@ -81,16 +81,11 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _require_nondegenerate(K: SimplicialComplex, alpha: Partition) -> None:
-    if not is_nondegenerate(K, alpha):
-        raise DegeneratePartition("bound checks need a nondegenerate partition")
-
-
 def check_colored_binomial(
     K: SimplicialComplex, alpha: Partition, f: FieldSpec
 ) -> BoundReport:
     """For each q: Σ_L β_{q+|ω_L|-|L|, ω_L} >= C(r - dim K - 1, q)."""
-    _require_nondegenerate(K, alpha)
+    require_nondegenerate(K, alpha)
     r = alpha.r
     n = r - K.dim - 1
     report = BoundReport("colored-binomial-bound")

@@ -151,7 +151,7 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
 def _cmd_betti(args) -> int:
     K = _load_complex(args)
     f = FieldSpec.parse(args.field)
-    table = betti_table(K, f, max_vertices=args.max_m)
+    table = betti_table(K, f)
     rows = table.to_json()
     text = "\n".join(
         f"i={row['i']} omega={row['omega']} beta={row['beta']}" for row in rows
@@ -167,7 +167,7 @@ def _cmd_betti(args) -> int:
 def _cmd_zk(args) -> int:
     K = _load_complex(args)
     f = FieldSpec.parse(args.field)
-    dims = zk_cohomology_dims(K, f, max_vertices=args.max_m)
+    dims = zk_cohomology_dims(K, f)
     rows = [{"q": q, "dim": d} for q, d in sorted(dims.items())]
     text = "\n".join(f"q={r['q']} dim={r['dim']}" for r in rows)
     _emit({"complex": complex_to_json(K), "field": str(f), "dims": rows}, text, args.fmt)
@@ -274,7 +274,7 @@ def _corpus_member(task) -> dict:
         result["fields"][str(f)] = {
             "pass": ok,
             "stabilized": report.all_stabilized,
-            "unstabilized": _unstabilized(report.stabilized),
+            "unstabilized": _unstabilized(report.table.stabilized),
         }
         result["pass"] = result["pass"] and ok
     return result
@@ -317,6 +317,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # warnings print as ``warning: <Category>: <message>``, without the source
+    # line, whose number changes with every edit (format ignores extra fields)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = "warning: {1.__name__}: {0}\n".format
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
@@ -324,6 +328,8 @@ def main(argv=None) -> int:
     except (SRBettiError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

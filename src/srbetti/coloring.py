@@ -13,6 +13,7 @@ from functools import cached_property
 from .complexes import SimplicialComplex, mask_of, vertices_of
 from .errors import (
     ColorOutOfRange,
+    DegeneratePartition,
     MismatchFound,
     NotAMember,
     PartitionMismatch,
@@ -95,6 +96,12 @@ def is_nondegenerate(K: SimplicialComplex, alpha: Partition) -> bool:
             f"edges say {by_edges}, faces say {by_faces}"
         )
     return by_edges
+
+
+def require_nondegenerate(K: SimplicialComplex, alpha: Partition) -> None:
+    """The one gate of the colored complexes and the colored bounds."""
+    if not is_nondegenerate(K, alpha):
+        raise DegeneratePartition(f"partition {format_blocks(alpha)} puts an edge in one block")
 
 
 def _skeleton_adjacency(K: SimplicialComplex) -> list[int]:

@@ -42,18 +42,18 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .betti import betti_number, subcomplex_cohomology
+from .betti import subcomplex_cohomology
 from .cohomology import CochainComplex, assemble, cohomology_dims
 from .coloring import (
     Partition,
     _as_color_mask,
     colors_of,
-    is_nondegenerate,
     kappa,
     omega_L,
+    require_nondegenerate,
 )
 from .complexes import SimplicialComplex, submasks, vertices_of
-from .errors import DegeneratePartition, MismatchFound, StabilizationNotReached
+from .errors import MismatchFound, StabilizationNotReached
 from .linalg import FieldSpec
 
 # A Koszul generator t_I v^(σ,h) and equally a fattened cell: h is a weight
@@ -95,10 +95,7 @@ class _Ctx:
 
 @lru_cache(maxsize=4096)
 def _context(K: SimplicialComplex, alpha: Partition) -> _Ctx:
-    if not is_nondegenerate(K, alpha):
-        raise DegeneratePartition(
-            "partition is degenerate for this complex; colored complexes undefined"
-        )
+    require_nondegenerate(K, alpha)
     return _Ctx(K, alpha)
 
 
@@ -226,37 +223,36 @@ def quotient_cochain_complex(
     return assemble(cells_by_deg, partial(quotient_coboundary, ctx))
 
 
+def _colored_routes(K: SimplicialComplex, alpha: Partition, f: FieldSpec):
+    """Per L ⊆ [r] in (|L|, L) order: L, the cohomology dims of the quotient
+    L-block, and the reduced cohomology dims of K|ω_L (Hochster's side)."""
+    for lmask in sorted(submasks(alpha.full_color_mask), key=lambda s: (s.bit_count(), s)):
+        yield (
+            lmask,
+            cohomology_dims(quotient_cochain_complex(K, alpha, lmask), f),
+            subcomplex_cohomology(K, omega_L(alpha, lmask), f),
+        )
+
+
 def quotient_cohomology_dims(
     K: SimplicialComplex, alpha: Partition, f: FieldSpec
 ) -> dict[int, int]:
-    """Quotient cohomology dims, computed three ways and compared: from the
-    cell complexes, from subcomplex cohomology, and from the Betti table."""
-    ctx = _context(K, alpha)
+    """Quotient cohomology dims: the sum over L of the cellular dims of the
+    L-blocks.  Each block is checked per (q, L) against Hochster's side,
+    H^q of the L-block = H̃^{q-|L|-1}(K|ω_L); the first disagreement raises
+    :class:`~srbetti.errors.MismatchFound` naming that (q, L)."""
     cellular: dict[int, int] = {}
-    shifted: dict[int, int] = {}
-    via_betti: dict[int, int] = {}
-    for lmask in submasks(ctx.alpha.full_color_mask):
-        lsize = lmask.bit_count()
-        om = omega_L(alpha, lmask)
-        for q, dim in cohomology_dims(
-            quotient_cochain_complex(K, alpha, lmask), f
-        ).items():
-            cellular[q] = cellular.get(q, 0) + dim
-        for deg, dim in subcomplex_cohomology(K, om, f).items():
-            q = deg + lsize + 1
-            shifted[q] = shifted.get(q, 0) + dim
-        osize = om.bit_count()
-        for q in range(0, osize + lsize + 2):
-            i = osize + lsize - q
-            if i >= 0:
-                b = betti_number(K, i, om, f)
-                if b:
-                    via_betti[q] = via_betti.get(q, 0) + b
-    if not (cellular == shifted == via_betti):
-        raise MismatchFound(
-            f"quotient routes disagree: cellular={cellular} "
-            f"subcomplex={shifted} betti={via_betti}"
-        )
+    for lmask, cell, sub in _colored_routes(K, alpha, f):
+        shift = lmask.bit_count() + 1
+        for q in sorted(set(cell) | {deg + shift for deg in sub}):
+            if cell.get(q, 0) != sub.get(q - shift, 0):
+                raise MismatchFound(
+                    f"quotient routes disagree at q={q}, L={vertices_of(lmask)}: "
+                    f"cellular={cell.get(q, 0)} subcomplex={sub.get(q - shift, 0)}",
+                    q=q,
+                    colors=lmask,
+                )
+            cellular[q] = cellular.get(q, 0) + cell.get(q, 0)
     return cellular
 
 
@@ -421,7 +417,8 @@ def tor_dims(
     zero when its contraction certificate holds and is built and ranked when
     it fails (``certified`` and ``fallbacks`` count the two).  The
     stabilization flag per L records that the two outermost weight shells
-    (maximum coordinate B-1 and B) contributed zero homology; a
+    (maximum coordinate B-1 and B) contributed zero homology: the e = 0
+    pattern fills shell 1 (shell 0 for L = ∅), every other one shells 2..B; a
     :class:`~srbetti.errors.StabilizationNotReached` warning lists the L whose
     flag is unset.
     """
@@ -432,39 +429,30 @@ def tor_dims(
     face_colorsets = sorted({ctx.colorset(s) for s in K.faces})
     table = TorTable(ctx.r, f, bound)
     for lmask in submasks(ctx.alpha.full_color_mask):
-        patterns = [e for e in face_colorsets if e & ~lmask == 0]
-        dims_by_e = {}
-        for emask in patterns:
+        low_zero = high_zero = True  # the e = 0 piece, every e != 0 piece: acyclic
+        for emask in face_colorsets:
+            if emask & ~lmask:
+                continue
             if emask and bound < 2:
+                high_zero = False  # shells with a coordinate 2 lie beyond the bound
                 continue
             w = _pattern_weight(lmask, emask, ctx.r)
             if emask:
                 if _contractible(K, alpha, w):
                     table.certified += 1
-                    dims_by_e[emask] = {}
                     continue
                 table.fallbacks += 1
             dims = cohomology_dims(koszul_piece(K, alpha, w), f)
-            dims_by_e[emask] = {-deg: v for deg, v in dims.items()}
-        for emask, dims in dims_by_e.items():
-            mult = 1 if emask == 0 else (bound - 1) ** emask.bit_count()
-            for q, v in dims.items():
-                key = (q, lmask)
+            if emask:
+                high_zero = high_zero and not dims
+            else:
+                low_zero = not dims
+            mult = (bound - 1) ** emask.bit_count()
+            for deg, v in dims.items():
+                key = (-deg, lmask)
                 table.entries[key] = table.entries.get(key, 0) + mult * v
-
-        def shell_zero(s: int) -> bool:
-            if lmask == 0:
-                return s != 0 or not dims_by_e.get(0)
-            if s <= 0:
-                return True
-            if s == 1:
-                return not dims_by_e.get(0)
-            return all(not d for e, d in dims_by_e.items() if e)
-
-        outer_ok = shell_zero(bound - 1) and shell_zero(bound)
-        if bound < 2 and any(e for e in patterns):
-            outer_ok = False  # shells with a coordinate 2 were never inspected
-        table.stabilized[lmask] = outer_ok
+        shell = 1 if lmask else 0  # of the e = 0 pattern
+        table.stabilized[lmask] = high_zero and (low_zero or shell not in (bound - 1, bound))
     unstable = _unstabilized(table.stabilized)
     if unstable:
         message = f"weight shells still contribute at the bound {bound} for L in {unstable}"
@@ -522,7 +510,6 @@ def _formal_sum_key(terms):
 def psi_iota_checks(
     K: SimplicialComplex,
     alpha: Partition,
-    f: FieldSpec,
     weight_bound: int | None = None,
 ) -> PsiIotaReport:
     """Verify, generator by generator up to the weight bound, that
@@ -597,9 +584,7 @@ class TorThreeWayRecord:
 @dataclass
 class TorThreeWayReport:
     records: list[TorThreeWayRecord]
-    stabilized: dict[int, bool]
-    weight_bound: int
-    fallbacks: int  # e != 0 patterns of the Tor table that were built and ranked
+    table: TorTable
 
     @property
     def ok(self) -> bool:
@@ -607,13 +592,18 @@ class TorThreeWayReport:
 
     @property
     def all_stabilized(self) -> bool:
-        return all(self.stabilized.values())
+        return self.table.all_stabilized()
+
+    @property
+    def fallbacks(self) -> int:
+        """e != 0 patterns of the Tor table that were built and ranked."""
+        return self.table.fallbacks
 
     def to_json(self) -> dict:
         return {
-            "weight_bound": self.weight_bound,
+            "weight_bound": self.table.weight_bound,
             "records": [rec.to_json() for rec in self.records],
-            "stabilized": _stabilized_json(self.stabilized),
+            "stabilized": _stabilized_json(self.table.stabilized),
             "pass": self.ok,
         }
 
@@ -628,15 +618,10 @@ def verify_tor_threeway(
     """Three-way equality per (q, L): Tor dims from the truncated Koszul
     route, cellular cohomology in degree 2|L|-q, and reduced cohomology of
     K|ω_L in degree |L|-q-1."""
-    ctx = _context(K, alpha)
     table = tor_dims(K, alpha, f, weight_bound)
     records = []
-    for lmask in sorted(
-        submasks(ctx.alpha.full_color_mask), key=lambda s: (s.bit_count(), s)
-    ):
+    for lmask, cell_dims, sub_dims in _colored_routes(K, alpha, f):
         lsize = lmask.bit_count()
-        cell_dims = cohomology_dims(quotient_cochain_complex(K, alpha, lmask), f)
-        sub_dims = subcomplex_cohomology(K, omega_L(alpha, lmask), f)
         for q in range(0, lsize + 2):
             rec = TorThreeWayRecord(
                 colors=lmask,
@@ -653,4 +638,4 @@ def verify_tor_threeway(
                     q=q,
                     colors=lmask,
                 )
-    return TorThreeWayReport(records, table.stabilized, table.weight_bound, table.fallbacks)
+    return TorThreeWayReport(records, table)

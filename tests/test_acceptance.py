@@ -181,14 +181,14 @@ def test_criterion_6_structural_properties():
             (greedy_coloring(K), 4),
             (trivial_partition(K.m), 2),
         ):
-            rep = psi_iota_checks(K, alpha, QQ, weight_bound=bound)
+            rep = psi_iota_checks(K, alpha, weight_bound=bound)
             assert rep.ok, (name, alpha)
             generators += rep.generators_checked
 
     # and on a slice of the random corpus at a reduced bound
     for name, K in corpus()[7:27]:
         alpha = greedy_coloring(K)
-        rep = psi_iota_checks(K, alpha, GF2, weight_bound=2)
+        rep = psi_iota_checks(K, alpha, weight_bound=2)
         assert rep.ok, name
         generators += rep.generators_checked
 

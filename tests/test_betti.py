@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import srbetti.cohomology
 from srbetti.betti import betti_number, betti_table, subcomplex_cohomology, zk_cohomology_dims
+from srbetti.cli import main
 from srbetti.cohomology import reduced_cohomology_dims
 from srbetti.complexes import (
     boundary_simplex,
@@ -14,7 +15,7 @@ from srbetti.complexes import (
     relabel_complex,
 )
 from srbetti.corpus import cycle_complex, rp2_complex
-from srbetti.errors import NotAComplex, VertexBudgetExceeded, VertexOutOfRange
+from srbetti.errors import NotAComplex, VertexOutOfRange
 from srbetti.linalg import GF2, GF3, QQ
 
 
@@ -112,9 +113,12 @@ def test_zk_dims_examples():
     assert zk_cohomology_dims(full_simplex(2), QQ) == {0: 1}
 
 
-def test_zk_budget():
-    with pytest.raises(VertexBudgetExceeded):
-        zk_cohomology_dims(cycle_complex(5), QQ, max_vertices=4)
+def test_zk_budget(capsys):
+    # the one vertex cap is the construction's, and --max-m sets it
+    pentagon = ["zk", "--facets", "1 2, 2 3, 3 4, 4 5, 1 5"]
+    assert main([*pentagon, "--max-m", "4"]) == 2
+    assert "error: VertexBudgetExceeded: " in capsys.readouterr().err
+    assert main([*pentagon, "--max-m", "5"]) == 0
 
 
 @st.composite

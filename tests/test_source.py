@@ -79,6 +79,47 @@ def test_the_import_scan_sees_every_form():
     ]
 
 
+def _unread_parameters(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            for p in params:
+                if p.arg not in read and p.arg not in ("self", "cls"):
+                    yield node.lineno, getattr(node, "name", "<lambda>"), p.arg
+
+
+def test_every_parameter_is_read():
+    # a parameter that the body never reads promises an effect that does not
+    # exist (a field argument to a field-free check, say): remove it
+    found = [
+        f"{path.name}:{line}: {name}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name, param in _unread_parameters(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_parameter_scan_sees_every_form():
+    tree = ast.parse(
+        "def used(a, *args, b=1, **kw):\n    return a + b + len(args) + len(kw)\n"
+        "def nested(x, y):\n    def inner():\n        return x\n    return inner\n"
+        "class C:\n    def method(self, z): pass\n    @classmethod\n    def make(cls): pass\n"
+        "async def fetch(url, /, timeout, *, retries, **opts): return url\n"
+        "key = lambda item, unused: item\n"
+    )
+    assert {(name, param) for _, name, param in _unread_parameters(tree)} == {
+        ("nested", "y"),
+        ("method", "z"),
+        ("fetch", "timeout"),
+        ("fetch", "retries"),
+        ("fetch", "opts"),
+        ("<lambda>", "unused"),
+    }
+
+
 def _definitions(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

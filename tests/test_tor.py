@@ -24,10 +24,11 @@ from srbetti.complexes import (
     mask_of,
     submasks,
 )
-from srbetti.corpus import cycle_complex, random_complex, rp2_complex
+from srbetti.corpus import acceptance_corpus, cycle_complex, random_complex, rp2_complex
 from srbetti.errors import (
     ColorOutOfRange,
     DegeneratePartition,
+    MismatchFound,
     NotAComplex,
     StabilizationNotReached,
 )
@@ -37,6 +38,7 @@ from srbetti.tor import (
     _contractible,
     _pattern_weight,
     color_weight,
+    default_weight_bound,
     generator_multidegree,
     iota_star,
     koszul_coboundary,
@@ -99,6 +101,28 @@ def test_quotient_dims_trivial_partition_equals_zk():
     K = boundary_simplex(1)
     dims = quotient_cohomology_dims(K, trivial_partition(2), QQ)
     assert dims == zk_cohomology_dims(K, QQ) == {0: 1, 3: 1}
+
+
+def test_quotient_check_names_the_q_and_L_of_a_hochster_error(monkeypatch):
+    # mutation check, unseen by d∘d and basis checks: K|ω_L gains a class in
+    # degree 0 for L = {1} and loses one for L = {2}; the two errors cancel in
+    # the sum over L, but the per-(q, L) check stops at L = {1}, q = 0 + 1 + 1
+    K, alpha = square_with_coloring()
+    good = srbetti.tor.subcomplex_cohomology
+    shift = {omega_L(alpha, 0b01): 1, omega_L(alpha, 0b10): -1}
+
+    def skewed(K, omega, f):
+        dims = dict(good(K, omega, f))
+        if omega in shift:
+            dims[0] = dims.get(0, 0) + shift[omega]
+        return dims
+
+    monkeypatch.setattr(srbetti.tor, "subcomplex_cohomology", skewed)
+    with pytest.raises(MismatchFound) as err:
+        quotient_cohomology_dims(K, alpha, QQ)
+    assert (err.value.q, err.value.colors) == (2, 0b01)
+    assert "q=2, L=(1,)" in str(err.value)
+    assert not verify_tor_threeway(K, alpha, QQ).ok
 
 
 def test_quotient_dims_q0_always_one():
@@ -306,6 +330,66 @@ def test_tor_dims_matches_literal_weight_enumeration():
                 )
 
 
+def _piece_dims_by_pattern(K, alpha, f):
+    """L -> e -> the cohomology dims of the piece of the clamped pattern
+    (L, e), built and ranked for every e, certificate or not."""
+    ctx = _context(K, alpha)
+    colorsets = sorted({ctx.colorset(s) for s in K.faces})
+    return {
+        lmask: {
+            e: cohomology_dims(koszul_piece(K, alpha, _pattern_weight(lmask, e, alpha.r)), f)
+            for e in colorsets
+            if e & ~lmask == 0
+        }
+        for lmask in submasks(alpha.full_color_mask)
+    }
+
+
+def shell_zero_flags(pieces, bound):
+    """Reference stabilization flags: each of the two outermost weight
+    shells B-1 and B is asked in turn whether it carries homology."""
+    flags = {}
+    for lmask, by_e in pieces.items():
+        dims_by_e = {e: d for e, d in by_e.items() if not (e and bound < 2)}
+
+        def shell_zero(s):
+            if lmask == 0:
+                return s != 0 or not dims_by_e.get(0)
+            if s <= 0:
+                return True
+            if s == 1:
+                return not dims_by_e.get(0)
+            return all(not d for e, d in dims_by_e.items() if e)
+
+        outer_ok = shell_zero(bound - 1) and shell_zero(bound)
+        if bound < 2 and any(by_e):
+            outer_ok = False  # shells with a coordinate 2 were never inspected
+        flags[lmask] = outer_ok
+    return flags
+
+
+@pytest.mark.filterwarnings("ignore::srbetti.errors.StabilizationNotReached")
+def test_stabilization_flags_match_the_shell_by_shell_rule():
+    cases = [
+        square_with_coloring(),
+        (full_simplex(2), trivial_partition(3)),
+        (boundary_simplex(2), trivial_partition(3)),
+        (from_facets(4, [mask_of((1, 2)), mask_of((3, 4))]), parse_blocks("1 3 | 2 4", 4)),
+    ]
+    runs = [(K, alpha, f, (1, 2, 3, 4)) for K, alpha in cases for f in (QQ, GF2)]
+    for _name, K in acceptance_corpus()[:20]:
+        for alpha in (greedy_coloring(K), trivial_partition(K.m)):
+            runs.append((K, alpha, QQ, (1, 2, 3, default_weight_bound(K, alpha))))
+    seen = set()
+    for K, alpha, f, bounds in runs:
+        pieces = _piece_dims_by_pattern(K, alpha, f)
+        for bound in bounds:
+            flags = shell_zero_flags(pieces, bound)
+            assert tor_dims(K, alpha, f, bound).stabilized == flags, (K, alpha, str(f), bound)
+            seen.update(flags.values())
+    assert seen == {True, False}
+
+
 # --- contraction certificates for pieces with a coordinate >= 2 ---------------
 
 @pytest.fixture
@@ -485,10 +569,10 @@ def test_koszul_and_cellular_differentials_agree():
 
 def test_psi_iota_checks_pass():
     K, alpha = square_with_coloring()
-    report = psi_iota_checks(K, alpha, QQ, weight_bound=3)
+    report = psi_iota_checks(K, alpha, weight_bound=3)
     assert report.ok
     assert report.generators_checked > 0
-    report2 = psi_iota_checks(full_simplex(2), trivial_partition(3), GF2, weight_bound=2)
+    report2 = psi_iota_checks(full_simplex(2), trivial_partition(3), weight_bound=2)
     assert report2.ok
 
 
