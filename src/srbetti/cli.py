@@ -219,8 +219,6 @@ def _cmd_tor(args) -> int:
     lines = [
         f"q={q} L={list(vertices_of(L))} dim={v}" for (q, L), v in table.sorted_items()
     ]
-    if not table.all_stabilized():
-        print("warning: StabilizationNotReached for some L", file=sys.stderr)
     _emit(payload, "\n".join(lines), args.fmt)
     return 0
 
@@ -263,8 +261,8 @@ def _cmd_sharp(args) -> int:
 
 
 def _corpus_member(task) -> dict:
-    m, density, seed, weight_bound = task
-    K = random_complex(m, density, seed)
+    m, density, seed, weight_bound, max_m = task
+    K = random_complex(m, density, seed, max_vertices=max_m)
     alpha = greedy_coloring(K)
     result = {"m": m, "density": density, "seed": seed, "fields": {}, "pass": True}
     for f in (QQ, GF2, GF3):
@@ -284,7 +282,7 @@ def _cmd_corpus(args) -> int:
     tasks = []
     for k in range(args.count):
         m = 4 + k % max(1, args.corpus_max_m - 3)
-        tasks.append((m, args.density, args.seed + k, args.weight_bound))
+        tasks.append((m, args.density, args.seed + k, args.weight_bound, args.max_m))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_corpus_member, tasks))

@@ -13,8 +13,10 @@ face contributes a generator in degree -1, so H̃^{-1}({∅}) is one-dimensional
 and every Hochster-type formula comes out without convention traps.  It is
 built and checked once per complex K (``K.cochains``), and the cohomology of
 a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to the
-rows of the faces inside ω (:func:`reduced_cohomology_dims`, with the faces
-from :func:`~srbetti.complexes.faces_inside`).
+rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
+are reduced incrementally, as in persistent homology (Edelsbrunner–Letscher–
+Zomorodian 2002): K|ω is K|(ω ∖ max ω) plus the faces through max ω, so one
+walker per (K, field) extends the elimination of a prefix of ω.
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -26,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from threading import Lock
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .complexes import SimplicialComplex, faces_inside
-from .errors import NotAComplex
+from .complexes import SimplicialComplex, vertices_of
+from .errors import NotAComplex, VertexOutOfRange
 from .linalg import FieldSpec, SparseMap, rank
 
 
@@ -156,30 +159,15 @@ def assemble(bases: dict[int, list], rule: Callable, weight=None) -> CochainComp
     return CochainComplex(lo, hi, sizes, d, labels, checked=True)
 
 
-def cohomology_dims(C: CochainComplex, f: FieldSpec, keep=None) -> dict[int, int]:
+def cohomology_dims(C: CochainComplex, f: FieldSpec) -> dict[int, int]:
     """dim H^q = (size(q) - rank d_q) - rank d_{q-1}; zero entries omitted.
-
-    ``keep``, if given, restricts C to the subcomplex whose degree C.lo + k
-    basis is the ascending positions ``keep[k]``: each d_q is cut down to its
-    kept rows and keeps C's columns.  The kept basis must be closed under
-    taking faces (the faces of K inside ω, say), so a kept row reaches kept
-    columns only, and every restricted composite is a block of C's composite,
-    which C's d∘d check has covered.
 
     A complex that was not checked when it was built is checked here."""
     if not C.checked:
         C.check_dd_zero()
     lo = C.lo
-    if keep is None:
-        sizes = [C.size(q) for q in range(lo, C.hi + 1)]
-        maps = [C.differential(q) for q in range(lo, C.hi + 1)]
-    else:
-        sizes = [len(rows) for rows in keep]
-        maps = []
-        for q, rows in enumerate([*keep[1:], ()], lo):
-            M = C.differential(q)
-            maps.append(SparseMap(len(rows), M.cols, [M.data[i] for i in rows]))
-    ranks = [rank(M, f) for M in maps]
+    sizes = [C.size(q) for q in range(lo, C.hi + 1)]
+    ranks = [rank(C.differential(q), f) for q in range(lo, C.hi + 1)]
     out = {}
     for k, size in enumerate(sizes):
         h = (size - ranks[k]) - (ranks[k - 1] if k else 0)
@@ -206,6 +194,67 @@ def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
     return assemble(bases, partial(_face_coboundary, K.coface_vertices))
 
 
+class _Walker:
+    """The elimination of K's coboundary rows over f along a chain of full
+    subcomplexes ∅ = ω_0 ⊂ … ⊂ ω_j, each adding a vertex above the last.
+
+    Level j holds, per face size k, the number of faces of K|ω_j, the rank
+    of their rows (of d_{k-2}, from ``K.cochains``) and that elimination's
+    pivot state (see :func:`~srbetti.linalg.rank`).  A query pops back to the
+    longest prefix of ω's own chain and pushes ω's remaining vertices.
+    Pushing v reduces only the rows of the faces σ ∪ {v}, σ ⊆ ω_j, into
+    copies of the parent's states, so a pop just drops a level and a failed
+    push leaves none."""
+
+    def __init__(self, K: SimplicialComplex, f: FieldSpec):
+        self.f, self.cofaces = f, K.coface_vertices
+        by_card, d = K.faces_by_card, K.cochains.d
+        self.rows = {
+            g: d[k - 2].data[i] for k in range(1, len(by_card)) for i, g in enumerate(by_card[k])
+        }
+        self.cols = [len(level) for level in by_card]
+        n = len(by_card) + 1  # a size past the top, with no faces and rank 0
+        self.stack = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n)]
+        self.lock = Lock()
+
+    def _push(self, v: int) -> None:
+        om, faces, ranks, pivots = self.stack[-1]
+        faces, ranks, pivots = faces[:], ranks[:], pivots[:]
+        cofaces, rows_of, cols, f = self.cofaces, self.rows, self.cols, self.f
+        new, k = [v] if v in cofaces else [], 1
+        while new:
+            faces[k] += len(new)
+            pivots[k] = state = pivots[k].copy()
+            rows = [rows_of[g] for g in new]
+            ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows), f, state)
+            grown = []
+            for g in new:  # add the vertices of ω above max(g - v): each face made once
+                low = (g ^ v).bit_length()
+                ext = cofaces[g] & om >> low << low
+                while ext:
+                    u = ext & -ext
+                    grown.append(g | u)
+                    ext ^= u
+            new, k = grown, k + 1
+        self.stack.append((om | v, faces, ranks, pivots))
+
+    def dims(self, omega: int) -> dict[int, int]:
+        with self.lock:
+            stack = self.stack  # level ω_j is on ω's chain iff ω_j = ω ∩ [max ω_j]
+            while stack[-1][0] != omega & (1 << stack[-1][0].bit_length()) - 1:
+                stack.pop()
+            rest = omega & -1 << stack[-1][0].bit_length()
+            while rest:
+                self._push(rest & -rest)
+                rest &= rest - 1
+            _, faces, ranks, _ = stack[-1]
+        dims = [faces[k] - ranks[k + 1] - ranks[k] for k in range(len(faces) - 1)]
+        return {k - 1: h for k, h in enumerate(dims) if h}  # degree k - 1
+
+
+_walker = lru_cache(maxsize=16)(_Walker)  # one walker per (K, f), like tor._context
+
+
 @lru_cache(maxsize=1 << 18)
 def reduced_cohomology_dims(
     K: SimplicialComplex, f: FieldSpec, omega: int | None = None
@@ -213,11 +262,14 @@ def reduced_cohomology_dims(
     """Reduced cohomology dimensions of K|ω over f, ω all of [m] when None
     (cached, read-only view).
 
-    C^*(K|ω) is not built: it is read off ``K.cochains``, K's own complex,
-    built and d∘d-checked once per K, as the rows of the faces inside ω.
+    C^*(K|ω) is not built: its rows are read off ``K.cochains``, K's own
+    complex, built and d∘d-checked once per K, and reduced by the one walker
+    of (K, f), which extends the elimination of the last ω asked for.
     """
-    keep = None if omega is None else faces_inside(K, omega)
-    return MappingProxyType(cohomology_dims(K.cochains, f, keep))
+    om = K.full_mask if omega is None else omega
+    if om & ~K.full_mask:
+        raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
+    return MappingProxyType(_walker(K, f).dims(om))
 
 
 def euler_characteristic_reduced(K: SimplicialComplex) -> int:

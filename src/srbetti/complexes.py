@@ -5,8 +5,8 @@ its fully expanded downward-closed face family (the empty face included);
 everything downstream iterates faces, and at the supported scale (m <= 24 by
 default) the 2^m expansion is cheap.  Everything else is derived from the
 faces once, on first use: the one coface table (``coface_vertices``), the
-facets (the faces that no vertex extends) and the faces sorted by size
-(``faces_by_card``); the faces inside ω are one filter over the latter.
+facets (the faces that no vertex extends), the faces sorted by size
+(``faces_by_card``) and the reduced cochain complex (``cochains``).
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -76,11 +76,11 @@ def _as_mask(face) -> int:
     return face if isinstance(face, int) else mask_of(face)
 
 
-def _check_cap(m: int, max_vertices: int | None) -> None:
+def _check_cap(m: int, max_vertices: int | None, warn: bool = True) -> None:
     cap = VERTEX_CAP if max_vertices is None else max_vertices
     if m > cap:
         raise VertexBudgetExceeded(f"m={m} exceeds the vertex cap {cap}")
-    if m > VERTEX_WARN:
+    if warn and m > VERTEX_WARN:
         warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=3)
 
 
@@ -198,32 +198,16 @@ def from_facets(
     return SimplicialComplex(m, frozenset(faces))
 
 
-def faces_inside(K: SimplicialComplex, omega) -> list[list[int]]:
-    """The faces of K contained in omega: entry k lists their ascending
-    positions in ``K.faces_by_card[k]``, so in ascending mask order, up to the
-    first cardinality with none."""
-    om = _as_mask(omega)
-    if om & ~K.full_mask:
-        raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
-    outside = K.full_mask ^ om
-    levels = []
-    for level in K.faces_by_card:
-        rows = [i for i, g in enumerate(level) if not g & outside]
-        if not rows:
-            break
-        levels.append(rows)
-    return levels
-
-
 def full_subcomplex(K: SimplicialComplex, omega) -> SimplicialComplex:
     """The faces of K contained in omega, re-indexed onto 1..|omega|.
 
     Original vertex names are kept in ``labels``.  omega = 0 yields the
-    empty complex {∅}.  The faces come from :func:`faces_inside`.
+    empty complex {∅}.
     """
     om = _as_mask(omega)
-    by_card = K.faces_by_card
-    faces = [by_card[k][i] for k, rows in enumerate(faces_inside(K, om)) for i in rows]
+    if om & ~K.full_mask:
+        raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
+    faces = [g for g in K.faces if not g & ~om]
     verts = vertices_of(om)
 
     def reindex(f: int) -> int:

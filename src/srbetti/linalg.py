@@ -6,8 +6,9 @@ with distinct columns.  The builders produce it straight from face bitmasks
 and generator indices, and :func:`rank` is the single elimination kernel.
 Rows are reduced one after another against the pivot rows found so far,
 each pivot keyed on its largest column index (the "low" of Chen–Kerber,
-"Persistent homology computation with a twist", 2011).  The kernel branches
-on the field:
+"Persistent homology computation with a twist", 2011); a caller may keep
+those pivots and extend them with more rows later, as the Hochster sweep
+does from K|ω to K|(ω ∪ v).  The kernel branches on the field:
 
 * GF(2): rows are packed into Python-int bitsets and reduced by XOR, keyed on
   the highest set bit;
@@ -85,11 +86,18 @@ class SparseMap(NamedTuple):
     data: list[list[tuple[int, int]]]
 
 
-def rank(M: SparseMap, f: FieldSpec) -> int:
-    """Exact rank of M over the field f."""
+def rank(M: SparseMap, f: FieldSpec, pivots: dict | None = None) -> int:
+    """Exact rank of M over the field f.
+
+    Given ``pivots``, an elimination state over f (pivot rows keyed on their
+    largest column), M's rows are reduced against it, those that do not
+    vanish join it, and their number is returned.  Rows in the state are
+    never changed, so extending a shallow copy leaves the original intact."""
     p = f.p
+    if pivots is None:
+        pivots = {}
+    before = len(pivots)
     if p == 2:
-        bits: dict[int, int] = {}
         for row in M.data:
             x = 0
             for c, a in row:
@@ -97,14 +105,13 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                     x |= 1 << c
             while x:
                 top = x.bit_length()
-                pivot = bits.get(top)
+                pivot = pivots.get(top)
                 if pivot is None:
-                    bits[top] = x
+                    pivots[top] = x
                     break
                 x ^= pivot
-        return len(bits)
+        return len(pivots) - before
 
-    pivots: dict[int, dict[int, int]] = {}
     if p:
         for row in M.data:
             r = {c: a % p for c, a in row if a % p}
@@ -122,7 +129,7 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                         r[c] = x
                     else:
                         del r[c]
-        return len(pivots)
+        return len(pivots) - before
 
     for row in M.data:
         r = dict(row)
@@ -134,9 +141,10 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                 break
             s, t = pivot[col], r[col]
             if s != 1 and s != -1 and (t == 1 or t == -1):
-                # keep the unit pivot; the old pivot row is reduced instead
+                # keep the unit pivot; a copy of the old pivot row, which a
+                # parent state may share, is reduced instead
                 pivots[col] = r
-                r, pivot, s, t = pivot, r, t, s
+                r, pivot, s, t = dict(pivot), r, t, s
             if s == 1 or s == -1:
                 t *= s  # r - (t/s)·pivot, as 1/s == s
             else:
@@ -151,4 +159,4 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                 g = gcd(*r.values())
                 if g != 1:
                     r = {c: a // g for c, a in r.items()}
-    return len(pivots)
+    return len(pivots) - before

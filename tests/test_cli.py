@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import srbetti
 from srbetti.cli import main
 from srbetti.complexes import complex_from_json, from_facets, mask_of
 from srbetti.corpus import random_complex
-from srbetti.errors import StabilizationNotReached
+from srbetti.errors import StabilizationNotReached, VertexBudgetExceeded
 
 SQUARE = "m 4\nfacet 1 2\nfacet 2 3\nfacet 3 4\nfacet 1 4\n"
 
@@ -89,12 +90,14 @@ def test_tor(square_file, capsys):
 
 
 def test_tor_low_bound_warns_but_exits_zero(square_file, capsys):
-    with pytest.warns(StabilizationNotReached):
+    with pytest.warns(StabilizationNotReached) as record:
         code, out, err = run(
             capsys, "tor", "--in", square_file, "--blocks", "1 3 | 2 4", "--weight-bound", "1"
         )
     assert code == 0
-    assert "StabilizationNotReached" in err
+    (warning,) = record  # one warning, and it names the L that did not stabilize
+    assert "for L in [[], [1], [2], [1, 2]]" in str(warning.message)
+    assert err == ""  # recorded, and the CLI adds no line of its own
     payload = json.loads(out)
     assert not all(s["stabilized"] for s in payload["stabilized"])
 
@@ -223,10 +226,27 @@ def test_warnings_print_without_a_source_location():
         "bound 1 for L in [[], [1], [2], [1, 2]]\n"
     )
     assert not re.search(r"\.py:\d+", proc.stderr)
+    assert proc.stderr.count("StabilizationNotReached") == 1  # no second CLI line
     before = warnings.formatwarning
     with pytest.warns(StabilizationNotReached):
         assert main(argv) == 0
     assert warnings.formatwarning is before  # restored on the way out
+
+
+def test_random_complex_refuses_m_over_the_cap_before_drawing():
+    t0 = time.perf_counter()
+    with pytest.raises(VertexBudgetExceeded):
+        random_complex(25, 0.4, 1)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_corpus_passes_max_m_to_its_members(capsys):
+    code, out, err = run(
+        capsys, "corpus", "--seed", "1", "--count", "3", "--corpus-max-m", "6", "--max-m", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: VertexBudgetExceeded: m=6 exceeds the vertex cap 5\n"
 
 
 def test_random_complex_contract():

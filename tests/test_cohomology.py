@@ -1,9 +1,15 @@
 """Reduced cochain complexes and cohomology dimensions."""
 
+import inspect
+import random
+import textwrap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srbetti.betti
 import srbetti.cohomology
+from srbetti.betti import betti_table
 from srbetti.cohomology import (
     CochainComplex,
     assemble,
@@ -116,6 +122,73 @@ def test_subcomplex_dims_read_off_k_match_a_rebuilt_subcomplex(K, data, f):
     omega = data.draw(st.integers(0, K.full_mask))
     rebuilt = cohomology_dims(reduced_cochain_complex(full_subcomplex(K, omega)), f)
     assert reduced_cohomology_dims(K, f, omega) == rebuilt
+
+
+def rebuilt_dims(K, omega, f):
+    """H̃(K|ω) from re-indexing K|ω and building its complex from scratch."""
+    return cohomology_dims(reduced_cochain_complex(full_subcomplex(K, omega)), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(max_m=7), st.data(), st.sampled_from([QQ, GF2, GF3]))
+def test_walker_answers_queries_in_any_order(K, data, f):
+    # queries in arbitrary order make the walker pop to every kind of prefix
+    # and push from it; a fresh walker and result cache keep each example
+    # reproducible
+    omegas = data.draw(st.lists(st.integers(0, K.full_mask), min_size=1, max_size=12))
+    srbetti.cohomology._walker.cache_clear()
+    reduced_cohomology_dims.cache_clear()
+    for omega in omegas:
+        assert reduced_cohomology_dims(K, f, omega) == rebuilt_dims(K, omega, f)
+
+
+def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
+    # mutation check: a push that reduces into its parent's pivot state
+    # instead of a copy leaves the child's pivots behind when it is popped
+    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._push))
+    assert source.count("pivots[k].copy()") == 1
+    mutant: dict = {}
+    exec(source.replace("pivots[k].copy()", "pivots[k]"), vars(srbetti.cohomology), mutant)
+    monkeypatch.setattr(srbetti.cohomology._Walker, "_push", mutant["_push"])
+    try:
+        with pytest.raises(AssertionError):
+            test_walker_answers_queries_in_any_order()
+    finally:
+        srbetti.cohomology._walker.cache_clear()
+        reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
+
+
+@pytest.mark.parametrize("f", [QQ, GF2])
+def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
+    # rank raises on its k-th call inside betti_table; the walker keeps its
+    # chain, and the next queries, starting with the ω that failed, are right
+    K = rp2_complex()
+    reference = {omega: rebuilt_dims(K, omega, f) for omega in range(K.full_mask + 1)}
+    rank, sweep = srbetti.cohomology.rank, srbetti.betti.subcomplex_cohomology
+    for k in (1, 2, 5, 17, 40, 90):
+        calls, asked = [], []
+
+        def failing(M, field, pivots=None):
+            calls.append(None)
+            if len(calls) == k:
+                raise RuntimeError("injected")
+            return rank(M, field, pivots)
+
+        def recording(K, omega, field):
+            asked.append(omega)
+            return sweep(K, omega, field)
+
+        reduced_cohomology_dims.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(srbetti.cohomology, "rank", failing)
+            patch.setattr(srbetti.betti, "subcomplex_cohomology", recording)
+            with pytest.raises(RuntimeError, match="injected"):
+                betti_table(K, f)
+        reduced_cohomology_dims.cache_clear()
+        rest = [omega for omega in reference if omega != asked[-1]]
+        random.Random(k).shuffle(rest)
+        for omega in [asked[-1], *rest]:
+            assert reduced_cohomology_dims(K, f, omega) == reference[omega], (k, omega)
 
 
 def test_dd_zero_checked_on_every_reduced_complex():

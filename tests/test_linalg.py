@@ -264,3 +264,17 @@ def test_rational_branch_scales_non_unit_pivots():
     assert rank(sparse(rows), GF2) == rank(sparse(rows), GF3) == 2
     assert rank(sparse([[2, 4], [4, 8]]), QQ) == 1
     assert rank(sparse([[6, 10, 4], [9, 15, 7]]), QQ) == 2
+
+
+def test_a_copied_state_is_extended_without_touching_the_original():
+    # the stored pivot 2 on column 1 meets the unit row (3, 1) in a copy of
+    # its state: the unit row takes the column, and the displaced row must be
+    # reduced as a copy, since the parent state still holds it
+    parent: dict = {}
+    assert rank(SparseMap(1, 2, [[(0, 1), (1, 2)]]), QQ, parent) == 1
+    assert parent == {1: {0: 1, 1: 2}}
+    child = dict(parent)
+    assert rank(SparseMap(1, 2, [[(0, 3), (1, 1)]]), QQ, child) == 1
+    assert parent == {1: {0: 1, 1: 2}}
+    assert child == {1: {0: 3, 1: 1}, 0: {0: -5}}
+    assert rank(SparseMap(1, 2, [[(0, 7)]]), QQ, child) == 0  # the state is full
