@@ -6,11 +6,11 @@ the reduced cohomology of the full subcomplex K|ω in degree |ω|-i-1.  The
 2^m sweep never re-indexes or rebuilds K|ω:
 :func:`~srbetti.cohomology.reduced_cohomology_dims` reads its cochain complex
 off K's own, which is built and d∘d-checked once per K and shared by every ω
-and every field.  The sweeps visit ω in preorder of the subset tree
-(:func:`_walk_order`), so each ω extends a prefix of the one before by a
-vertex and reduces only the rows of the faces through it.  The moment-angle
-dimensions are computed twice, once directly from subcomplex cohomology and
-once through the Betti table, and the two routes must agree.
+and every field.  The sweeps visit ω in descending mask order, which keeps
+ω minus its smallest vertex on the walker's chain, so each ω reduces only
+the rows through that vertex.  The moment-angle dimensions are computed
+twice, once directly from subcomplex cohomology and once through the Betti
+table, and the two routes must agree.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .complexes import SimplicialComplex, mask_of, vertices_of
-from .errors import MismatchFound, VertexOutOfRange
+from .complexes import SimplicialComplex, _within, submasks, vertices_of
+from .errors import MismatchFound
 from .cohomology import reduced_cohomology_dims
 from .linalg import FieldSpec
 
@@ -56,9 +56,7 @@ def betti_number(K: SimplicialComplex, i: int, omega, f: FieldSpec) -> int:
     """β_{i,ω} = dim H̃^{|ω|-i-1}(K|ω; f)."""
     if i < 0:
         raise ValueError(f"homological index must be nonnegative, got {i}")
-    om = omega if isinstance(omega, int) else mask_of(omega)
-    if om & ~K.full_mask:
-        raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
+    om = _within(K, omega)
     deg = om.bit_count() - i - 1
     if deg < -1:
         return 0
@@ -70,18 +68,10 @@ def subcomplex_cohomology(K: SimplicialComplex, omega: int, f: FieldSpec) -> Map
     return reduced_cohomology_dims(K, f, omega)
 
 
-def _walk_order(m: int, om: int = 0):
-    """ω and its descendants in the subset tree on [m], as masks, in preorder,
-    that is lexicographically by vertex list: ∅, {1}, {1, 2}, …, {1, 3}, …"""
-    yield om
-    for v in range(om.bit_length(), m):
-        yield from _walk_order(m, om | 1 << v)
-
-
 def betti_table(K: SimplicialComplex, f: FieldSpec) -> BettiTable:
     """All nonzero β_{i,ω}; 2^m subcomplex cohomology computations."""
     table = BettiTable(K.m, f)
-    for om in _walk_order(K.m):
+    for om in submasks(K.full_mask):
         card = om.bit_count()
         # the dims are nonzero and deg <= |ω| - 1, so every i = |ω| - deg - 1 is >= 0
         for deg, d in subcomplex_cohomology(K, om, f).items():
@@ -99,7 +89,7 @@ def zk_cohomology_dims_two_routes(
     dim H^q = Σ_ω β_{2|ω|-q, ω}.
     """
     direct: dict[int, int] = {}
-    for om in _walk_order(K.m):
+    for om in submasks(K.full_mask):
         shift = om.bit_count() + 1
         for deg, d in subcomplex_cohomology(K, om, f).items():
             q = deg + shift

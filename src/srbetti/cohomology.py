@@ -15,7 +15,7 @@ built and checked once per complex K (``K.cochains``), and the cohomology of
 a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to the
 rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
 are reduced incrementally, as in persistent homology (Edelsbrunner–Letscher–
-Zomorodian 2002): K|ω is K|(ω ∖ max ω) plus the faces through max ω, so one
+Zomorodian 2002): K|ω is K|(ω ∖ min ω) plus the faces through min ω, so one
 walker per (K, field) extends the elimination of a prefix of ω.
 
 Orientation convention: the vertices of each face are ordered ascending, the
@@ -32,8 +32,8 @@ from threading import Lock
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .complexes import SimplicialComplex, vertices_of
-from .errors import NotAComplex, VertexOutOfRange
+from .complexes import SimplicialComplex, _within
+from .errors import NotAComplex
 from .linalg import FieldSpec, SparseMap, rank
 
 
@@ -196,23 +196,31 @@ def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
 
 class _Walker:
     """The elimination of K's coboundary rows over f along a chain of full
-    subcomplexes ∅ = ω_0 ⊂ … ⊂ ω_j, each adding a vertex above the last.
+    subcomplexes ∅ = ω_0 ⊂ … ⊂ ω_j, each adding a vertex below the last.
 
     Level j holds, per face size k, the number of faces of K|ω_j, the rank
     of their rows (of d_{k-2}, from ``K.cochains``) and that elimination's
     pivot state (see :func:`~srbetti.linalg.rank`).  A query pops back to the
-    longest prefix of ω's own chain and pushes ω's remaining vertices.
-    Pushing v reduces only the rows of the faces σ ∪ {v}, σ ⊆ ω_j, into
-    copies of the parent's states, so a pop just drops a level and a failed
-    push leaves none."""
+    longest prefix of ω's own chain and pushes ω's remaining vertices, so a
+    sweep in descending mask order pops once and pushes once per ω.  Pushing
+    v reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the
+    parent's states, so a pop just drops a level and a failed push leaves
+    none.
+
+    Rows list their columns in reverse order, so a pivot's key, its largest
+    column, is the face without the row's top vertex: for a row {v} ∪ σ with
+    σ ≠ ∅ one through v, which no parent pivot holds.  Over ℚ, K's column
+    order, or growing faces by their smallest new vertex first, ran up to
+    1.5× slower on random complexes with m = 10-12."""
 
     def __init__(self, K: SimplicialComplex, f: FieldSpec):
         self.f, self.cofaces = f, K.coface_vertices
         by_card, d = K.faces_by_card, K.cochains.d
+        self.cols = cols = [len(level) for level in by_card]
         self.rows = {
-            g: d[k - 2].data[i] for k in range(1, len(by_card)) for i, g in enumerate(by_card[k])
+            g: [(cols[k - 1] - 1 - c, a) for c, a in d[k - 2].data[i]]
+            for k in range(1, len(by_card)) for i, g in enumerate(by_card[k])
         }
-        self.cols = [len(level) for level in by_card]
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
         self.stack = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n)]
         self.lock = Lock()
@@ -226,13 +234,12 @@ class _Walker:
             faces[k] += len(new)
             pivots[k] = state = pivots[k].copy()
             rows = [rows_of[g] for g in new]
-            ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows), f, state)
+            ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows, state), f)
             grown = []
-            for g in new:  # add the vertices of ω above max(g - v): each face made once
-                low = (g ^ v).bit_length()
-                ext = cofaces[g] & om >> low << low
+            for g in new:  # the vertices of ω above max g, largest first: each face once
+                ext = cofaces[g] & om >> g.bit_length() << g.bit_length()
                 while ext:
-                    u = ext & -ext
+                    u = 1 << ext.bit_length() - 1
                     grown.append(g | u)
                     ext ^= u
             new, k = grown, k + 1
@@ -240,13 +247,14 @@ class _Walker:
 
     def dims(self, omega: int) -> dict[int, int]:
         with self.lock:
-            stack = self.stack  # level ω_j is on ω's chain iff ω_j = ω ∩ [max ω_j]
-            while stack[-1][0] != omega & (1 << stack[-1][0].bit_length()) - 1:
+            stack = self.stack  # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
+            while (top := stack[-1][0]) != omega & -(top & -top):
                 stack.pop()
-            rest = omega & -1 << stack[-1][0].bit_length()
+            rest = omega ^ top
             while rest:
-                self._push(rest & -rest)
-                rest &= rest - 1
+                v = 1 << rest.bit_length() - 1
+                self._push(v)
+                rest ^= v
             _, faces, ranks, _ = stack[-1]
         dims = [faces[k] - ranks[k + 1] - ranks[k] for k in range(len(faces) - 1)]
         return {k - 1: h for k, h in enumerate(dims) if h}  # degree k - 1
@@ -266,9 +274,7 @@ def reduced_cohomology_dims(
     complex, built and d∘d-checked once per K, and reduced by the one walker
     of (K, f), which extends the elimination of the last ω asked for.
     """
-    om = K.full_mask if omega is None else omega
-    if om & ~K.full_mask:
-        raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
+    om = K.full_mask if omega is None else _within(K, omega)
     return MappingProxyType(_walker(K, f).dims(om))
 
 

@@ -76,12 +76,18 @@ def _as_mask(face) -> int:
     return face if isinstance(face, int) else mask_of(face)
 
 
-def _check_cap(m: int, max_vertices: int | None, warn: bool = True) -> None:
+def _check_cap(m: int, max_vertices: int | None) -> None:
     cap = VERTEX_CAP if max_vertices is None else max_vertices
     if m > cap:
         raise VertexBudgetExceeded(f"m={m} exceeds the vertex cap {cap}")
-    if warn and m > VERTEX_WARN:
-        warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=3)
+
+
+def _within(K: SimplicialComplex, omega) -> int:
+    """omega as a mask, checked to lie within K's vertex set [m]."""
+    om = _as_mask(omega)
+    if om & ~K.full_mask:
+        raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
+    return om
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,8 @@ def from_facets(
     if m < 0:
         raise VertexOutOfRange(f"m={m} is negative")
     _check_cap(m, max_vertices)
+    if m > VERTEX_WARN:
+        warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=2)
     masks = [_as_mask(f) for f in facets]
     if m == 0 and not masks:
         return empty_complex()
@@ -204,9 +212,7 @@ def full_subcomplex(K: SimplicialComplex, omega) -> SimplicialComplex:
     Original vertex names are kept in ``labels``.  omega = 0 yields the
     empty complex {∅}.
     """
-    om = _as_mask(omega)
-    if om & ~K.full_mask:
-        raise VertexOutOfRange(f"omega {vertices_of(om)} not within [{K.m}]")
+    om = _within(K, omega)
     faces = [g for g in K.faces if not g & ~om]
     verts = vertices_of(om)
 
@@ -243,6 +249,8 @@ def join(
     """Join: faces are unions of a face of K1 with a shifted face of K2."""
     m = K1.m + K2.m
     _check_cap(m, max_vertices)
+    if m > VERTEX_WARN:
+        warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=2)
     faces = frozenset(f1 | (f2 << K1.m) for f1 in K1.faces for f2 in K2.faces)
     return SimplicialComplex(m, faces)
 

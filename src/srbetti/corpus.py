@@ -44,7 +44,7 @@ def random_complex(
         raise VertexOutOfRange(f"random_complex needs m >= 2, got {m}")
     if not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], got {density}")
-    _check_cap(m, max_vertices, warn=False)  # before the 2^m draws; from_facets warns
+    _check_cap(m, max_vertices)  # before the 2^m draws; from_facets warns
     rng = random.Random(seed)
     full = (1 << m) - 1
     facets = []

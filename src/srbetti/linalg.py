@@ -6,9 +6,9 @@ with distinct columns.  The builders produce it straight from face bitmasks
 and generator indices, and :func:`rank` is the single elimination kernel.
 Rows are reduced one after another against the pivot rows found so far,
 each pivot keyed on its largest column index (the "low" of Chen–Kerber,
-"Persistent homology computation with a twist", 2011); a caller may keep
-those pivots and extend them with more rows later, as the Hochster sweep
-does from K|ω to K|(ω ∪ v).  The kernel branches on the field:
+"Persistent homology computation with a twist", 2011); a map may carry
+such pivots from an earlier elimination, which its rows then extend, as the
+Hochster sweep does from K|ω to K|(ω ∪ v).  The kernel branches on the field:
 
 * GF(2): rows are packed into Python-int bitsets and reduced by XOR, keyed on
   the highest set bit;
@@ -78,24 +78,25 @@ GF3 = FieldSpec(3)
 class SparseMap(NamedTuple):
     """A rows x cols integer matrix as ``data[i] = [(column, coefficient), ...]``.
 
-    Columns within a row are distinct and coefficients nonzero.
+    Columns within a row are distinct and coefficients nonzero.  ``pivots``
+    is an optional elimination state that the rows extend (see :func:`rank`).
     """
 
     rows: int
     cols: int
     data: list[list[tuple[int, int]]]
+    pivots: dict | None = None
 
 
-def rank(M: SparseMap, f: FieldSpec, pivots: dict | None = None) -> int:
+def rank(M: SparseMap, f: FieldSpec) -> int:
     """Exact rank of M over the field f.
 
-    Given ``pivots``, an elimination state over f (pivot rows keyed on their
-    largest column), M's rows are reduced against it, those that do not
-    vanish join it, and their number is returned.  Rows in the state are
-    never changed, so extending a shallow copy leaves the original intact."""
+    If M carries an elimination state over f (``M.pivots``), its rows are
+    reduced against it, those that do not vanish join it, and their number
+    is returned.  Rows in the state are never changed, so extending a
+    shallow copy leaves the original intact."""
     p = f.p
-    if pivots is None:
-        pivots = {}
+    pivots = {} if M.pivots is None else M.pivots
     before = len(pivots)
     if p == 2:
         for row in M.data:

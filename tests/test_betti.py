@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import srbetti.cohomology
-from srbetti.betti import (
-    _walk_order,
-    betti_number,
-    betti_table,
-    subcomplex_cohomology,
-    zk_cohomology_dims,
-)
+from srbetti.betti import betti_number, betti_table, subcomplex_cohomology, zk_cohomology_dims
 from srbetti.cli import main
 from srbetti.cohomology import reduced_cohomology_dims
 from srbetti.complexes import (
@@ -19,7 +13,6 @@ from srbetti.complexes import (
     full_simplex,
     mask_of,
     relabel_complex,
-    vertices_of,
 )
 from srbetti.corpus import cycle_complex, rp2_complex
 from srbetti.errors import NotAComplex, VertexOutOfRange
@@ -67,25 +60,13 @@ def test_flipped_sign_in_the_builder_is_caught_by_the_sweep(monkeypatch):
     assert err.value.label == mask_of((1, 2, 3)) == K.faces_by_card[3][0]
 
 
-def test_walk_order_is_the_preorder_of_the_subset_tree():
-    # lexicographic by vertex list: each ω extends a prefix of the one before
-    # by one vertex, so the walker pops and pushes once per ω
-    assert [vertices_of(om) for om in _walk_order(3)] == [
-        (), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,)
-    ]
-    for m in range(7):
-        order = list(_walk_order(m))
-        assert sorted(order) == list(range(1 << m))
-        assert [vertices_of(om) for om in order] == sorted(vertices_of(om) for om in order)
-
-
 def test_only_the_dims_cache_holds_rank_results(monkeypatch):
     # a table computed with a wrong rank must not survive clearing the one
     # cache: K's own complex, kept with K, holds maps and no ranks
     rank = srbetti.cohomology.rank
 
-    def off_by_one(M, f, pivots=None):
-        return rank(M, f, pivots) + 1 if M.rows and M.cols else rank(M, f, pivots)
+    def off_by_one(M, f):
+        return rank(M, f) + 1 if M.rows and M.cols else rank(M, f)
 
     K = rp2_complex()
     reduced_cohomology_dims.cache_clear()

@@ -168,11 +168,11 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
     for k in (1, 2, 5, 17, 40, 90):
         calls, asked = [], []
 
-        def failing(M, field, pivots=None):
+        def failing(M, field):
             calls.append(None)
             if len(calls) == k:
                 raise RuntimeError("injected")
-            return rank(M, field, pivots)
+            return rank(M, field)
 
         def recording(K, omega, field):
             asked.append(omega)

@@ -271,10 +271,10 @@ def test_a_copied_state_is_extended_without_touching_the_original():
     # its state: the unit row takes the column, and the displaced row must be
     # reduced as a copy, since the parent state still holds it
     parent: dict = {}
-    assert rank(SparseMap(1, 2, [[(0, 1), (1, 2)]]), QQ, parent) == 1
+    assert rank(SparseMap(1, 2, [[(0, 1), (1, 2)]], parent), QQ) == 1
     assert parent == {1: {0: 1, 1: 2}}
     child = dict(parent)
-    assert rank(SparseMap(1, 2, [[(0, 3), (1, 1)]]), QQ, child) == 1
+    assert rank(SparseMap(1, 2, [[(0, 3), (1, 1)]], child), QQ) == 1
     assert parent == {1: {0: 1, 1: 2}}
     assert child == {1: {0: 3, 1: 1}, 0: {0: -5}}
-    assert rank(SparseMap(1, 2, [[(0, 7)]]), QQ, child) == 0  # the state is full
+    assert rank(SparseMap(1, 2, [[(0, 7)]], child), QQ) == 0  # the state is full
