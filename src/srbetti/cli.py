@@ -2,8 +2,8 @@
 
 Subcommands: betti, zk, color, quotient, tor, verify, sharp, corpus.
 Exit status 0 when all requested checks pass, 1 on a failed check, 2 on
-usage or input validation errors (validation errors print the module error
-name).
+usage or input validation errors.  A check that raises (MismatchFound,
+NotAComplex) and a validation error both print the module error name.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .complexes import (
     vertices_of,
 )
 from .corpus import random_complex
-from .errors import SRBettiError
+from .errors import MismatchFound, NotAComplex, SRBettiError
 from .linalg import QQ, GF2, GF3, FieldSpec
 from .tor import _unstabilized, quotient_cohomology_dims, tor_dims, verify_tor_threeway
 
@@ -279,12 +279,15 @@ def _corpus_member(task) -> dict:
 
 
 def _cmd_corpus(args) -> int:
+    if args.corpus_max_m < 4:
+        raise ValueError(f"--corpus-max-m must be at least 4, got {args.corpus_max_m}")
     tasks = []
     for k in range(args.count):
-        m = 4 + k % max(1, args.corpus_max_m - 3)
+        m = 4 + k % (args.corpus_max_m - 3)
         tasks.append((m, args.density, args.seed + k, args.weight_bound, args.max_m))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks))  # the pool starts all its workers at once
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_corpus_member, tasks))
     else:
         results = [_corpus_member(t) for t in tasks]
@@ -325,7 +328,7 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args)
     except (SRBettiError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (MismatchFound, NotAComplex)) else 2
     finally:
         warnings.formatwarning = formatwarning
 

@@ -11,12 +11,12 @@ complex; ranks then come from the one kernel :func:`~srbetti.linalg.rank`.
 The reduced (augmented) cochain complex is the only flavor here: the empty
 face contributes a generator in degree -1, so H̃^{-1}({∅}) is one-dimensional
 and every Hochster-type formula comes out without convention traps.  It is
-built and checked once per complex K (``K.cochains``), and the cohomology of
-a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to the
-rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
+built and checked once per complex K, by K's one walker, and the cohomology
+of a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to
+the rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
 are reduced incrementally, as in persistent homology (Edelsbrunner–Letscher–
-Zomorodian 2002): K|ω is K|(ω ∖ min ω) plus the faces through min ω, so one
-walker per (K, field) extends the elimination of a prefix of ω.
+Zomorodian 2002): K|ω is K|(ω ∖ min ω) plus the faces through min ω, so the
+walker extends, per field, the elimination of a prefix of ω.
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -195,15 +195,17 @@ def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
 
 
 class _Walker:
-    """The elimination of K's coboundary rows over f along a chain of full
+    """K's coboundary rows, eliminated per field along a chain of full
     subcomplexes ∅ = ω_0 ⊂ … ⊂ ω_j, each adding a vertex below the last.
 
-    Level j holds, per face size k, the number of faces of K|ω_j, the rank
-    of their rows (of d_{k-2}, from ``K.cochains``) and that elimination's
-    pivot state (see :func:`~srbetti.linalg.rank`).  A query pops back to the
-    longest prefix of ω's own chain and pushes ω's remaining vertices, so a
-    sweep in descending mask order pops once and pushes once per ω.  Pushing
-    v reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the
+    The reduced complex of K is built and d∘d-checked once, here, and its
+    rows are kept in one table for every field; ``stacks[f.p]`` is the chain
+    over f.  Level j holds, per face size k, the number of faces of K|ω_j,
+    the rank of their rows (of d_{k-2}) and that elimination's pivot state
+    (see :func:`~srbetti.linalg.rank`).  A query pops back to the longest
+    prefix of ω's own chain and pushes ω's remaining vertices, so a sweep in
+    descending mask order pops once and pushes once per ω.  Pushing v
+    reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the
     parent's states, so a pop just drops a level and a failed push leaves
     none.
 
@@ -213,22 +215,23 @@ class _Walker:
     order, or growing faces by their smallest new vertex first, ran up to
     1.5× slower on random complexes with m = 10-12."""
 
-    def __init__(self, K: SimplicialComplex, f: FieldSpec):
-        self.f, self.cofaces = f, K.coface_vertices
-        by_card, d = K.faces_by_card, K.cochains.d
+    def __init__(self, K: SimplicialComplex):
+        self.cofaces = K.coface_vertices
+        by_card, d = K.faces_by_card, reduced_cochain_complex(K).d
         self.cols = cols = [len(level) for level in by_card]
         self.rows = {
             g: [(cols[k - 1] - 1 - c, a) for c, a in d[k - 2].data[i]]
             for k in range(1, len(by_card)) for i, g in enumerate(by_card[k])
         }
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
-        self.stack = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n)]
+        self.root = (0, [1] + [0] * (n - 1), [0] * n, [{}] * n)
+        self.stacks: dict[int, list] = {}
         self.lock = Lock()
 
-    def _push(self, v: int) -> None:
-        om, faces, ranks, pivots = self.stack[-1]
+    def _push(self, stack: list, f: FieldSpec, v: int) -> None:
+        om, faces, ranks, pivots = stack[-1]
         faces, ranks, pivots = faces[:], ranks[:], pivots[:]
-        cofaces, rows_of, cols, f = self.cofaces, self.rows, self.cols, self.f
+        cofaces, rows_of, cols = self.cofaces, self.rows, self.cols
         new, k = [v] if v in cofaces else [], 1
         while new:
             faces[k] += len(new)
@@ -243,24 +246,25 @@ class _Walker:
                     grown.append(g | u)
                     ext ^= u
             new, k = grown, k + 1
-        self.stack.append((om | v, faces, ranks, pivots))
+        stack.append((om | v, faces, ranks, pivots))
 
-    def dims(self, omega: int) -> dict[int, int]:
+    def dims(self, f: FieldSpec, omega: int) -> dict[int, int]:
         with self.lock:
-            stack = self.stack  # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
+            stack = self.stacks.setdefault(f.p, [self.root])
+            # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
             while (top := stack[-1][0]) != omega & -(top & -top):
                 stack.pop()
             rest = omega ^ top
             while rest:
                 v = 1 << rest.bit_length() - 1
-                self._push(v)
+                self._push(stack, f, v)
                 rest ^= v
             _, faces, ranks, _ = stack[-1]
         dims = [faces[k] - ranks[k + 1] - ranks[k] for k in range(len(faces) - 1)]
         return {k - 1: h for k, h in enumerate(dims) if h}  # degree k - 1
 
 
-_walker = lru_cache(maxsize=16)(_Walker)  # one walker per (K, f), like tor._context
+_walker = lru_cache(maxsize=16)(_Walker)  # one walker per K, for every field
 
 
 @lru_cache(maxsize=1 << 18)
@@ -270,12 +274,12 @@ def reduced_cohomology_dims(
     """Reduced cohomology dimensions of K|ω over f, ω all of [m] when None
     (cached, read-only view).
 
-    C^*(K|ω) is not built: its rows are read off ``K.cochains``, K's own
-    complex, built and d∘d-checked once per K, and reduced by the one walker
-    of (K, f), which extends the elimination of the last ω asked for.
+    C^*(K|ω) is not built: its rows are read off K's own complex, built and
+    d∘d-checked once per K by K's walker, which extends its elimination over
+    f from the last ω asked for over f.
     """
     om = K.full_mask if omega is None else _within(K, omega)
-    return MappingProxyType(_walker(K, f).dims(om))
+    return MappingProxyType(_walker(K).dims(f, om))
 
 
 def euler_characteristic_reduced(K: SimplicialComplex) -> int:

@@ -5,8 +5,9 @@ its fully expanded downward-closed face family (the empty face included);
 everything downstream iterates faces, and at the supported scale (m <= 24 by
 default) the 2^m expansion is cheap.  Everything else is derived from the
 faces once, on first use: the one coface table (``coface_vertices``), the
-facets (the faces that no vertex extends), the faces sorted by size
-(``faces_by_card``) and the reduced cochain complex (``cochains``).
+facets (the faces that no vertex extends) and the faces sorted by size
+(``faces_by_card``).  Cochain complexes live in :mod:`srbetti.cohomology`,
+which imports this module and is not imported by it.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -132,14 +133,6 @@ class SimplicialComplex:
     def facets(self) -> frozenset[int]:
         """The faces that no vertex extends."""
         return frozenset(f for f, up in self.coface_vertices.items() if not up)
-
-    @cached_property
-    def cochains(self):
-        """The reduced cochain complex, built and d∘d-checked once per K (see
-        :func:`srbetti.cohomology.reduced_cochain_complex`)."""
-        from .cohomology import reduced_cochain_complex  # cohomology imports this module
-
-        return reduced_cochain_complex(self)
 
     @cached_property
     def full_mask(self) -> int:

@@ -5,13 +5,14 @@ rows, each row a list of (column index, nonzero integer coefficient) pairs
 with distinct columns.  The builders produce it straight from face bitmasks
 and generator indices, and :func:`rank` is the single elimination kernel.
 Rows are reduced one after another against the pivot rows found so far,
-each pivot keyed on its largest column index (the "low" of Chen–Kerber,
-"Persistent homology computation with a twist", 2011); a map may carry
-such pivots from an earlier elimination, which its rows then extend, as the
-Hochster sweep does from K|ω to K|(ω ∪ v).  The kernel branches on the field:
+each pivot keyed on its largest column index, whatever the field (the
+"low" of Chen–Kerber, "Persistent homology computation with a twist",
+2011); a map may carry such pivots from an earlier elimination, which its
+rows then extend, as the Hochster sweep does from K|ω to K|(ω ∪ v).  The
+kernel branches on the field:
 
-* GF(2): rows are packed into Python-int bitsets and reduced by XOR, keyed on
-  the highest set bit;
+* GF(2): rows are packed into Python-int bitsets and reduced by XOR, the
+  highest set bit being the largest column;
 * GF(p): sparse dict rows, each pivot row normalised to a unit pivot;
 * the rationals: sparse integer elimination.  A ±1 pivot is subtracted as
   is; any other pivot scales the row by the pivot and divides out the row's
@@ -105,7 +106,7 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                 if a & 1:
                     x |= 1 << c
             while x:
-                top = x.bit_length()
+                top = x.bit_length() - 1
                 pivot = pivots.get(top)
                 if pivot is None:
                     pivots[top] = x

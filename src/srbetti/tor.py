@@ -613,7 +613,6 @@ def verify_tor_threeway(
     alpha: Partition,
     f: FieldSpec,
     weight_bound: int | None = None,
-    strict: bool = False,
 ) -> TorThreeWayReport:
     """Three-way equality per (q, L): Tor dims from the truncated Koszul
     route, cellular cohomology in degree 2|L|-q, and reduced cohomology of
@@ -631,11 +630,4 @@ def verify_tor_threeway(
                 hochster=sub_dims.get(lsize - q - 1, 0),
             )
             records.append(rec)
-            if strict and not rec.ok:
-                raise MismatchFound(
-                    f"three-way mismatch at q={q}, L={vertices_of(lmask)}: "
-                    f"tor={rec.tor} cellular={rec.cellular} hochster={rec.hochster}",
-                    q=q,
-                    colors=lmask,
-                )
     return TorThreeWayReport(records, table)

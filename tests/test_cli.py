@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import srbetti
+import srbetti.betti
+import srbetti.cli
+import srbetti.tor
 from srbetti.cli import main
 from srbetti.complexes import complex_from_json, from_facets, mask_of
 from srbetti.corpus import random_complex
@@ -192,6 +195,72 @@ def test_corpus_parallel_matches_serial(capsys):
     _, serial, _ = run(capsys, *args)
     _, parallel, _ = run(capsys, *args, "--jobs", "2")
     assert serial == parallel
+
+
+def test_corpus_starts_no_more_workers_than_members(capsys, monkeypatch):
+    # the pool forks all its workers at the first submit: --jobs 64 on two
+    # members must ask for two (a stand-in pool maps serially, so none start)
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(srbetti.cli, "ProcessPoolExecutor", SerialPool)
+    args = ["corpus", "--seed", "3", "--count", "2", "--corpus-max-m", "5"]
+    _, serial, _ = run(capsys, *args)
+    code, pooled, _ = run(capsys, *args, "--jobs", "64")
+    assert (code, asked, pooled) == (0, [2], serial)
+    assert run(capsys, "corpus", "--seed", "3", "--count", "1", "--jobs", "64")[0] == 0
+    assert asked == [2]  # one member runs in this process
+
+
+def test_corpus_max_m_below_4_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "corpus", "--seed", "1", "--count", "2", "--corpus-max-m", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: --corpus-max-m must be at least 4, got 3\n"
+
+
+def test_a_failed_check_exits_1(capsys, monkeypatch):
+    # mutation checks: a Betti table that lost an entry makes zk's two routes
+    # disagree, and a flipped quotient sign breaks d∘d; both are failed
+    # checks, not usage errors
+    table = srbetti.betti.betti_table
+
+    def dropping(K, f):
+        out = table(K, f)
+        out.entries.popitem()
+        return out
+
+    coboundary = srbetti.tor.quotient_coboundary
+
+    def flipped(ctx, cell):
+        out = coboundary(ctx, cell)
+        if cell[0] == 0 and out:
+            (sign, target), *rest = out
+            out = [(-sign, target), *rest]
+        return out
+
+    square = ["--facets", "1 2, 2 3, 3 4, 1 4"]
+    with monkeypatch.context() as patch:
+        patch.setattr(srbetti.betti, "betti_table", dropping)
+        code, out, err = run(capsys, "zk", *square)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: MismatchFound: moment-angle routes disagree")
+    with monkeypatch.context() as patch:
+        patch.setattr(srbetti.tor, "quotient_coboundary", flipped)
+        code, out, err = run(capsys, "quotient", *square)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NotAComplex: d∘d != 0")
 
 
 def test_corpus_lists_the_unstabilized_L_per_field(capsys):

@@ -158,6 +158,39 @@ def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
         reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
 
 
+def test_one_walker_and_one_reduced_complex_per_complex(monkeypatch):
+    # two equal K objects swept over three fields share one walker, which
+    # builds and checks K's reduced complex once; K itself holds no complex
+    builds = []
+
+    def counting(K):
+        builds.append(K)
+        return reduced_cochain_complex(K)
+
+    monkeypatch.setattr(srbetti.cohomology, "reduced_cochain_complex", counting)
+    srbetti.cohomology._walker.cache_clear()
+    reduced_cohomology_dims.cache_clear()
+    K1, K2 = rp2_complex(), rp2_complex()
+    assert K1 == K2 and K1 is not K2
+    for K, f in ((K1, QQ), (K2, GF2), (K1, GF3), (K2, QQ)):
+        betti_table(K, f)
+    assert len(builds) == 1
+    assert srbetti.cohomology._walker.cache_info().currsize == 1
+    assert not hasattr(K1, "cochains")
+
+
+def test_one_walker_keeps_the_fields_apart():
+    # RP² differs over GF(2) and ℚ: queries that alternate between fields in
+    # random order must each read their own field's chain
+    K = rp2_complex()
+    srbetti.cohomology._walker.cache_clear()
+    reduced_cohomology_dims.cache_clear()
+    queries = [(omega, f) for omega in range(K.full_mask + 1) for f in (QQ, GF2, GF3)]
+    random.Random(3).shuffle(queries)
+    for omega, f in queries:
+        assert reduced_cohomology_dims(K, f, omega) == rebuilt_dims(K, omega, f), (omega, f)
+
+
 @pytest.mark.parametrize("f", [QQ, GF2])
 def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
     # rank raises on its k-th call inside betti_table; the walker keeps its

@@ -278,3 +278,11 @@ def test_a_copied_state_is_extended_without_touching_the_original():
     assert parent == {1: {0: 1, 1: 2}}
     assert child == {1: {0: 3, 1: 1}, 0: {0: -5}}
     assert rank(SparseMap(1, 2, [[(0, 7)]], child), QQ) == 0  # the state is full
+
+
+@pytest.mark.parametrize("f", [QQ, GF2, GF3])
+def test_every_field_keys_a_pivot_by_its_largest_column(f):
+    # one key convention for every field: a state's keys are column indices
+    state: dict = {}
+    assert rank(SparseMap(1, 3, [[(0, 1), (2, 1)]], state), f) == 1
+    assert list(state) == [2]

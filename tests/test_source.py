@@ -3,7 +3,10 @@
 import ast
 import re
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 import srbetti
 
@@ -76,6 +79,50 @@ def test_the_import_scan_sees_every_form():
         (1, "numpy.linalg"),
         (2, "sympy"),
         (3, "hypothesis"),
+    ]
+
+
+def _package_imports(tree: ast.AST):
+    for node in ast.walk(tree):  # function bodies too
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or alias.name for alias in node.names]
+            prefix = "" if node.level else "srbetti."
+        elif isinstance(node, ast.Import):
+            names, prefix = [alias.name for alias in node.names], "srbetti."
+        else:
+            continue
+        for name in names:
+            if name.startswith(prefix):
+                yield node.lineno, name.removeprefix(prefix).split(".")[0]
+
+
+def test_the_package_has_no_import_cycle():
+    # an import cycle, even one deferred into a function body, means two
+    # modules each need the other: the one below must not know the one above
+    graph = {
+        path.stem: {name for _, name in _package_imports(ast.parse(path.read_text(), str(path)))}
+        for path in sorted(SRC.glob("*.py"))
+    }
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as err:
+        pytest.fail("import cycle: " + " -> ".join(err.args[1]))
+
+
+def test_the_package_import_scan_sees_every_form():
+    tree = ast.parse(
+        "import os\nfrom . import linalg, errors\nimport srbetti.tor\n"
+        "from srbetti.betti import betti_table\nfrom .complexes import _within\n"
+        "def f():\n    from .cohomology import reduced_cochain_complex\n"
+        "from sympy import Matrix\nfrom __future__ import annotations\n"
+    )
+    assert sorted(_package_imports(tree)) == [
+        (2, "errors"),
+        (2, "linalg"),
+        (3, "tor"),
+        (4, "betti"),
+        (5, "complexes"),
+        (7, "cohomology"),
     ]
 
 

@@ -603,11 +603,6 @@ def test_verify_tor_threeway_four_cycle():
     assert (rec.tor, rec.cellular, rec.hochster) == (1, 1, 1)
 
 
-def test_verify_tor_threeway_strict_mode_passes_clean():
-    K, alpha = square_with_coloring()
-    verify_tor_threeway(K, alpha, GF3, strict=True)
-
-
 def test_verify_tor_threeway_full_simplex_greedy():
     from srbetti.coloring import greedy_coloring
 
