@@ -49,6 +49,8 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     hit = _VERTICES_CACHE.get(mask)
     if hit is not None:
         return hit
+    if mask < 0:  # -1 >> 1 == -1: the loop below would never end
+        raise VertexOutOfRange(f"vertex mask {mask} is negative")
     out = []
     rest = mask
     v = 1

@@ -26,7 +26,7 @@ from srbetti.complexes import (
     full_subcomplex,
     relabel_complex,
 )
-from srbetti.corpus import cycle_complex, rp2_complex
+from srbetti.corpus import cycle_complex, random_complex, rp2_complex
 from srbetti.errors import NotAComplex
 from srbetti.linalg import GF2, GF3, QQ, SparseMap, rank
 
@@ -156,6 +156,63 @@ def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
     finally:
         srbetti.cohomology._walker.cache_clear()
         reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
+
+
+SWEPT = [rp2_complex(), *(random_complex(7, d, s) for d in (0.5, 0.9) for s in (0, 1))]
+
+
+def sweep(K, f):
+    """A fresh walker for K and its answers to every ω over f, asked in
+    descending mask order."""
+    walker = srbetti.cohomology._Walker(K)
+    return walker, {omega: walker.dims(f, omega) for omega in range(K.full_mask, -1, -1)}
+
+
+def test_walker_answers_a_descending_full_sweep():
+    # the betti_table order: every ω is pushed once, onto ω ∖ min ω, so every
+    # row that clearing skips is skipped here, which scattered queries miss
+    for K in SWEPT:
+        for f in (QQ, GF2, GF3):
+            for omega, dims in sweep(K, f)[1].items():
+                assert dims == rebuilt_dims(K, omega, f), (K, f, omega)
+
+
+@pytest.mark.parametrize(
+    "code, mutant",
+    [
+        ("keys[g] not in cleared", "keys[g] + 1 not in cleared"),
+        ("keys[g] not in cleared", "keys[g] - 1 not in cleared"),
+        ("levels[k - 1], pivots[k + 1]", "levels[k - 1], pivots[k]"),
+        ("levels[k - 1], pivots[k + 1]", "levels[k - 1], pivots[k + 2]"),
+        ("len(rows), cols[k - 1], rows,", "len(rows) - 1, cols[k - 1], rows[:-1],"),
+    ],
+)
+def test_a_push_that_clears_the_wrong_rows_is_caught(monkeypatch, code, mutant):
+    # mutation check: clearing by a neighbouring key, by the state of the
+    # wrong size, or reducing one row too few fails the descending sweep
+    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._push))
+    assert source.count(code) == 1
+    namespace: dict = {}
+    exec(source.replace(code, mutant), vars(srbetti.cohomology), namespace)
+    monkeypatch.setattr(srbetti.cohomology._Walker, "_push", namespace["_push"])
+    with pytest.raises((AssertionError, IndexError)):
+        test_walker_answers_a_descending_full_sweep()
+
+
+def test_a_sweep_clears_rows_and_reduces_the_rest():
+    # every face a push adds is either reduced or cleared, and clearing does
+    # happen: a push that reduced bottom-up would clear nothing and still
+    # answer every query right
+    K = SWEPT[3]
+    walker, _ = sweep(K, QQ)
+    added = sum(
+        1
+        for omega in range(1, K.full_mask + 1)
+        for g in K.faces
+        if g & omega & -omega and not g & ~omega
+    )
+    assert walker.rows_cleared > 0
+    assert walker.rows_reduced + walker.rows_cleared == added
 
 
 def test_one_walker_and_one_reduced_complex_per_complex(monkeypatch):

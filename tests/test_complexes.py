@@ -1,10 +1,16 @@
 """Construction, parsing, and combinatorial operations on complexes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srbetti
 from srbetti.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -104,6 +110,53 @@ def test_full_subcomplex_identity_and_idempotence():
 def test_full_subcomplex_range_error():
     with pytest.raises(VertexOutOfRange):
         full_subcomplex(four_cycle(), mask_of([5]))
+
+
+NEGATIVE_MASK_CALLS = [
+    "reduced_cohomology_dims(K, QQ, -1)",
+    "betti_number(K, 0, -2, QQ)",
+    "full_subcomplex(K, -1)",
+    "from_facets(3, [-1])",
+    "colors_of(alpha, -1)",
+    "omega_L(alpha, -1)",
+]
+
+
+def test_a_negative_vertex_mask_is_out_of_range():
+    # each call names the mask in its error through vertices_of, which once
+    # shifted -1 right forever and filled memory; a child process with a
+    # 512 MiB address space keeps a relapse from taking the machine with it
+    script = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from srbetti import *
+        from srbetti.cohomology import reduced_cohomology_dims
+        from srbetti.corpus import rp2_complex
+        K = rp2_complex()
+        alpha = trivial_partition(K.m)
+        for call in %r:
+            try:
+                eval(call)
+            except Exception as exc:
+                print(type(exc).__name__, exc)
+        """
+        % NEGATIVE_MASK_CALLS
+    )
+    src = str(Path(srbetti.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"VertexOutOfRange vertex mask {-2 if 'betti_number' in call else -1} is negative"
+        for call in NEGATIVE_MASK_CALLS
+    ], proc.stdout
 
 
 def test_boundary_simplex():
