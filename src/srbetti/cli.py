@@ -49,7 +49,6 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field", default="q", help="coefficient field: q | f2 | f3 | fp:P")
     p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     p.add_argument("--max-m", type=int, default=None, help="override the vertex cap")
 
@@ -110,6 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--weight-bound", type=int, default=None)
 
+    for name in ("betti", "zk", "quotient", "tor", "verify", "sharp"):  # the ones that read it
+        sub.choices[name].add_argument(
+            "--field", default="q", help="coefficient field: q | f2 | f3 | fp:P"
+        )
     return top
 
 

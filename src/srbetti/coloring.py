@@ -173,9 +173,13 @@ def minimum_coloring(K: SimplicialComplex) -> Partition:
     )
 
 
-def _as_color_mask(L, r: int) -> int:
+def _as_color_mask(L, r: int | None = None) -> int:
+    """L as a color mask; a negative mask, or a color outside [r] when r is
+    given, raises ColorOutOfRange."""
     mask = L if isinstance(L, int) else mask_of(L)
-    if mask & ~((1 << r) - 1):
+    if mask < 0:
+        raise ColorOutOfRange(f"color mask {mask} is negative")
+    if r is not None and mask >> r:
         raise ColorOutOfRange(f"colors {vertices_of(mask)} outside [{r}]")
     return mask
 
@@ -203,7 +207,7 @@ def colors_of(alpha: Partition, sigma) -> int:
 
 def kappa(i: int, L) -> int:
     """Sign (-1)^c(i,L) where c(i,L) counts elements of L below i; needs i ∈ L."""
-    mask = L if isinstance(L, int) else mask_of(L)
+    mask = _as_color_mask(L)
     bit = 1 << (i - 1)
     if not mask & bit:
         raise NotAMember(f"{i} is not a member of {vertices_of(mask)}")

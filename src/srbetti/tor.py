@@ -25,14 +25,14 @@ weight piece is a finite complex; the L-graded Tor is the sum over w with
 supp(w) = L.  For a nondegenerate coloring, raising a coordinate that is
 already >= 2 is an isomorphism of pieces (pump the weight of the unique
 σ-vertex of that color), so a piece's homology depends only on the clamped
-pattern min(w_i, 2), and tor_dims evaluates one piece per pattern.
+pattern min(w_i, 2).
 
 A piece with some w_i >= 2 is in fact acyclic: t_i acts on it only through
 the σ-vertex v of color i, and H(σ, h, I) = κ(i, I∪{i})·(σ, h - e_v, I∪{i})
-inverts that action, so dH + Hd = id.  tor_dims does not assume this: it
-checks the identity over ℤ generator by generator (:func:`_contractible`,
-once per piece for every field) and builds and ranks the piece as before
-only where the check fails, counting those fallbacks.
+inverts that action, so dH + Hd = id.  tor_dims does not assume this: its
+first call at a bound >= 2 checks the identity over ℤ on the piece of each
+such pattern (:func:`_certify`, once per coloring) and raises NotAComplex on
+a failure, so only the e = 0 pieces are built and ranked.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .coloring import (
     require_nondegenerate,
 )
 from .complexes import SimplicialComplex, submasks, vertices_of
-from .errors import MismatchFound, StabilizationNotReached
+from .errors import MismatchFound, NotAComplex, StabilizationNotReached
 from .linalg import FieldSpec
 
 # A Koszul generator t_I v^(σ,h) and equally a fattened cell: h is a weight
@@ -66,7 +66,7 @@ class _Ctx:
     cofaces of a face come from ``K.coface_vertices``, masked by a block."""
 
     __slots__ = (
-        "K", "alpha", "r", "m", "block_verts", "_colorsets", "faces_by_colorset"
+        "K", "alpha", "r", "m", "block_verts", "_colorsets", "faces_by_colorset", "certified"
     )
 
     def __init__(self, K: SimplicialComplex, alpha: Partition):
@@ -83,6 +83,7 @@ class _Ctx:
             pairs = tuple((vc[v], v) for v in vertices_of(f))
             by_cset.setdefault(self._colorsets[f], []).append((f, pairs))
         self.faces_by_colorset = by_cset
+        self.certified: int | None = None  # set by the first tor_dims at a bound >= 2
 
     def colorset(self, sigma: int) -> int:
         return self._colorsets[sigma]
@@ -269,14 +270,10 @@ def _piece_generators(ctx: _Ctx, w: tuple[int, ...]):
             continue
         forced = suppw & ~cset
         for sigma, pairs in faces:
-            base_h = [0] * ctx.m
-            for i, v in pairs:
-                base_h[v - 1] = w[i - 1]
             for jmask in jmasks:
-                h = list(base_h)
+                h = [0] * ctx.m
                 for i, v in pairs:
-                    if jmask >> (i - 1) & 1:
-                        h[v - 1] -= 1
+                    h[v - 1] = w[i - 1] - (jmask >> (i - 1) & 1)
                 yield (sigma, tuple(h), forced | jmask)
 
 
@@ -308,21 +305,38 @@ def _homotopy(ctx: _Ctx, i: int, gen: Gen) -> list[tuple[int, Gen]]:
     return [(kappa(i, imask | bit), (sigma, tuple(new_h), imask | bit))]
 
 
-@lru_cache(maxsize=4096)
-def _contractible(K: SimplicialComplex, alpha: Partition, w: tuple[int, ...]) -> bool:
-    """Whether the piece w, with some w_i >= 2, carries the chain contraction
-    :func:`_homotopy` for the least such i, checked over ℤ generator by
-    generator: d stays in the piece, d∘d = 0 and dH + Hd = id.  Such a piece
-    is acyclic over every field.  No field enters, so one check serves all."""
-    ctx = _context(K, alpha)
-    i = next(k for k, x in enumerate(w, 1) if x >= 2)
+def _certify(ctx: _Ctx) -> int:
+    """Check the contraction of the piece of each clamped pattern with a
+    coordinate >= 2, one per L ⊆ [r] and nonzero face color set e ⊆ L, and
+    count them; a failure raises :class:`~srbetti.errors.NotAComplex` naming
+    w, the generator and its degree q = -|I|."""
+    count = 0
+    for lmask in submasks(ctx.alpha.full_color_mask):
+        for emask in ctx.faces_by_colorset:
+            if emask and not emask & ~lmask:
+                w = _pattern_weight(lmask, emask, ctx.r)
+                failure = _contraction_failure(ctx, w, (emask & -emask).bit_length())
+                if failure:
+                    gen, what = failure
+                    message = f"contraction certificate fails at {gen!r}: {what}; piece w={w}"
+                    raise NotAComplex(message, q=-gen[2].bit_count(), label=gen, weight=w)
+                count += 1
+    return count
+
+
+def _contraction_failure(ctx: _Ctx, w: tuple[int, ...], i: int):
+    """Where the piece w fails to carry :func:`_homotopy` for the color i,
+    checked over ℤ generator by generator: d and H stay in the piece,
+    d∘d = 0 and dH + Hd = id, which make it acyclic over every field.  The
+    first failing generator and what fails there, or None."""
     gens = list(_piece_generators(ctx, w))
     index = {gen: k for k, gen in enumerate(gens)}
     # d and H on generator positions; None marks a target outside the piece
     d = [[(c, index.get(t)) for c, t in koszul_coboundary(ctx, gen)] for gen in gens]
     hom = [[(c, index.get(t)) for c, t in _homotopy(ctx, i, gen)] for gen in gens]
-    if any(t is None for rows in (d, hom) for row in rows for _, t in row):
-        return False
+    for k, gen in enumerate(gens):
+        if any(t is None for row in (d[k], hom[k]) for _, t in row):
+            return gen, "d or H leaves the piece"
     for k, dk in enumerate(d):
         dd: dict[int, int] = {}
         acc = {k: -1}  # dH + Hd - id
@@ -335,8 +349,8 @@ def _contractible(K: SimplicialComplex, alpha: Partition, w: tuple[int, ...]) ->
             for c2, t2 in d[t]:
                 acc[t2] = acc.get(t2, 0) + c * c2
         if any(dd.values()) or any(acc.values()):
-            return False
-    return True
+            return gens[k], "d∘d != 0" if any(dd.values()) else "dH + Hd != id"
+    return None
 
 
 def _stabilized_json(stabilized: dict[int, bool]) -> list[dict]:
@@ -361,10 +375,8 @@ class TorTable:
     weight_bound: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
     stabilized: dict[int, bool] = field(default_factory=dict)
-    # e != 0 patterns proved acyclic by their contraction, and those built
-    # and ranked instead because the contraction check failed
+    # e != 0 pieces proved acyclic by their contraction (0 below bound 2)
     certified: int = 0
-    fallbacks: int = 0
 
     def get(self, q: int, L: int) -> int:
         return self.entries.get((q, L), 0)
@@ -397,9 +409,8 @@ def default_weight_bound(K: SimplicialComplex, alpha: Partition) -> int:
 
 
 def _pattern_weight(lmask: int, emask: int, r: int) -> tuple[int, ...]:
-    return tuple(
-        (2 if emask >> i & 1 else 1) if lmask >> i & 1 else 0 for i in range(r)
-    )
+    """The clamped pattern of L and e ⊆ L: w_i = [i ∈ L] + [i ∈ e]."""
+    return tuple((lmask >> i & 1) + (emask >> i & 1) for i in range(r))
 
 
 def tor_dims(
@@ -411,48 +422,27 @@ def tor_dims(
     """Sum of weight-piece homology over all w with supp(w) = L and
     max_i w_i <= weight_bound, for every L ⊆ [r].
 
-    Pieces are evaluated once per clamped pattern in {1,2}^L and multiplied by
-    the number of weight vectors in the class (pieces with a coordinate >= 2
-    are pairwise isomorphic along that coordinate); such a piece counts as
-    zero when its contraction certificate holds and is built and ranked when
-    it fails (``certified`` and ``fallbacks`` count the two).  The
-    stabilization flag per L records that the two outermost weight shells
-    (maximum coordinate B-1 and B) contributed zero homology: the e = 0
-    pattern fills shell 1 (shell 0 for L = ∅), every other one shells 2..B; a
-    :class:`~srbetti.errors.StabilizationNotReached` warning lists the L whose
-    flag is unset.
+    Every piece with a coordinate >= 2 is acyclic by its contraction
+    certificate (:func:`_certify`), so each L builds and ranks only its e = 0
+    piece, w = 1_L, which fills weight shell 1 (shell 0 for L = ∅).  The flag
+    per L records that the two outermost shells (maximum coordinate B-1 and
+    B) contributed zero homology, which a bound 1 cannot tell for an L that
+    has a piece with e != 0; a :class:`~srbetti.errors.StabilizationNotReached`
+    warning lists the L whose flag is unset.
     """
     ctx = _context(K, alpha)
     bound = default_weight_bound(K, alpha) if weight_bound is None else weight_bound
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
-    face_colorsets = sorted({ctx.colorset(s) for s in K.faces})
-    table = TorTable(ctx.r, f, bound)
+    if bound >= 2 and ctx.certified is None:
+        ctx.certified = _certify(ctx)
+    table = TorTable(ctx.r, f, bound, certified=ctx.certified if bound >= 2 else 0)
     for lmask in submasks(ctx.alpha.full_color_mask):
-        low_zero = high_zero = True  # the e = 0 piece, every e != 0 piece: acyclic
-        for emask in face_colorsets:
-            if emask & ~lmask:
-                continue
-            if emask and bound < 2:
-                high_zero = False  # shells with a coordinate 2 lie beyond the bound
-                continue
-            w = _pattern_weight(lmask, emask, ctx.r)
-            if emask:
-                if _contractible(K, alpha, w):
-                    table.certified += 1
-                    continue
-                table.fallbacks += 1
-            dims = cohomology_dims(koszul_piece(K, alpha, w), f)
-            if emask:
-                high_zero = high_zero and not dims
-            else:
-                low_zero = not dims
-            mult = (bound - 1) ** emask.bit_count()
-            for deg, v in dims.items():
-                key = (-deg, lmask)
-                table.entries[key] = table.entries.get(key, 0) + mult * v
-        shell = 1 if lmask else 0  # of the e = 0 pattern
-        table.stabilized[lmask] = high_zero and (low_zero or shell not in (bound - 1, bound))
+        dims = cohomology_dims(koszul_piece(K, alpha, _pattern_weight(lmask, 0, ctx.r)), f)
+        table.entries.update(((-deg, lmask), v) for deg, v in dims.items())
+        high_zero = bound >= 2 or not any(e and not e & ~lmask for e in ctx.faces_by_colorset)
+        shell = 1 if lmask else 0  # of the e = 0 piece
+        table.stabilized[lmask] = high_zero and (not dims or shell not in (bound - 1, bound))
     unstable = _unstabilized(table.stabilized)
     if unstable:
         message = f"weight shells still contribute at the bound {bound} for L in {unstable}"
@@ -593,11 +583,6 @@ class TorThreeWayReport:
     @property
     def all_stabilized(self) -> bool:
         return self.table.all_stabilized()
-
-    @property
-    def fallbacks(self) -> int:
-        """e != 0 patterns of the Tor table that were built and ranked."""
-        return self.table.fallbacks
 
     def to_json(self) -> dict:
         return {

@@ -178,6 +178,35 @@ def test_bad_field(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["color", "--facets", "1 2, 2 3"], ["corpus", "--seed", "1", "--count", "1"]],
+)
+def test_field_is_refused_where_it_is_never_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--field", "bogus"])
+    assert exc.value.code == 2
+
+
+def test_a_failed_contraction_certificate_exits_1(square_file, capsys, monkeypatch):
+    # mutation check: a homotopy that drops one term of the piece w = (2, 1)
+    good = srbetti.tor._homotopy
+    dropped = (mask_of([1]), (2, 0, 0, 0), 0b10)
+
+    def lossy(ctx, i, gen):
+        return [] if gen == dropped else good(ctx, i, gen)
+
+    monkeypatch.setattr(srbetti.tor, "_homotopy", lossy)
+    srbetti.tor._context.cache_clear()  # the count of an earlier run is kept there
+    try:
+        code, out, err = run(capsys, "tor", "--in", square_file, "--blocks", "1 3 | 2 4")
+    finally:
+        srbetti.tor._context.cache_clear()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NotAComplex: contraction certificate fails at ")
+    assert err.endswith("; piece w=(2, 1)\n")
+
+
 def test_corpus_deterministic(capsys):
     args = ["corpus", "--seed", "11", "--count", "2", "--corpus-max-m", "5"]
     code1, out1, _ = run(capsys, *args)

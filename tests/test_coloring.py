@@ -114,6 +114,15 @@ def test_omega_L():
         omega_L(alpha, mask_of((4,)))
 
 
+def test_a_negative_color_set_is_out_of_range():
+    # a negative mask is a color set out of range, not a vertex mask
+    alpha = parse_blocks("1 | 2 4 | 3 5", 5)
+    with pytest.raises(ColorOutOfRange, match="color mask -1 is negative"):
+        omega_L(alpha, -1)
+    with pytest.raises(ColorOutOfRange, match="color mask -1 is negative"):
+        kappa(1, -1)
+
+
 def test_colors_of():
     alpha = parse_blocks("1 | 2 4 | 3 5", 5)
     assert colors_of(alpha, mask_of((2, 5))) == mask_of((2, 3))

@@ -118,7 +118,6 @@ NEGATIVE_MASK_CALLS = [
     "full_subcomplex(K, -1)",
     "from_facets(3, [-1])",
     "colors_of(alpha, -1)",
-    "omega_L(alpha, -1)",
 ]
 
 

@@ -35,8 +35,8 @@ from srbetti.errors import (
 from srbetti.linalg import GF2, GF3, QQ
 from srbetti.tor import (
     _context,
-    _contractible,
     _pattern_weight,
+    _piece_generators,
     color_weight,
     default_weight_bound,
     generator_multidegree,
@@ -218,6 +218,8 @@ def test_quotient_complex_rejects_colors_outside_r():
         quotient_cochain_complex(K, alpha, 0b100)
     with pytest.raises(ColorOutOfRange):
         quotient_cochain_complex(K, alpha, [1, 3])
+    with pytest.raises(ColorOutOfRange, match="color mask -1 is negative"):
+        quotient_cochain_complex(K, alpha, -1)
 
 
 def test_koszul_piece_differential_structure():
@@ -394,16 +396,16 @@ def test_stabilization_flags_match_the_shell_by_shell_rule():
 
 @pytest.fixture
 def fresh_certificates():
-    # certificates are cached per (K, α, w): a mutation must not see, or
-    # leave behind, a verdict reached with the other rule
-    _contractible.cache_clear()
+    # the certificate count is kept on the coloring's cached context: a
+    # mutation must not see, or leave behind, a count reached with the other rule
+    _context.cache_clear()
     yield
-    _contractible.cache_clear()
+    _context.cache_clear()
 
 
 def _high_patterns(K, alpha):
     """The piece of every clamped pattern with a coordinate 2 that tor_dims
-    visits at a weight bound >= 2."""
+    certifies at a weight bound >= 2."""
     ctx = _context(K, alpha)
     colorsets = {ctx.colorset(s) for s in K.faces}
     for lmask in submasks(alpha.full_color_mask):
@@ -415,13 +417,13 @@ def _high_patterns(K, alpha):
 @pytest.mark.parametrize(
     "m, seed", [(3, 1), (4, 2), (5, 3), (5, 4), (6, 5), (6, 6), (7, 7), (7, 8)]
 )
-def test_certificate_holds_on_every_acyclic_high_piece(m, seed):
+def test_certificate_holds_on_every_acyclic_high_piece(m, seed, fresh_certificates):
     K = random_complex(m, 0.6, seed)
     for alpha in (greedy_coloring(K), trivial_partition(m)):
         patterns = list(_high_patterns(K, alpha))
         assert patterns
+        assert tor_dims(K, alpha, QQ).certified == len(patterns), (m, seed, alpha)
         for w in patterns:
-            assert _contractible(K, alpha, w), (m, seed, alpha, w)
             C = koszul_piece(K, alpha, w)
             for f in (QQ, GF2, GF3):
                 assert cohomology_dims(C, f) == {}, (m, seed, alpha, w, str(f))
@@ -430,19 +432,58 @@ def test_certificate_holds_on_every_acyclic_high_piece(m, seed):
 def test_tor_dims_counts_certified_patterns_without_fallback(fresh_certificates):
     K, alpha = square_with_coloring()
     # L = {1}, {2} each see e = L; L = {1, 2} sees e = {1}, {2}, {1, 2}
-    for f in (QQ, GF2):  # the second field reads cached verdicts
-        table = tor_dims(K, alpha, f)
-        assert (table.certified, table.fallbacks) == (5, 0)
+    for f in (QQ, GF2):
+        assert tor_dims(K, alpha, f).certified == 5
     with pytest.warns(StabilizationNotReached):
-        low = tor_dims(K, alpha, QQ, 1)  # no coordinate reaches 2
-    assert (low.certified, low.fallbacks) == (0, 0)
-    assert verify_tor_threeway(K, alpha, GF3).fallbacks == 0
+        assert tor_dims(K, alpha, QQ, 1).certified == 0  # no coordinate reaches 2
+    assert verify_tor_threeway(K, alpha, GF3).table.certified == 5
+
+
+@pytest.mark.filterwarnings("ignore::srbetti.errors.StabilizationNotReached")
+def test_the_certificate_is_checked_once_per_coloring(monkeypatch, fresh_certificates):
+    # the first field's tor_dims checks every piece; later fields and bounds
+    # read the count and call the homotopy no more
+    K = random_complex(6, 0.6, 5)
+    alpha = greedy_coloring(K)
+    good = srbetti.tor._homotopy
+    calls = []
+
+    def counted(ctx, i, gen):
+        calls.append(gen)
+        return good(ctx, i, gen)
+
+    monkeypatch.setattr(srbetti.tor, "_homotopy", counted)
+    certified = tor_dims(K, alpha, QQ).certified
+    assert certified > 0 and calls
+    calls.clear()
+    for f, bound in ((GF2, None), (GF3, None), (QQ, 2), (GF2, 5)):
+        assert tor_dims(K, alpha, f, bound).certified == certified
+    assert verify_tor_threeway(K, alpha, GF3).table.certified == certified
+    assert calls == []
+
+
+def _certificate_failure(monkeypatch, K, alpha, match):
+    """The NotAComplex that tor_dims raises at the piece w = (2, 1), after
+    checking that it names a generator of that piece with its degree
+    q = -|I|, and that no piece was ranked on the way."""
+
+    def no_rank(C, f):
+        raise AssertionError("a piece was ranked before the certificate")
+
+    monkeypatch.setattr(srbetti.tor, "cohomology_dims", no_rank)
+    with pytest.raises(NotAComplex, match=match) as err:
+        tor_dims(K, alpha, QQ)
+    exc = err.value
+    assert exc.weight == (2, 1)
+    assert "w=(2, 1)" in str(exc)
+    assert exc.label in set(_piece_generators(_context(K, alpha), (2, 1)))
+    assert exc.q == -exc.label[2].bit_count()
+    return exc
 
 
 def test_flipped_sign_in_the_koszul_coboundary_is_caught(monkeypatch, fresh_certificates):
     # mutation check: one wrong sign in d({1}, (1,0,0,0), {1, 2}), a generator
-    # of the piece w = (2, 1), fails its certificate; the fallback build then
-    # stops at the d∘d check, naming the piece
+    # of the piece w = (2, 1), fails its certificate, which names the piece
     K, alpha = square_with_coloring()
     good = srbetti.tor.koszul_coboundary
     bad_gen = (mask_of([1]), (1, 0, 0, 0), 0b11)
@@ -455,12 +496,8 @@ def test_flipped_sign_in_the_koszul_coboundary_is_caught(monkeypatch, fresh_cert
         return out
 
     monkeypatch.setattr(srbetti.tor, "koszul_coboundary", flipped)
-    assert not _contractible(K, alpha, (2, 1))
-    with pytest.raises(NotAComplex) as err:
-        verify_tor_threeway(K, alpha, QQ)
-    assert err.value.weight == (2, 1)
-    assert err.value.q == -2
-    assert "w=(2, 1)" in str(err.value)
+    exc = _certificate_failure(monkeypatch, K, alpha, "contraction certificate fails")
+    assert exc.label == bad_gen and exc.q == -2
 
 
 def test_certificate_checks_d_squared_on_its_own(monkeypatch, fresh_certificates):
@@ -473,7 +510,7 @@ def test_certificate_checks_d_squared_on_its_own(monkeypatch, fresh_certificates
         return good(ctx, gen) + srbetti.tor._homotopy(ctx, 1, gen)
 
     monkeypatch.setattr(srbetti.tor, "koszul_coboundary", skewed)
-    assert not _contractible(K, alpha, (2, 1))
+    _certificate_failure(monkeypatch, K, alpha, "d∘d != 0")
 
 
 def test_a_target_outside_the_piece_fails_the_certificate(monkeypatch, fresh_certificates):
@@ -488,12 +525,10 @@ def test_a_target_outside_the_piece_fails_the_certificate(monkeypatch, fresh_cer
         ]
 
     monkeypatch.setattr(srbetti.tor, "koszul_coboundary", leaky)
-    assert not _contractible(K, alpha, (2, 1))  # a verdict, not an error
-    with pytest.raises(NotAComplex, match="leaves the basis"):
-        tor_dims(K, alpha, QQ)
+    _certificate_failure(monkeypatch, K, alpha, "d or H leaves the piece")
 
 
-def test_a_homotopy_with_a_term_dropped_falls_back_to_rank(monkeypatch, fresh_certificates):
+def test_a_homotopy_with_a_term_dropped_is_caught(monkeypatch, fresh_certificates):
     K, alpha = square_with_coloring()
     good = srbetti.tor._homotopy
     dropped = (mask_of([1]), (2, 0, 0, 0), 0b10)  # in the piece w = (2, 1)
@@ -502,14 +537,9 @@ def test_a_homotopy_with_a_term_dropped_falls_back_to_rank(monkeypatch, fresh_ce
         return [] if gen == dropped else good(ctx, i, gen)
 
     monkeypatch.setattr(srbetti.tor, "_homotopy", lossy)
-    assert not _contractible(K, alpha, (2, 1))
-    assert _contractible(K, alpha, (1, 2))
-    for f in (QQ, GF2):
-        table = tor_dims(K, alpha, f, 4)
-        assert (table.certified, table.fallbacks) == (4, 1)
-        assert table.all_stabilized()
-        assert table.entries == literal_tor_entries(K, alpha, f, 4)
-    assert verify_tor_threeway(K, alpha, QQ).fallbacks == 1
+    _certificate_failure(monkeypatch, K, alpha, "dH \\+ Hd != id")
+    with pytest.raises(NotAComplex):  # a failure is not remembered as a count
+        verify_tor_threeway(K, alpha, GF2)
 
 
 def test_tor_dims_stabilization_flag_low_bound():
