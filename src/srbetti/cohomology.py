@@ -87,14 +87,11 @@ class CochainComplex:
         self.checked = True
 
 
-def _check_composite(
-    first: SparseMap, second: SparseMap, q: int, labels=None, weight=None
-) -> None:
+def _check_composite(first: SparseMap, second: SparseMap, q: int, labels=None) -> None:
     """Raise NotAComplex unless second ∘ first = 0, where first is d_q.
 
     Row i of the product is Σ a·(row k of first) over the entries (k, a) of
-    row i of second; ``labels`` names the degree q+2 basis in the error, and
-    ``weight`` the color weight of a Koszul piece.
+    row i of second; ``labels`` names the degree q+2 basis in the error.
     """
     prev = first.data
     for i, row in enumerate(second.data):
@@ -104,32 +101,24 @@ def _check_composite(
                 acc[j] = acc.get(j, 0) + a * b
         if any(acc.values()):
             label = labels[i] if labels is not None else i
-            where = "" if weight is None else f"; piece w={weight}"
-            raise NotAComplex(
-                f"d∘d != 0 from degree {q} at {label!r}{where}",
-                q=q,
-                label=label,
-                weight=weight,
-            )
+            raise NotAComplex(f"d∘d != 0 from degree {q} at {label!r}", q=q, label=label)
 
 
-def coboundary_map(rule: Callable, lower: list, upper: list, q: int, weight=None) -> SparseMap:
+def coboundary_map(rule: Callable, lower: list, upper: list, q: int) -> SparseMap:
     """Matrix of d from the basis ``lower`` of degree q to the basis ``upper``,
     where ``rule(x)`` lists the (coefficient, target) terms of d x.  A target
-    outside ``upper`` means the maps are wrong; for a Koszul piece the error
-    also names its color weight ``weight``."""
+    outside ``upper`` means the maps are wrong and raises NotAComplex naming
+    the degree q and the element x."""
     index = {g: k for k, g in enumerate(upper)}
     data: list[list[tuple[int, int]]] = [[] for _ in upper]
     for j, gen in enumerate(lower):
         for coeff, target in rule(gen):
             k = index.get(target)
             if k is None:
-                where = "" if weight is None else f"; piece w={weight}"
                 raise NotAComplex(
-                    f"coboundary in degree {q} leaves the basis: {gen} -> {target}{where}",
+                    f"coboundary in degree {q} leaves the basis: {gen} -> {target}",
                     q=q,
                     label=gen,
-                    weight=weight,
                 )
             row = data[k]
             if row and row[-1][0] == j:  # a second term on the same target
@@ -140,7 +129,7 @@ def coboundary_map(rule: Callable, lower: list, upper: list, q: int, weight=None
     return SparseMap(len(upper), len(lower), data)
 
 
-def assemble(bases: dict[int, list], rule: Callable, weight=None) -> CochainComplex:
+def assemble(bases: dict[int, list], rule: Callable) -> CochainComplex:
     """The complex with the graded bases ``bases`` (degree -> elements) and
     coboundary ``rule`` (see :func:`coboundary_map`), each d_q checked
     against d_{q-1} as soon as it is built.
@@ -154,9 +143,9 @@ def assemble(bases: dict[int, list], rule: Callable, weight=None) -> CochainComp
     labels = {q: sorted(bases.get(q, ())) for q in range(lo, hi + 1)}
     d: dict[int, SparseMap] = {}
     for q in range(lo, hi):
-        d[q] = coboundary_map(rule, labels[q], labels[q + 1], q, weight)
+        d[q] = coboundary_map(rule, labels[q], labels[q + 1], q)
         if q > lo:
-            _check_composite(d[q - 1], d[q], q - 1, labels[q + 1], weight)
+            _check_composite(d[q - 1], d[q], q - 1, labels[q + 1])
     sizes = {q: len(labels[q]) for q in range(lo, hi + 1)}
     return CochainComplex(lo, hi, sizes, d, labels, checked=True)
 

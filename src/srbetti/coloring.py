@@ -174,9 +174,17 @@ def minimum_coloring(K: SimplicialComplex) -> Partition:
 
 
 def _as_color_mask(L, r: int | None = None) -> int:
-    """L as a color mask; a negative mask, or a color outside [r] when r is
-    given, raises ColorOutOfRange."""
-    mask = L if isinstance(L, int) else mask_of(L)
+    """L, a mask or a list of colors, as a color mask; a negative mask, a
+    color below 1, or a color outside [r] when r is given, raises
+    ColorOutOfRange."""
+    if isinstance(L, int):
+        mask = L
+    else:
+        mask = 0
+        for c in L:
+            if c < 1:
+                raise ColorOutOfRange(f"color {c} is not positive")
+            mask |= 1 << (c - 1)
     if mask < 0:
         raise ColorOutOfRange(f"color mask {mask} is negative")
     if r is not None and mask >> r:
@@ -207,6 +215,8 @@ def colors_of(alpha: Partition, sigma) -> int:
 
 def kappa(i: int, L) -> int:
     """Sign (-1)^c(i,L) where c(i,L) counts elements of L below i; needs i ∈ L."""
+    if i < 1:
+        raise ColorOutOfRange(f"color {i} is not positive")
     mask = _as_color_mask(L)
     bit = 1 << (i - 1)
     if not mask & bit:

@@ -66,7 +66,7 @@ class _Ctx:
     cofaces of a face come from ``K.coface_vertices``, masked by a block."""
 
     __slots__ = (
-        "K", "alpha", "r", "m", "block_verts", "_colorsets", "faces_by_colorset", "certified"
+        "K", "alpha", "r", "m", "block_verts", "colorsets", "faces_by_colorset", "certified"
     )
 
     def __init__(self, K: SimplicialComplex, alpha: Partition):
@@ -75,18 +75,15 @@ class _Ctx:
         self.r = alpha.r
         self.m = K.m
         self.block_verts = tuple(vertices_of(b) for b in alpha.blocks)
-        self._colorsets = {f: colors_of(alpha, f) for f in K.faces}
+        self.colorsets = {f: colors_of(alpha, f) for f in K.faces}
         vc = alpha.color_of
         # I_α(σ) -> [(σ, ((color, vertex) for each vertex of σ))], σ ascending
         by_cset: dict[int, list] = {}
         for f in sorted(K.faces):
             pairs = tuple((vc[v], v) for v in vertices_of(f))
-            by_cset.setdefault(self._colorsets[f], []).append((f, pairs))
+            by_cset.setdefault(self.colorsets[f], []).append((f, pairs))
         self.faces_by_colorset = by_cset
         self.certified: int | None = None  # set by the first tor_dims at a bound >= 2
-
-    def colorset(self, sigma: int) -> int:
-        return self._colorsets[sigma]
 
     def sigma_vertex(self, sigma: int, i: int) -> int:
         """The unique vertex of σ in block i (nondegeneracy)."""
@@ -115,7 +112,7 @@ def color_weight(ctx: _Ctx, gen: Gen) -> tuple[int, ...]:
 def generator_multidegree(ctx: _Ctx, gen: Gen) -> tuple[int, int]:
     """mdeg = (-|I|, I_α(σ) ∪ I); the second component as a color mask."""
     sigma, _h, imask = gen
-    return (-imask.bit_count(), ctx.colorset(sigma) | imask)
+    return (-imask.bit_count(), ctx.colorsets[sigma] | imask)
 
 
 def x_cell_dim(gen: Gen) -> int:
@@ -156,7 +153,7 @@ def x_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
     already met by σ, bump the weight of the σ-vertex of that color; for the
     rest, run over cofaces adding a vertex of that color."""
     sigma, h, imask = gen
-    cset = ctx.colorset(sigma)
+    cset = ctx.colorsets[sigma]
     out = []
     for i in vertices_of(imask & cset):
         v = ctx.sigma_vertex(sigma, i)
@@ -180,7 +177,7 @@ def iota_star(ctx: _Ctx, gen: Gen):
     """Restriction of a fattened cell to the quotient: (σ, I) when the weight
     is the indicator of σ and I avoids the colors of σ, otherwise zero."""
     sigma, h, imask = gen
-    if imask & ctx.colorset(sigma):
+    if imask & ctx.colorsets[sigma]:
         return None
     if any(h[v - 1] != 1 for v in vertices_of(sigma)) or sum(h) != sigma.bit_count():
         return None
@@ -281,16 +278,19 @@ def koszul_piece(
     K: SimplicialComplex, alpha: Partition, w: tuple[int, ...]
 ) -> CochainComplex:
     """The finite piece of the Koszul-type complex with color weight exactly w,
-    graded by -|I| (cohomological degree -q)."""
+    graded by -|I| (cohomological degree -q).  A target of d outside the
+    piece, or d∘d != 0, raises NotAComplex naming the generator, q and w."""
     ctx = _context(K, alpha)
     if len(w) != ctx.r or any(x < 0 for x in w):
         raise ValueError(f"weight vector must be in N^{ctx.r}, got {w}")
     gens_by_deg: dict[int, list[Gen]] = {}
     for gen in _piece_generators(ctx, w):
         gens_by_deg.setdefault(-gen[2].bit_count(), []).append(gen)
-    # the differential must preserve the color weight: a target outside the
-    # piece raises NotAComplex naming w and the generator
-    return assemble(gens_by_deg, partial(koszul_coboundary, ctx), tuple(w))
+    try:
+        return assemble(gens_by_deg, partial(koszul_coboundary, ctx))
+    except NotAComplex as exc:
+        w = tuple(w)
+        raise NotAComplex(f"{exc}; piece w={w}", q=exc.q, label=exc.label, weight=w) from exc
 
 
 def _homotopy(ctx: _Ctx, i: int, gen: Gen) -> list[tuple[int, Gen]]:
@@ -408,6 +408,14 @@ def default_weight_bound(K: SimplicialComplex, alpha: Partition) -> int:
     return K.dim + alpha.r + 2
 
 
+def _weight_bound(K: SimplicialComplex, alpha: Partition, weight_bound: int | None) -> int:
+    """The weight bound asked for, the default when None; below 1 raises."""
+    bound = default_weight_bound(K, alpha) if weight_bound is None else weight_bound
+    if bound < 1:
+        raise ValueError(f"weight bound must be >= 1, got {bound}")
+    return bound
+
+
 def _pattern_weight(lmask: int, emask: int, r: int) -> tuple[int, ...]:
     """The clamped pattern of L and e ⊆ L: w_i = [i ∈ L] + [i ∈ e]."""
     return tuple((lmask >> i & 1) + (emask >> i & 1) for i in range(r))
@@ -431,9 +439,7 @@ def tor_dims(
     warning lists the L whose flag is unset.
     """
     ctx = _context(K, alpha)
-    bound = default_weight_bound(K, alpha) if weight_bound is None else weight_bound
-    if bound < 1:
-        raise ValueError(f"weight bound must be >= 1, got {bound}")
+    bound = _weight_bound(K, alpha, weight_bound)
     if bound >= 2 and ctx.certified is None:
         ctx.certified = _certify(ctx)
     table = TorTable(ctx.r, f, bound, certified=ctx.certified if bound >= 2 else 0)
@@ -464,37 +470,13 @@ class PsiIotaReport:
     def ok(self) -> bool:
         return self.bijection_ok and self.chain_map_ok and self.iota_chain_map_ok
 
-    def to_json(self) -> dict:
-        return {
-            "generators_checked": self.generators_checked,
-            "bijection_ok": self.bijection_ok,
-            "chain_map_ok": self.chain_map_ok,
-            "iota_chain_map_ok": self.iota_chain_map_ok,
-            "failures": self.failures[:20],
-            "ok": self.ok,
-        }
 
-
-def _iter_generators(ctx: _Ctx, bound: int):
-    """All generators (σ, h, I) with max color weight <= bound."""
-    for sigma in sorted(ctx.K.faces):
-        verts = vertices_of(sigma)
-        for values in itertools.product(range(1, bound + 1), repeat=len(verts)):
-            h = [0] * ctx.m
-            for v, val in zip(verts, values):
-                h[v - 1] = val
-            ht = tuple(h)
-            for imask in range(1 << ctx.r):
-                gen = (sigma, ht, imask)
-                if max(color_weight(ctx, gen), default=0) <= bound:
-                    yield gen
-
-
-def _formal_sum_key(terms):
-    combined: dict[Gen, int] = {}
-    for coeff, gen in terms:
-        combined[gen] = combined.get(gen, 0) + coeff
-    return sorted((g, c) for g, c in combined.items() if c)
+def _formal_sum(terms) -> dict:
+    """The (coefficient, target) terms collected by target, zeros dropped."""
+    out: dict = {}
+    for coeff, target in terms:
+        out[target] = out.get(target, 0) + coeff
+    return {t: c for t, c in out.items() if c}
 
 
 def psi_iota_checks(
@@ -502,9 +484,12 @@ def psi_iota_checks(
     alpha: Partition,
     weight_bound: int | None = None,
 ) -> PsiIotaReport:
-    """Verify, generator by generator up to the weight bound, that
+    """Verify, generator by generator over the pieces of every color weight
+    w with max_i w_i <= weight bound (the enumeration that tor_dims and its
+    contraction certificate use), that
 
-    * the generator/cell identification preserves degree and multidegree
+    * each generator of the piece w has color weight w, and the
+      generator/cell identification preserves degree and multidegree
       (cell dimension 2Σw - |I|, multidegree support = supp(w));
     * the module-structure differential and the cellular coboundary agree
       sign-exactly on every generator;
@@ -512,39 +497,34 @@ def psi_iota_checks(
       commute, with the zero branches included).
     """
     ctx = _context(K, alpha)
-    bound = default_weight_bound(K, alpha) if weight_bound is None else weight_bound
+    bound = _weight_bound(K, alpha, weight_bound)
     failures: list[str] = []
     bij = chain = iota = True
     count = 0
-    for gen in _iter_generators(ctx, bound):
-        count += 1
-        sigma, h, imask = gen
-        w = color_weight(ctx, gen)
-        qdeg, mdeg_colors = generator_multidegree(ctx, gen)
-        if x_cell_dim(gen) != 2 * sum(w) + qdeg:
-            bij = False
-            failures.append(f"degree shift violated at {gen}")
-        if mdeg_colors != sum(1 << i for i, x in enumerate(w) if x):
-            bij = False
-            failures.append(f"multidegree support violated at {gen}")
-        dk = koszul_coboundary(ctx, gen)
-        dx = x_coboundary(ctx, gen)
-        if _formal_sum_key(dk) != _formal_sum_key(dx):
-            chain = False
-            failures.append(f"differentials disagree at {gen}")
-        lhs: dict[tuple[int, int], int] = {}
-        for coeff, target in dx:
-            cell = iota_star(ctx, target)
-            if cell is not None:
-                lhs[cell] = lhs.get(cell, 0) + coeff
-        rhs: dict[tuple[int, int], int] = {}
-        base = iota_star(ctx, gen)
-        if base is not None:
-            for coeff, cell in quotient_coboundary(ctx, base):
-                rhs[cell] = rhs.get(cell, 0) + coeff
-        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-            iota = False
-            failures.append(f"restriction square fails at {gen}")
+    for w in itertools.product(range(bound + 1), repeat=ctx.r):
+        suppw = sum(1 << i for i, x in enumerate(w) if x)
+        for gen in _piece_generators(ctx, w):
+            count += 1
+            if color_weight(ctx, gen) != w:
+                bij = False
+                failures.append(f"color weight is not {w} at {gen}")
+            qdeg, mdeg_colors = generator_multidegree(ctx, gen)
+            if x_cell_dim(gen) != 2 * sum(w) + qdeg:
+                bij = False
+                failures.append(f"degree shift violated at {gen}")
+            if mdeg_colors != suppw:
+                bij = False
+                failures.append(f"multidegree support violated at {gen}")
+            dx = x_coboundary(ctx, gen)
+            if _formal_sum(koszul_coboundary(ctx, gen)) != _formal_sum(dx):
+                chain = False
+                failures.append(f"differentials disagree at {gen}")
+            base = iota_star(ctx, gen)
+            lhs = _formal_sum((c, cell) for c, t in dx if (cell := iota_star(ctx, t)))
+            rhs = _formal_sum(quotient_coboundary(ctx, base) if base else ())
+            if lhs != rhs:
+                iota = False
+                failures.append(f"restriction square fails at {gen}")
     return PsiIotaReport(count, bij, chain, iota, failures)
 
 

@@ -44,8 +44,8 @@ def test_flipped_sign_in_the_builder_is_caught_by_the_sweep(monkeypatch):
     # a triangle named in K's coordinates
     build = srbetti.cohomology.coboundary_map
 
-    def flipped(rule, lower, upper, q, weight=None):
-        M = build(rule, lower, upper, q, weight)
+    def flipped(rule, lower, upper, q):
+        M = build(rule, lower, upper, q)
         if upper and upper[0].bit_count() == 3:
             (j, a), *rest = M.data[0]
             M.data[0] = [(j, -a), *rest]

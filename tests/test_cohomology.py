@@ -300,8 +300,8 @@ def test_flipped_sign_in_the_reduced_builder_is_caught(monkeypatch):
     # degree 0, at a triangle
     build = srbetti.cohomology.coboundary_map
 
-    def flipped(rule, lower, upper, q, weight=None):
-        M = build(rule, lower, upper, q, weight)
+    def flipped(rule, lower, upper, q):
+        M = build(rule, lower, upper, q)
         if upper and upper[0].bit_count() == 3:
             (j, a), *rest = M.data[0]
             M.data[0] = [(j, -a), *rest]

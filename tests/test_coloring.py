@@ -123,6 +123,19 @@ def test_a_negative_color_set_is_out_of_range():
         kappa(1, -1)
 
 
+def test_a_color_below_one_is_out_of_range():
+    # a color 0 is a color out of range, not a vertex, in a list and in kappa's i
+    K = cycle_complex(4)
+    alpha = greedy_coloring(K)
+    with pytest.raises(ColorOutOfRange, match="color 0 is not positive"):
+        omega_L(alpha, [0])
+    with pytest.raises(ColorOutOfRange, match="color 0 is not positive"):
+        kappa(1, [0, 1])
+    for i in (0, -1):
+        with pytest.raises(ColorOutOfRange, match=f"color {i} is not positive"):
+            kappa(i, [1, 2])
+
+
 def test_colors_of():
     alpha = parse_blocks("1 | 2 4 | 3 5", 5)
     assert colors_of(alpha, mask_of((2, 5))) == mask_of((2, 3))

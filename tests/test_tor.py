@@ -23,6 +23,7 @@ from srbetti.complexes import (
     full_simplex,
     mask_of,
     submasks,
+    vertices_of,
 )
 from srbetti.corpus import acceptance_corpus, cycle_complex, random_complex, rp2_complex
 from srbetti.errors import (
@@ -190,6 +191,30 @@ def test_koszul_piece_names_weight_and_generator_when_leaving_the_piece(monkeypa
     assert "w=(1, 0)" in str(err.value)
 
 
+def test_koszul_piece_names_weight_and_generator_when_d_squared_fails(monkeypatch):
+    # mutation check: one wrong sign in d(∅, 0, {1, 2}) of the e = 0 piece
+    # w = (1, 1) must stop its build at the d∘d check from degree -2, at the
+    # first edge it reaches, and the error must name the piece
+    K, alpha = square_with_coloring()
+    good = srbetti.tor.koszul_coboundary
+    top = (0, (0, 0, 0, 0), 0b11)
+
+    def flipped(ctx, gen):
+        out = good(ctx, gen)
+        if gen == top:
+            (coeff, target), *rest = out
+            out = [(-coeff, target), *rest]
+        return out
+
+    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", flipped)
+    with pytest.raises(NotAComplex) as err:
+        koszul_piece(K, alpha, (1, 1))
+    assert err.value.weight == (1, 1)
+    assert err.value.label == (mask_of((1, 2)), (1, 1, 0, 0), 0)
+    assert err.value.q == -2
+    assert str(err.value) == "d∘d != 0 from degree -2 at (3, (1, 1, 0, 0), 0); piece w=(1, 1)"
+
+
 def test_flipped_sign_in_the_quotient_coboundary_is_caught(monkeypatch):
     # mutation check: one wrong sign in d(∅, {1, 2}) of the square's L = {1, 2}
     # block must stop the cellular route at its d∘d check, from degree 2, at
@@ -220,6 +245,8 @@ def test_quotient_complex_rejects_colors_outside_r():
         quotient_cochain_complex(K, alpha, [1, 3])
     with pytest.raises(ColorOutOfRange, match="color mask -1 is negative"):
         quotient_cochain_complex(K, alpha, -1)
+    with pytest.raises(ColorOutOfRange, match="color 0 is not positive"):
+        quotient_cochain_complex(K, greedy_coloring(K), [0])
 
 
 def test_koszul_piece_differential_structure():
@@ -336,7 +363,7 @@ def _piece_dims_by_pattern(K, alpha, f):
     """L -> e -> the cohomology dims of the piece of the clamped pattern
     (L, e), built and ranked for every e, certificate or not."""
     ctx = _context(K, alpha)
-    colorsets = sorted({ctx.colorset(s) for s in K.faces})
+    colorsets = sorted({ctx.colorsets[s] for s in K.faces})
     return {
         lmask: {
             e: cohomology_dims(koszul_piece(K, alpha, _pattern_weight(lmask, e, alpha.r)), f)
@@ -407,7 +434,7 @@ def _high_patterns(K, alpha):
     """The piece of every clamped pattern with a coordinate 2 that tor_dims
     certifies at a weight bound >= 2."""
     ctx = _context(K, alpha)
-    colorsets = {ctx.colorset(s) for s in K.faces}
+    colorsets = {ctx.colorsets[s] for s in K.faces}
     for lmask in submasks(alpha.full_color_mask):
         for emask in sorted(colorsets):
             if emask and emask & ~lmask == 0:
@@ -553,6 +580,18 @@ def test_tor_dims_stabilization_flag_low_bound():
         assert tor_dims(K, alpha, QQ, 3).all_stabilized()
 
 
+def test_a_weight_bound_below_one_is_refused():
+    # tor_dims and the structure-map check share the one bound rule: a bound
+    # that would check no piece is an error, not a pass
+    K = cycle_complex(4)
+    alpha = greedy_coloring(K)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match=f"weight bound must be >= 1, got {bound}"):
+            tor_dims(K, alpha, QQ, bound)
+        with pytest.raises(ValueError, match=f"weight bound must be >= 1, got {bound}"):
+            psi_iota_checks(K, alpha, weight_bound=bound)
+
+
 def test_tor_rejects_degenerate():
     with pytest.raises(DegeneratePartition):
         tor_dims(cycle_complex(4), parse_blocks("1 2 | 3 4", 4), QQ)
@@ -606,6 +645,65 @@ def test_psi_iota_checks_pass():
     assert report2.ok
 
 
+def brute_force_generators(ctx, bound):
+    """Reference: every (σ, h, I) with h >= 1 on σ, drawn as B^|σ|·2^r
+    candidates per face, kept when its maximum color weight is <= bound."""
+    for sigma in sorted(ctx.K.faces):
+        verts = vertices_of(sigma)
+        for values in itertools.product(range(1, bound + 1), repeat=len(verts)):
+            h = [0] * ctx.m
+            for v, val in zip(verts, values):
+                h[v - 1] = val
+            for imask in range(1 << ctx.r):
+                gen = (sigma, tuple(h), imask)
+                if max(color_weight(ctx, gen), default=0) <= bound:
+                    yield gen
+
+
+@pytest.mark.parametrize(
+    "K, alpha, bound",
+    [
+        *((cycle_complex(4), greedy_coloring(cycle_complex(4)), b) for b in (1, 2, 3, 4)),
+        (full_simplex(2), trivial_partition(3), 2),
+        (rp2_complex(), greedy_coloring(rp2_complex()), 2),
+        (random_complex(7, 0.5, 3), greedy_coloring(random_complex(7, 0.5, 3)), 2),
+    ],
+)
+def test_the_piece_walk_yields_every_generator_once(K, alpha, bound):
+    # the structure-map check walks the weight pieces tor_dims builds: they
+    # hold exactly the generators up to the bound, each in one piece only
+    ctx = _context(K, alpha)
+    walked = [
+        gen
+        for w in itertools.product(range(bound + 1), repeat=alpha.r)
+        for gen in _piece_generators(ctx, w)
+    ]
+    reference = set(brute_force_generators(ctx, bound))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == reference
+    assert psi_iota_checks(K, alpha, weight_bound=bound).generators_checked == len(reference)
+
+
+def test_psi_iota_checks_catch_a_piece_walk_that_ignores_J(monkeypatch):
+    # mutation check: h(v) = w_i on every σ-vertex, whether or not i ∈ J, puts
+    # generators of weight w + 1_J into the piece w; only the weight check sees it
+    K = cycle_complex(4)
+    alpha = greedy_coloring(K)
+    good = srbetti.tor._piece_generators
+
+    def j_blind(ctx, w):
+        color = ctx.alpha.color_of
+        for sigma, h, imask in good(ctx, w):
+            yield sigma, tuple(w[color[v] - 1] if x else 0 for v, x in enumerate(h, 1)), imask
+
+    assert psi_iota_checks(K, alpha, weight_bound=3).ok
+    monkeypatch.setattr(srbetti.tor, "_piece_generators", j_blind)
+    report = psi_iota_checks(K, alpha, weight_bound=3)
+    assert report.generators_checked == 144
+    assert not report.bijection_ok and not report.ok
+    assert any(msg.startswith("color weight is not") for msg in report.failures)
+
+
 def test_basis_bijection_quotient_vs_weight_one_piece():
     K, alpha = square_with_coloring()
     for lmask in submasks(0b11):
@@ -619,7 +717,7 @@ def test_basis_bijection_quotient_vs_weight_one_piece():
         for q in range(P.lo, P.hi + 1):
             for sigma, h, imask in P.labels[q]:
                 assert all(h[v] in (0, 1) for v in range(K.m))
-                assert imask & _context(K, alpha).colorset(sigma) == 0
+                assert imask & _context(K, alpha).colorsets[sigma] == 0
 
 
 # --- three-way verification -----------------------------------------------------
