@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -284,11 +285,13 @@ def _corpus_member(task) -> dict:
 def _cmd_corpus(args) -> int:
     if args.corpus_max_m < 4:
         raise ValueError(f"--corpus-max-m must be at least 4, got {args.corpus_max_m}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = []
     for k in range(args.count):
         m = 4 + k % (args.corpus_max_m - 3)
         tasks.append((m, args.density, args.seed + k, args.weight_bound, args.max_m))
-    jobs = min(args.jobs, len(tasks))  # the pool starts all its workers at once
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)  # the pool forks them all at once
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_corpus_member, tasks))

@@ -16,9 +16,10 @@ of a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to
 the rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
 are reduced incrementally, as in persistent homology (Edelsbrunner–Letscher–
 Zomorodian 2002): K|ω is K|(ω ∖ min ω) plus the faces through min ω, so the
-walker extends, per field, the elimination of a prefix of ω, from the largest
-faces down, clearing each face that a reduced row one size up has as its
-pivot: by d∘d = 0 its row adds no rank (Chen–Kerber's "twist", 2011).
+walker extends the elimination of a prefix of ω, from the largest faces down,
+clearing each face that a reduced row one size up has as its unit pivot: by
+d∘d = 0 its row adds no rank (Chen–Kerber's "twist", 2011).  The elimination
+runs over ℤ, once for every field; a second field reads its per-ω results.
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -36,7 +37,7 @@ from typing import Callable, Mapping
 
 from .complexes import SimplicialComplex, _within
 from .errors import NotAComplex
-from .linalg import FieldSpec, SparseMap, rank
+from .linalg import QQ, FieldSpec, SparseMap, rank
 
 
 @dataclass
@@ -186,33 +187,33 @@ def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
 
 
 class _Walker:
-    """K's coboundary rows, eliminated per field along a chain of full
+    """K's coboundary rows, eliminated over ℤ along a chain of full
     subcomplexes ∅ = ω_0 ⊂ … ⊂ ω_j, each adding a vertex below the last.
 
     The reduced complex of K is built and d∘d-checked once, here, and its
-    rows are kept in one table for every field; ``stacks[f.p]`` is the chain
-    over f.  Level j holds, per face size k, the number of faces of K|ω_j,
-    the rank of their rows (of d_{k-2}) and that elimination's pivot state
-    (see :func:`~srbetti.linalg.rank`).  A query pops back to the longest
-    prefix of ω's own chain and pushes ω's remaining vertices, so a sweep in
-    descending mask order pops once and pushes once per ω.  Pushing v
-    reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the
-    parent's states, so a pop just drops a level and a failed push leaves
-    none.
+    rows are kept in one table.  Level j holds, per face size k, the number
+    of faces of K|ω_j, the number of unit pivots among their rows (of
+    d_{k-2}), and that elimination's unit-pivot state and residual (see
+    :func:`~srbetti.linalg.rank`): one chain for every field.  A query pops
+    back to the longest prefix of ω's own chain and pushes ω's remaining
+    vertices, so a sweep in descending mask order pops once and pushes once
+    per ω.  Pushing v reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j,
+    into copies of the parent's states, so a pop just drops a level and a
+    failed push leaves none.
 
     Rows list their columns in reverse order, so a pivot's key, its largest
     column, is the face without the row's top vertex: for a row {v} ∪ σ with
-    σ ≠ ∅ one through v, which no parent pivot holds.  Over ℚ, K's column
-    order, or growing faces by their smallest new vertex first, ran up to
-    1.5× slower on random complexes with m = 10-12.
+    σ ≠ ∅ one through v, which no parent pivot holds.  K's column order, or
+    growing faces by their smallest new vertex first, ran up to 1.5× slower.
 
     A push reduces its new faces from the largest size down and clears (skips)
-    a size-k face whose key (``keys``) is a pivot of the size-(k+1) state it
-    has just extended.  That pivot's row is a cycle, so d∘d = 0 makes the
-    face's row a combination of rows of K|ω_{j+1} with smaller keys, each
-    kept, in the parent's state or itself cleared: the span, so the rank and
-    the pivot keys, are unchanged.  ``rows_reduced`` and ``rows_cleared``
-    count the rows of all pushes."""
+    a size-k face whose key (``keys``) is a unit pivot of the size-(k+1) state
+    it has just extended.  That pivot's row is a cycle with lead ±1, so
+    d∘d = 0 makes the face's row a ℤ-combination of rows of K|ω_{j+1} with
+    smaller keys, each kept, in the parent's state or itself cleared: the span
+    over every field, so the ranks and the pivot keys, are unchanged.
+    ``rows_reduced``, ``rows_cleared`` and ``rows_residual`` count the rows
+    that pushes reduce, clear and leave in the residual."""
 
     def __init__(self, K: SimplicialComplex):
         self.cofaces = K.coface_vertices
@@ -224,14 +225,13 @@ class _Walker:
         }
         self.keys = {g: cols[k] - 1 - i for k, lv in enumerate(by_card) for i, g in enumerate(lv)}
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
-        self.root = (0, [1] + [0] * (n - 1), [0] * n, [{}] * n)
-        self.stacks: dict[int, list] = {}
+        self.chain = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)]
         self.lock = Lock()
-        self.rows_reduced = self.rows_cleared = 0
+        self.rows_reduced = self.rows_cleared = self.rows_residual = 0
 
-    def _push(self, stack: list, f: FieldSpec, v: int) -> None:
-        om, faces, ranks, pivots = stack[-1]
-        faces, ranks, pivots = faces[:], ranks[:], pivots[:]
+    def _push(self, v: int) -> None:
+        om, faces, ranks, pivots, residual = self.chain[-1]
+        faces, ranks, pivots, residual = faces[:], ranks[:], pivots[:], residual[:]
         cofaces, rows_of, keys, cols = self.cofaces, self.rows, self.keys, self.cols
         levels, new = [], [v] if v in cofaces else []
         while new:
@@ -247,30 +247,56 @@ class _Walker:
         for k in range(len(levels), 0, -1):  # top down, so pivots[k + 1] is this push's
             new, cleared = levels[k - 1], pivots[k + 1]
             faces[k] += len(new)
-            pivots[k] = state = pivots[k].copy()
             rows = [rows_of[g] for g in new if keys[g] not in cleared]
-            ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows, state), f)
             self.rows_reduced += len(rows)
             self.rows_cleared += len(new) - len(rows)
-        stack.append((om | v, faces, ranks, pivots))
+            if rows:  # else the states stay as they are
+                pivots[k] = state = pivots[k].copy()
+                residual[k] = aside = residual[k][:]
+                ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows, state, aside), QQ)
+                if aside:
+                    self.rows_residual += len(aside)
+        self.chain.append((om | v, faces, ranks, pivots, residual))
 
-    def dims(self, f: FieldSpec, omega: int) -> dict[int, int]:
+    def result(self, omega: int) -> tuple[Mapping[int, int], list | None]:
+        """ω's dimensions from the unit ranks alone and, if any is not empty,
+        each size's residual as a map: what every field reads."""
         with self.lock:
-            stack = self.stacks.setdefault(f.p, [self.root])
+            chain = self.chain
             # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
-            while (top := stack[-1][0]) != omega & -(top & -top):
-                stack.pop()
+            while (top := chain[-1][0]) != omega & -(top & -top):
+                chain.pop()
             rest = omega ^ top
             while rest:
                 v = 1 << rest.bit_length() - 1
-                self._push(stack, f, v)
+                self._push(v)
                 rest ^= v
-            _, faces, ranks, _ = stack[-1]
-        dims = [faces[k] - ranks[k + 1] - ranks[k] for k in range(len(faces) - 1)]
-        return {k - 1: h for k, h in enumerate(dims) if h}  # degree k - 1
+            _, faces, ranks, _, residual = chain[-1]
+        if not any(residual):
+            return _dims(faces, ranks), None
+        maps = [SparseMap(len(rs), self.cols[k - 1], rs) for k, rs in enumerate(residual)]
+        return _dims(faces, ranks), maps
+
+
+def _dims(sizes: list[int], ranks: list[int]) -> Mapping[int, int]:
+    """Degree k - 1 ↦ sizes[k] - ranks[k + 1] - ranks[k], zeros omitted."""
+    ks = range(len(sizes) - 1)
+    return MappingProxyType({k - 1: h for k in ks if (h := sizes[k] - ranks[k + 1] - ranks[k])})
+
+
+def _over(f: FieldSpec, units: Mapping[int, int], residual: list) -> Mapping[int, int]:
+    """The dimensions over f of a per-ω result with a residual: a size's rank
+    over f is its unit rank plus that of its residual."""
+    ranks = [rank(M, f) for M in residual]
+    return _dims([units.get(k - 1, 0) for k in range(len(ranks))], ranks)
 
 
 _walker = lru_cache(maxsize=16)(_Walker)  # one walker per K, for every field
+
+
+@lru_cache(maxsize=1 << 18)
+def _result(K: SimplicialComplex, omega: int) -> tuple[Mapping[int, int], list | None]:
+    return _walker(K).result(omega)  # shared by every field's sweep
 
 
 @lru_cache(maxsize=1 << 18)
@@ -282,10 +308,21 @@ def reduced_cohomology_dims(
 
     C^*(K|ω) is not built: its rows are read off K's own complex, built and
     d∘d-checked once per K by K's walker, which extends its elimination over
-    f from the last ω asked for over f.
+    ℤ from the last ω asked for; its per-ω result serves every field.
+    ``cache_clear`` also discards the per-ω results and the walkers.
     """
     om = K.full_mask if omega is None else _within(K, omega)
-    return MappingProxyType(_walker(K).dims(f, om))
+    units, residual = _result(K, om)
+    return units if residual is None else _over(f, units, residual)
+
+
+def _cache_clear(clear=reduced_cohomology_dims.cache_clear) -> None:
+    clear()
+    _result.cache_clear()
+    _walker.cache_clear()
+
+
+reduced_cohomology_dims.cache_clear = _cache_clear
 
 
 def euler_characteristic_reduced(K: SimplicialComplex) -> int:

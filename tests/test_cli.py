@@ -226,31 +226,58 @@ def test_corpus_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
-def test_corpus_starts_no_more_workers_than_members(capsys, monkeypatch):
-    # the pool forks all its workers at the first submit: --jobs 64 on two
-    # members must ask for two (a stand-in pool maps serially, so none start)
-    asked = []
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records the workers asked for in
+    ``asked`` and maps serially, so no process starts."""
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    asked: list = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+    def __exit__(self, *exc):
+        return False
 
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    monkeypatch.setattr(SerialPool, "asked", [])
     monkeypatch.setattr(srbetti.cli, "ProcessPoolExecutor", SerialPool)
+    return SerialPool.asked
+
+
+def test_corpus_starts_no_more_workers_than_members(capsys, monkeypatch, serial_pool):
+    # the pool forks all its workers at the first submit: --jobs 64 on two
+    # members and eight CPUs must ask for two
+    monkeypatch.setattr(srbetti.cli.os, "cpu_count", lambda: 8)
     args = ["corpus", "--seed", "3", "--count", "2", "--corpus-max-m", "5"]
     _, serial, _ = run(capsys, *args)
     code, pooled, _ = run(capsys, *args, "--jobs", "64")
-    assert (code, asked, pooled) == (0, [2], serial)
+    assert (code, serial_pool, pooled) == (0, [2], serial)
     assert run(capsys, "corpus", "--seed", "3", "--count", "1", "--jobs", "64")[0] == 0
-    assert asked == [2]  # one member runs in this process
+    assert serial_pool == [2]  # one member runs in this process
+
+
+def test_corpus_starts_no_more_workers_than_cpus(capsys, monkeypatch, serial_pool):
+    # --jobs 500 on four members and two CPUs asks for two workers
+    monkeypatch.setattr(srbetti.cli.os, "cpu_count", lambda: 2)
+    args = ["corpus", "--seed", "3", "--count", "4", "--corpus-max-m", "4"]
+    _, serial, _ = run(capsys, *args)
+    code, pooled, _ = run(capsys, *args, "--jobs", "500")
+    assert (code, serial_pool, pooled) == (0, [2], serial)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_jobs_below_1_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "corpus", "--seed", "1", "--count", "2", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: --jobs must be at least 1, got {jobs}\n"
 
 
 def test_corpus_max_m_below_4_is_a_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import sys
 import textwrap
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import srbetti.betti
 import srbetti.cohomology
+import srbetti.linalg
 from srbetti.betti import betti_table
 from srbetti.cohomology import (
     CochainComplex,
@@ -24,6 +26,7 @@ from srbetti.complexes import (
     from_facets,
     full_simplex,
     full_subcomplex,
+    mask_of,
     relabel_complex,
 )
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
@@ -158,14 +161,37 @@ def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
         reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
 
 
-SWEPT = [rp2_complex(), *(random_complex(7, d, s) for d in (0.5, 0.9) for s in (0, 1))]
+def moore_space_mod_3():
+    """A triangulated mod-3 Moore space: a disk whose boundary 9-gon, labelled
+    1 2 3 1 2 3 1 2 3, wraps three times around the circle 1 2 3.  An inner
+    pentagon 4..8 fills it; its vertex 4 + i spans the boundary positions
+    2i..2i + 2 (8..9 for the last, position 9 being 0).  H̃ is zero over ℚ
+    and GF(2), and H̃^1 = H̃^2 = 1 over GF(3)."""
+    label = [1 + j % 3 for j in range(10)]
+    triangles = [(4, 5, 6), (4, 6, 7), (4, 7, 8)]
+    for i, (start, end) in enumerate([(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]):
+        triangles += [(label[j], label[j + 1], 4 + i) for j in range(start, end)]
+        triangles.append((label[end], 4 + i, 4 + (i + 1) % 5))
+    return from_facets(8, [mask_of(t) for t in triangles])
+
+
+SWEPT = [
+    rp2_complex(),
+    *(random_complex(7, d, s) for d in (0.5, 0.9) for s in (0, 1)),
+    moore_space_mod_3(),
+]
+
+
+def over(f, units, residual):
+    """A walker's per-ω result over f, as reduced_cohomology_dims reads it."""
+    return units if residual is None else srbetti.cohomology._over(f, units, residual)
 
 
 def sweep(K, f):
     """A fresh walker for K and its answers to every ω over f, asked in
     descending mask order."""
     walker = srbetti.cohomology._Walker(K)
-    return walker, {omega: walker.dims(f, omega) for omega in range(K.full_mask, -1, -1)}
+    return walker, {omega: over(f, *walker.result(omega)) for omega in range(K.full_mask, -1, -1)}
 
 
 def test_walker_answers_a_descending_full_sweep():
@@ -215,6 +241,93 @@ def test_a_sweep_clears_rows_and_reduces_the_rest():
     assert walker.rows_reduced + walker.rows_cleared == added
 
 
+def test_a_sweep_counts_the_rows_it_sets_aside():
+    # RP²'s ℤ/2 leaves a row with lead 2; a complex without torsion leaves none
+    assert sweep(rp2_complex(), QQ)[0].rows_residual > 0
+    assert sweep(random_complex(7, 0.5, 0), QQ)[0].rows_residual == 0
+
+
+def check_residual_sweeps(fields):
+    """Descending sweeps of complexes whose residual is not empty, through
+    the result cache, over the fields in the given order: the first field's
+    sweep walks, the others read its per-ω results."""
+    for K in (rp2_complex(), moore_space_mod_3()):
+        reduced_cohomology_dims.cache_clear()
+        for f in fields:
+            for omega in range(K.full_mask, -1, -1):
+                assert reduced_cohomology_dims(K, f, omega) == rebuilt_dims(K, omega, f), (K, f, omega)
+        assert srbetti.cohomology._walker(K).rows_residual > 0
+
+
+@pytest.mark.parametrize("fields", [(QQ, GF2, GF3), (GF2, QQ, GF3)])
+def test_the_residual_decides_the_field(fields):
+    # RP² differs over GF(2) and the Moore space over GF(3) from ℚ: only the
+    # ranks of their residual rows tell the fields apart
+    check_residual_sweeps(fields)
+    assert reduced_cohomology_dims(rp2_complex(), GF2) == {1: 1, 2: 1}
+    assert reduced_cohomology_dims(moore_space_mod_3(), GF3) == {1: 1, 2: 1}
+    assert reduced_cohomology_dims(moore_space_mod_3(), QQ) == {}
+
+
+def test_a_walker_that_takes_the_residual_for_zero_is_caught(monkeypatch):
+    # mutation check: ranking every residual as 0 fails the residual sweeps
+    # in both field orders and the walker's descending sweep
+    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._over))
+    code = "[rank(M, f) for M in residual]"
+    assert source.count(code) == 1
+    namespace: dict = {}
+    exec(source.replace(code, "[0 for M in residual]"), vars(srbetti.cohomology), namespace)
+    monkeypatch.setattr(srbetti.cohomology, "_over", namespace["_over"])
+    try:
+        for check in (
+            lambda: check_residual_sweeps((QQ, GF2, GF3)),
+            lambda: check_residual_sweeps((GF2, QQ, GF3)),
+            test_walker_answers_a_descending_full_sweep,
+        ):
+            with pytest.raises(AssertionError):
+                check()
+    finally:
+        reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
+
+
+def test_cache_clear_discards_every_rank_derived_state(monkeypatch):
+    # answers found with a wrong rank must not outlive cache_clear, in the
+    # walker's chain or in the per-ω results, even for a single query
+    K, omega = rp2_complex(), 0b011111  # a Möbius band
+    rank = srbetti.cohomology.rank
+    reduced_cohomology_dims.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(srbetti.cohomology, "rank", lambda M, f: rank(M, f) + 1)
+        assert reduced_cohomology_dims(K, QQ, omega) != {}
+    reduced_cohomology_dims.cache_clear()
+    assert reduced_cohomology_dims(K, QQ, omega) == rebuilt_dims(K, omega, QQ) == {1: 1}
+
+
+@pytest.mark.parametrize("fields", [(QQ, GF2), (GF2, QQ)])
+def test_a_wrong_rank_reaches_the_tables_of_every_field(monkeypatch, fields):
+    # every elimination goes through linalg.rank: a two-argument stand-in,
+    # bound wherever the package binds rank, changes the table of the field
+    # that walks and of the one that reads its per-ω results
+    K = random_complex(7, 0.5, 0)
+    right = {f: betti_table(K, f).entries for f in fields}
+    rank = srbetti.linalg.rank
+
+    def off_by_one(M, f):
+        return rank(M, f) + 1 if M.rows and M.cols else rank(M, f)
+
+    for name, module in list(sys.modules.items()):
+        if name == "srbetti" or name.startswith("srbetti."):
+            for key, value in list(vars(module).items()):
+                if value is rank:
+                    monkeypatch.setattr(module, key, off_by_one)
+    reduced_cohomology_dims.cache_clear()
+    try:
+        for f in fields:
+            assert betti_table(K, f).entries != right[f], f
+    finally:
+        reduced_cohomology_dims.cache_clear()  # holds wrong answers now
+
+
 def test_one_walker_and_one_reduced_complex_per_complex(monkeypatch):
     # two equal K objects swept over three fields share one walker, which
     # builds and checks K's reduced complex once; K itself holds no complex
@@ -252,6 +365,7 @@ def test_one_walker_keeps_the_fields_apart():
 def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
     # rank raises on its k-th call inside betti_table; the walker keeps its
     # chain, and the next queries, starting with the ω that failed, are right
+    # (the caches are not cleared, which would discard the walker)
     K = rp2_complex()
     reference = {omega: rebuilt_dims(K, omega, f) for omega in range(K.full_mask + 1)}
     rank, sweep = srbetti.cohomology.rank, srbetti.betti.subcomplex_cohomology
@@ -274,7 +388,6 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
             patch.setattr(srbetti.betti, "subcomplex_cohomology", recording)
             with pytest.raises(RuntimeError, match="injected"):
                 betti_table(K, f)
-        reduced_cohomology_dims.cache_clear()
         rest = [omega for omega in reference if omega != asked[-1]]
         random.Random(k).shuffle(rest)
         for omega in [asked[-1], *rest]:

@@ -267,17 +267,23 @@ def test_rational_branch_scales_non_unit_pivots():
 
 
 def test_a_copied_state_is_extended_without_touching_the_original():
-    # the stored pivot 2 on column 1 meets the unit row (3, 1) in a copy of
-    # its state: the unit row takes the column, and the displaced row must be
-    # reduced as a copy, since the parent state still holds it
-    parent: dict = {}
-    assert rank(SparseMap(1, 2, [[(0, 1), (1, 2)]], parent), QQ) == 1
-    assert parent == {1: {0: 1, 1: 2}}
-    child = dict(parent)
-    assert rank(SparseMap(1, 2, [[(0, 3), (1, 1)]], child), QQ) == 1
-    assert parent == {1: {0: 1, 1: 2}}
-    assert child == {1: {0: 3, 1: 1}, 0: {0: -5}}
-    assert rank(SparseMap(1, 2, [[(0, 7)]], child), QQ) == 0  # the state is full
+    # the parent sets the row (1, 2) aside, its lead 2 being no unit; a copy
+    # of its state meets the unit row (3, 1) on that column, which becomes a
+    # unit pivot, and the set-aside row must be reduced again as a copy:
+    # (1, 2) - 2·(3, 1) = (-5, 0), set aside again, as -5 is no unit either
+    parent, aside = {}, []
+    assert rank(SparseMap(1, 2, [[(0, 1), (1, 2)]], parent, aside), QQ) == 0
+    assert (parent, aside) == ({}, [[(0, 1), (1, 2)]])
+    child, child_aside = dict(parent), aside[:]
+    assert rank(SparseMap(1, 2, [[(0, 3), (1, 1)]], child, child_aside), QQ) == 1
+    assert (parent, aside) == ({}, [[(0, 1), (1, 2)]])
+    assert (child, child_aside) == ({1: {0: 3, 1: 1}}, [[(0, -5)]])
+    # the residual decides the field: the two rows have rank 1 + 1 over ℚ
+    # and 1 + 0 over GF(5)
+    residual = SparseMap(1, 2, [[(0, -5)]])
+    assert (rank(residual, QQ), rank(residual, FieldSpec(5))) == (1, 0)
+    rows = sparse([[1, 2], [3, 1]])
+    assert (rank(rows, QQ), rank(rows, FieldSpec(5))) == (2, 1)
 
 
 @pytest.mark.parametrize("f", [QQ, GF2, GF3])
