@@ -16,10 +16,9 @@ of a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to
 the rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
 are reduced incrementally, as in persistent homology (Edelsbrunner–Letscher–
 Zomorodian 2002): K|ω is K|(ω ∖ min ω) plus the faces through min ω, so the
-walker extends the elimination of a prefix of ω, from the largest faces down,
-clearing each face that a reduced row one size up has as its unit pivot: by
-d∘d = 0 its row adds no rank (Chen–Kerber's "twist", 2011).  The elimination
-runs over ℤ, once for every field; a second field reads its per-ω results.
+walker extends the elimination over ℤ, for every field, of a prefix of ω,
+from the largest faces down, clearing each face that a row one size up has
+as its unit pivot: by d∘d = 0 its row adds no rank (Chen–Kerber, 2011).
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -193,13 +192,13 @@ class _Walker:
     The reduced complex of K is built and d∘d-checked once, here, and its
     rows are kept in one table.  Level j holds, per face size k, the number
     of faces of K|ω_j, the number of unit pivots among their rows (of
-    d_{k-2}), and that elimination's unit-pivot state and residual (see
-    :func:`~srbetti.linalg.rank`): one chain for every field.  A query pops
-    back to the longest prefix of ω's own chain and pushes ω's remaining
-    vertices, so a sweep in descending mask order pops once and pushes once
-    per ω.  Pushing v reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j,
-    into copies of the parent's states, so a pop just drops a level and a
-    failed push leaves none.
+    d_{k-2}) and that elimination's state and residual (see
+    :func:`~srbetti.linalg.rank`).  A query pops back to the longest prefix
+    of ω's own chain and pushes ω's remaining vertices, so a sweep in
+    descending mask order pops once and pushes once per ω.  Pushing v
+    reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the
+    parent's states, so a pop just drops a level and a failed push leaves
+    none.
 
     Rows list their columns in reverse order, so a pivot's key, its largest
     column, is the face without the row's top vertex: for a row {v} ∪ σ with
@@ -211,9 +210,9 @@ class _Walker:
     it has just extended.  That pivot's row is a cycle with lead ±1, so
     d∘d = 0 makes the face's row a ℤ-combination of rows of K|ω_{j+1} with
     smaller keys, each kept, in the parent's state or itself cleared: the span
-    over every field, so the ranks and the pivot keys, are unchanged.
-    ``rows_reduced``, ``rows_cleared`` and ``rows_residual`` count the rows
-    that pushes reduce, clear and leave in the residual."""
+    over every field, so the ranks and the pivot keys, are unchanged.  Pushes
+    count the rows they reduce and clear, and the growth of the residual,
+    which shrinks where a row set aside meets a later unit pivot (``rows_*``)."""
 
     def __init__(self, K: SimplicialComplex):
         self.cofaces = K.coface_vertices
@@ -251,16 +250,13 @@ class _Walker:
             self.rows_reduced += len(rows)
             self.rows_cleared += len(new) - len(rows)
             if rows:  # else the states stay as they are
-                pivots[k] = state = pivots[k].copy()
-                residual[k] = aside = residual[k][:]
-                ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows, state, aside), QQ)
-                if aside:
-                    self.rows_residual += len(aside)
+                pivots[k], inherited, residual[k] = pivots[k].copy(), residual[k], residual[k][:]
+                ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows, pivots[k], residual[k]), QQ)
+                self.rows_residual += len(residual[k]) - len(inherited)
         self.chain.append((om | v, faces, ranks, pivots, residual))
 
     def result(self, omega: int) -> tuple[Mapping[int, int], list | None]:
-        """ω's dimensions from the unit ranks alone and, if any is not empty,
-        each size's residual as a map: what every field reads."""
+        """ω's dimensions from the unit ranks, and its residual if not empty."""
         with self.lock:
             chain = self.chain
             # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
@@ -272,23 +268,13 @@ class _Walker:
                 self._push(v)
                 rest ^= v
             _, faces, ranks, _, residual = chain[-1]
-        if not any(residual):
-            return _dims(faces, ranks), None
-        maps = [SparseMap(len(rs), self.cols[k - 1], rs) for k, rs in enumerate(residual)]
-        return _dims(faces, ranks), maps
+        return _dims(faces, ranks), residual if any(residual) else None
 
 
 def _dims(sizes: list[int], ranks: list[int]) -> Mapping[int, int]:
     """Degree k - 1 ↦ sizes[k] - ranks[k + 1] - ranks[k], zeros omitted."""
     ks = range(len(sizes) - 1)
     return MappingProxyType({k - 1: h for k in ks if (h := sizes[k] - ranks[k + 1] - ranks[k])})
-
-
-def _over(f: FieldSpec, units: Mapping[int, int], residual: list) -> Mapping[int, int]:
-    """The dimensions over f of a per-ω result with a residual: a size's rank
-    over f is its unit rank plus that of its residual."""
-    ranks = [rank(M, f) for M in residual]
-    return _dims([units.get(k - 1, 0) for k in range(len(ranks))], ranks)
 
 
 _walker = lru_cache(maxsize=16)(_Walker)  # one walker per K, for every field
@@ -307,13 +293,17 @@ def reduced_cohomology_dims(
     (cached, read-only view).
 
     C^*(K|ω) is not built: its rows are read off K's own complex, built and
-    d∘d-checked once per K by K's walker, which extends its elimination over
-    ℤ from the last ω asked for; its per-ω result serves every field.
-    ``cache_clear`` also discards the per-ω results and the walkers.
+    d∘d-checked once per K by K's walker, whose per-ω results serve every
+    field.  ``cache_clear`` also discards those results and the walkers.
     """
     om = K.full_mask if omega is None else _within(K, omega)
     units, residual = _result(K, om)
-    return units if residual is None else _over(f, units, residual)
+    if residual is None:
+        return units
+    # a size's rank over f is its unit rank plus that of its residual
+    cols = [0, *map(len, K.faces_by_card)]
+    ranks = [rank(SparseMap(len(rs), c, rs), f) for c, rs in zip(cols, residual)]
+    return _dims([units.get(k - 1, 0) for k in range(len(ranks))], ranks)
 
 
 def _cache_clear(clear=reduced_cohomology_dims.cache_clear) -> None:

@@ -14,12 +14,10 @@ kernel branches on the field:
 * GF(2): rows are packed into Python-int bitsets and reduced by XOR, the
   highest set bit being the largest column;
 * GF(p): sparse dict rows, each pivot row normalised to a unit pivot;
-* the rationals: an elimination over ℤ with ±1 pivots only, setting every
-  row with another lead aside into a residual (Dumas–Heckenbach–Saunders–
-  Welker, 2003).  Unit pivots stay independent over every field, so
-  rank_F = #unit pivots + rank_F(residual) for every field F: one ℤ phase
-  serves all fields, and only the residual, empty on most complexes, is
-  ranked per field, over ℚ here by pivots that scale the row.
+* the rationals: sparse integer rows.  Given a residual list, only ±1 leads
+  become pivots and the rows with other leads are set aside; adding the
+  residual's rank over F gives the rank over any field F (Dumas–Heckenbach–
+  Saunders–Welker, 2003).  Else any lead is a pivot, scaling the rows it meets.
 
 All arithmetic is exact; floating point is never used.
 """
@@ -83,8 +81,7 @@ class SparseMap(NamedTuple):
     """A rows x cols integer matrix as ``data[i] = [(column, coefficient), ...]``.
 
     Columns within a row are distinct and coefficients nonzero.  ``pivots``
-    and, over ℚ, ``residual`` are an optional elimination state that the rows
-    extend (see :func:`rank`).
+    and ``residual`` are an optional elimination state (see :func:`rank`).
     """
 
     rows: int
@@ -100,9 +97,8 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
     If M carries an elimination state over f (``M.pivots``), its rows are
     reduced against it, those that do not vanish join it, and their number
     is returned.  Rows in the state are never changed, so extending a
-    shallow copy leaves the original intact.  Over ℚ, a given
-    ``M.residual`` list keeps the rows set aside, and only unit pivots are
-    counted: the caller ranks the residual over each field."""
+    shallow copy leaves the original intact.  Over ℚ, a list ``M.residual``
+    keeps the rows whose lead is not ±1 instead, for the caller to rank."""
     p = f.p
     pivots = {} if M.pivots is None else M.pivots
     before = len(pivots)
@@ -140,9 +136,9 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                         del r[c]
         return len(pivots) - before
 
-    # ℚ: the ℤ phase, with ±1 pivots only; the other rows are set aside
-    residual = [] if M.residual is None else M.residual
-    rows, n = M.data, before
+    # ℚ: with M.residual, the ℤ phase, each row set aside being reduced at
+    # every pivot column; a pivot s ≠ ±1 scales the row, its content gcd divided out
+    residual, rows, n = M.residual, M.data, before
     while True:
         for row in rows:
             r = dict(row)
@@ -150,46 +146,29 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                 col = max(r)
                 pivot = pivots.get(col)
                 if pivot is None:
-                    if (t := r[col]) == 1 or t == -1:
+                    if residual is None or (t := r[col]) == 1 or t == -1:
                         pivots[col] = r
                         break
-                    # a non-unit lead: set r aside, reduced at every pivot column
                     col = max((c for c in r if c in pivots), default=None)
                     if col is None:
                         residual.append([*r.items()])
                         break
                     pivot = pivots[col]
-                t = r[col] * pivot[col]  # r - (t/s)·pivot, as 1/s == s
+                s, t = pivot[col], r[col]
+                if s == 1 or s == -1:
+                    t *= s  # r - (t/s)·pivot, as 1/s == s
+                else:
+                    r = {c: s * a for c, a in r.items()}
                 for c, a in pivot.items():
                     x = r.get(c, 0) - t * a
                     if x:
                         r[c] = x
                     else:
                         del r[c]
+                if s != 1 and s != -1 and r:
+                    g = gcd(*r.values())
+                    r = {c: a // g for c, a in r.items()}
         if not residual or len(pivots) == n:
-            break
-        rows, residual[:], n = residual[:], [], len(pivots)  # a later unit pivot may meet them
-    units = len(pivots) - before
-    if M.residual is not None:
-        return units
-    pivots = {}  # the residual over ℚ: a pivot s scales the row, the content gcd divided out
-    for row in residual:
-        r = dict(row)
-        while r:
-            col = max(r)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = r
-                break
-            s, t = pivot[col], r[col]
-            r = {c: s * a for c, a in r.items()}
-            for c, a in pivot.items():
-                x = r.get(c, 0) - t * a
-                if x:
-                    r[c] = x
-                else:
-                    del r[c]
-            if r:
-                g = gcd(*r.values())
-                r = {c: a // g for c, a in r.items()}
-    return units + len(pivots)
+            return len(pivots) - before
+        # a later unit pivot may have taken a column of a row set aside before it
+        rows, residual[:], n = residual[:], [], len(pivots)

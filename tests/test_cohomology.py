@@ -26,6 +26,7 @@ from srbetti.complexes import (
     from_facets,
     full_simplex,
     full_subcomplex,
+    join,
     mask_of,
     relabel_complex,
 )
@@ -182,16 +183,17 @@ SWEPT = [
 ]
 
 
-def over(f, units, residual):
-    """A walker's per-ω result over f, as reduced_cohomology_dims reads it."""
-    return units if residual is None else srbetti.cohomology._over(f, units, residual)
-
-
 def sweep(K, f):
     """A fresh walker for K and its answers to every ω over f, asked in
-    descending mask order."""
-    walker = srbetti.cohomology._Walker(K)
-    return walker, {omega: over(f, *walker.result(omega)) for omega in range(K.full_mask, -1, -1)}
+    descending mask order from empty caches, which are emptied again after
+    (``srbetti.cohomology.reduced_cohomology_dims``, which a test may patch)."""
+    reduced_cohomology_dims.cache_clear()
+    try:
+        dims = srbetti.cohomology.reduced_cohomology_dims
+        answers = {omega: dims(K, f, omega) for omega in range(K.full_mask, -1, -1)}
+        return srbetti.cohomology._walker(K), answers
+    finally:
+        reduced_cohomology_dims.cache_clear()
 
 
 def test_walker_answers_a_descending_full_sweep():
@@ -241,21 +243,51 @@ def test_a_sweep_clears_rows_and_reduces_the_rest():
     assert walker.rows_reduced + walker.rows_cleared == added
 
 
+def cone_over_suspended_rp2():
+    point, two_points = from_facets(1, [0b1]), from_facets(2, [0b01, 0b10])
+    return join(point, join(two_points, rp2_complex()))
+
+
 def test_a_sweep_counts_the_rows_it_sets_aside():
-    # RP²'s ℤ/2 leaves a row with lead 2; a complex without torsion leaves none
-    assert sweep(rp2_complex(), QQ)[0].rows_residual > 0
+    # RP²'s ℤ/2 leaves one row with lead 2; a complex without torsion leaves
+    # none; on the cone over ΣRP², later unit pivots take two more rows out
+    # of the residual than pushes set aside
+    assert sweep(rp2_complex(), QQ)[0].rows_residual == 1
     assert sweep(random_complex(7, 0.5, 0), QQ)[0].rows_residual == 0
+    assert sweep(cone_over_suspended_rp2(), QQ)[0].rows_residual == -2
+
+
+def test_a_sweep_clears_by_unit_pivots_only():
+    # the cone over ΣRP² has a residual row one size up whose lead is the
+    # key of a face a push adds: clearing by it too would clear that face
+    # and still answer every ω right, so only the counts tell
+    walker, _ = sweep(cone_over_suspended_rp2(), QQ)
+    assert (walker.rows_reduced, walker.rows_cleared) == (3390, 3194)
+
+
+def test_a_push_that_clears_by_a_residual_key_is_caught(monkeypatch):
+    # mutation check: a residual row is no cycle with a unit lead
+    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._push))
+    code = "cleared = levels[k - 1], pivots[k + 1]"
+    mutant = "cleared = levels[k - 1], pivots[k + 1].keys() | {max(r)[0] for r in residual[k + 1]}"
+    assert source.count(code) == 1
+    namespace: dict = {}
+    exec(source.replace(code, mutant), vars(srbetti.cohomology), namespace)
+    monkeypatch.setattr(srbetti.cohomology._Walker, "_push", namespace["_push"])
+    with pytest.raises(AssertionError):
+        test_a_sweep_clears_by_unit_pivots_only()
 
 
 def check_residual_sweeps(fields):
     """Descending sweeps of complexes whose residual is not empty, through
     the result cache, over the fields in the given order: the first field's
     sweep walks, the others read its per-ω results."""
+    dims = srbetti.cohomology.reduced_cohomology_dims
     for K in (rp2_complex(), moore_space_mod_3()):
         reduced_cohomology_dims.cache_clear()
         for f in fields:
             for omega in range(K.full_mask, -1, -1):
-                assert reduced_cohomology_dims(K, f, omega) == rebuilt_dims(K, omega, f), (K, f, omega)
+                assert dims(K, f, omega) == rebuilt_dims(K, omega, f), (K, f, omega)
         assert srbetti.cohomology._walker(K).rows_residual > 0
 
 
@@ -272,12 +304,13 @@ def test_the_residual_decides_the_field(fields):
 def test_a_walker_that_takes_the_residual_for_zero_is_caught(monkeypatch):
     # mutation check: ranking every residual as 0 fails the residual sweeps
     # in both field orders and the walker's descending sweep
-    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._over))
-    code = "[rank(M, f) for M in residual]"
-    assert source.count(code) == 1
+    source = textwrap.dedent(inspect.getsource(reduced_cohomology_dims.__wrapped__))
+    decorator, source = source.split("\n", 1)
+    code = "rank(SparseMap(len(rs), c, rs), f)"
+    assert decorator.startswith("@lru_cache") and source.count(code) == 1
     namespace: dict = {}
-    exec(source.replace(code, "[0 for M in residual]"), vars(srbetti.cohomology), namespace)
-    monkeypatch.setattr(srbetti.cohomology, "_over", namespace["_over"])
+    exec(source.replace(code, "0"), vars(srbetti.cohomology), namespace)
+    monkeypatch.setattr(srbetti.cohomology, "reduced_cohomology_dims", namespace["reduced_cohomology_dims"])
     try:
         for check in (
             lambda: check_residual_sweeps((QQ, GF2, GF3)),
@@ -364,8 +397,8 @@ def test_one_walker_keeps_the_fields_apart():
 @pytest.mark.parametrize("f", [QQ, GF2])
 def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
     # rank raises on its k-th call inside betti_table; the walker keeps its
-    # chain, and the next queries, starting with the ω that failed, are right
-    # (the caches are not cleared, which would discard the walker)
+    # chain, and the next queries, starting with the ω that failed, are right:
+    # the caches are cleared and the walker kept, so each query reaches it
     K = rp2_complex()
     reference = {omega: rebuilt_dims(K, omega, f) for omega in range(K.full_mask + 1)}
     rank, sweep = srbetti.cohomology.rank, srbetti.betti.subcomplex_cohomology
@@ -388,10 +421,14 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
             patch.setattr(srbetti.betti, "subcomplex_cohomology", recording)
             with pytest.raises(RuntimeError, match="injected"):
                 betti_table(K, f)
+        walker = srbetti.cohomology._walker(K)
+        reduced_cohomology_dims.cache_clear()
         rest = [omega for omega in reference if omega != asked[-1]]
         random.Random(k).shuffle(rest)
-        for omega in [asked[-1], *rest]:
-            assert reduced_cohomology_dims(K, f, omega) == reference[omega], (k, omega)
+        with monkeypatch.context() as patch:
+            patch.setattr(srbetti.cohomology, "_walker", lambda K: walker)
+            for omega in [asked[-1], *rest]:
+                assert reduced_cohomology_dims(K, f, omega) == reference[omega], (k, omega)
 
 
 def test_dd_zero_checked_on_every_reduced_complex():

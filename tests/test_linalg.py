@@ -286,6 +286,19 @@ def test_a_copied_state_is_extended_without_touching_the_original():
     assert (rank(rows, QQ), rank(rows, FieldSpec(5))) == (2, 1)
 
 
+def test_a_state_without_a_residual_list_takes_every_row_over_the_rationals():
+    # with no list to keep them, rows whose lead is not ±1 join the state
+    # too, so a state counts every row it takes, and takes each row once
+    state: dict = {}
+    assert rank(SparseMap(1, 1, [[(0, 2)]], state), QQ) == 1
+    assert state == {0: {0: 2}}
+    assert rank(SparseMap(1, 1, [[(0, 2)]], state), QQ) == 0
+    rows = [[(0, 1), (1, 2)], [(0, 3), (1, 1)]]  # the lead 2 scales (3, 1), which vanishes
+    assert rank(SparseMap(2, 2, rows, state), QQ) == 1
+    assert rank(SparseMap(2, 2, rows, state), QQ) == 0
+    assert len(state) == 2
+
+
 @pytest.mark.parametrize("f", [QQ, GF2, GF3])
 def test_every_field_keys_a_pivot_by_its_largest_column(f):
     # one key convention for every field: a state's keys are column indices
