@@ -127,10 +127,7 @@ def check_ustinovskii(K: SimplicialComplex, f: FieldSpec) -> BoundReport:
     n = K.m - K.dim - 1
     report = BoundReport("betti-binomial")
     for i in range(K.m + 1):
-        terms: dict[int, int] = {}
-        for (j, om), b in table.entries.items():
-            if j == i:
-                terms[om] = terms.get(om, 0) + b
+        terms = {om: b for (j, om), b in table.entries.items() if j == i}
         report.rows.append(BoundRow(i, sum(terms.values()), binomial(n, i), terms))
     return report
 

@@ -65,7 +65,8 @@ class CochainComplex:
             mat = SparseMap(rows, self.size(q), [[] for _ in range(rows)])
         return mat
 
-    def check_shapes(self) -> None:
+    def check_dd_zero(self) -> None:
+        """Verify the shape of each d_q and d_{q+1} ∘ d_q = 0 for all q (sparse product)."""
         for q in range(self.lo, self.hi + 1):
             mat = self.differential(q)
             rows, cols = self.size(q + 1), self.size(q)
@@ -77,10 +78,6 @@ class CochainComplex:
                     f"expected {rows}x{cols}",
                     q=q,
                 )
-
-    def check_dd_zero(self) -> None:
-        """Verify d_{q+1} ∘ d_q = 0 for all q (sparse product)."""
-        self.check_shapes()
         for q in range(self.lo, self.hi):
             labels = self.labels.get(q + 2) if self.labels else None
             _check_composite(self.differential(q), self.differential(q + 1), q, labels)
@@ -255,8 +252,8 @@ class _Walker:
                 self.rows_residual += len(residual[k]) - len(inherited)
         self.chain.append((om | v, faces, ranks, pivots, residual))
 
-    def result(self, omega: int) -> tuple[Mapping[int, int], list | None]:
-        """ω's dimensions from the unit ranks, and its residual if not empty."""
+    def result(self, omega: int) -> tuple[Mapping[int, int], dict[int, SparseMap] | None]:
+        """ω's dimensions from the unit ranks, and its residual (see :func:`field_dims`)."""
         with self.lock:
             chain = self.chain
             # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
@@ -268,20 +265,61 @@ class _Walker:
                 self._push(v)
                 rest ^= v
             _, faces, ranks, _, residual = chain[-1]
-        return _dims(faces, ranks), residual if any(residual) else None
+        cols = self.cols  # the rows of the faces of size k are those of d_{k-2}
+        residual = {k - 2: SparseMap(len(r), cols[k - 1], r) for k, r in enumerate(residual) if r}
+        return _dims(faces, ranks), residual or None
 
 
-def _dims(sizes: list[int], ranks: list[int]) -> Mapping[int, int]:
-    """Degree k - 1 ↦ sizes[k] - ranks[k + 1] - ranks[k], zeros omitted."""
+def _dims(sizes: list[int], ranks: list[int], lo: int = -1) -> Mapping[int, int]:
+    """Degree lo + k ↦ sizes[k] - ranks[k + 1] - ranks[k], zeros omitted."""
     ks = range(len(sizes) - 1)
-    return MappingProxyType({k - 1: h for k in ks if (h := sizes[k] - ranks[k + 1] - ranks[k])})
+    return MappingProxyType({lo + k: h for k in ks if (h := sizes[k] - ranks[k + 1] - ranks[k])})
 
 
-_walker = lru_cache(maxsize=16)(_Walker)  # one walker per K, for every field
+def field_dims(units: Mapping[int, int], residual: dict | None, f: FieldSpec) -> Mapping[int, int]:
+    """Dimensions over f from those of the unit pivots over ℤ and the rows that
+    the elimination set aside from each d_q: their rank over f lowers the
+    degrees q and q + 1 (see :func:`~srbetti.linalg.rank`)."""
+    if not residual:
+        return units
+    out = dict(units)
+    for q, rows in residual.items():
+        r = rank(rows, f)
+        out[q], out[q + 1] = out.get(q, 0) - r, out.get(q + 1, 0) - r
+    return MappingProxyType({k: h for k, h in out.items() if h})
 
 
-@lru_cache(maxsize=1 << 18)
-def _result(K: SimplicialComplex, omega: int) -> tuple[Mapping[int, int], list | None]:
+def integral_elimination(C: CochainComplex) -> tuple[Mapping[int, int], dict[int, SparseMap]]:
+    """C's dimensions from the unit pivots of one elimination over ℤ of each
+    d_q, and the rows it set aside, by degree: :func:`field_dims` turns them
+    into the dimensions over any field."""
+    ranks, residual = [0], {}  # ranks[k]: of the map into degree lo + k
+    for q in range(C.lo, C.hi):
+        d, rows = C.differential(q), []
+        ranks.append(rank(SparseMap(d.rows, d.cols, d.data, {}, rows), QQ))
+        if rows:
+            residual[q] = SparseMap(len(rows), d.cols, rows)
+    return _dims([C.size(q) for q in range(C.lo, C.hi + 2)], ranks + [0], C.lo), residual
+
+
+_rank_caches: list = []
+
+
+def rank_cache(maxsize: int) -> Callable:
+    """An LRU cache of rank-derived results: ``reduced_cohomology_dims.cache_clear()`` clears it."""
+
+    def wrap(fn: Callable) -> Callable:
+        _rank_caches.append(cached := lru_cache(maxsize=maxsize)(fn))
+        return cached
+
+    return wrap
+
+
+_walker = rank_cache(16)(_Walker)  # one walker per K, for every field
+
+
+@rank_cache(1 << 18)
+def _result(K: SimplicialComplex, omega: int) -> tuple[Mapping[int, int], dict | None]:
     return _walker(K).result(omega)  # shared by every field's sweep
 
 
@@ -294,27 +332,17 @@ def reduced_cohomology_dims(
 
     C^*(K|ω) is not built: its rows are read off K's own complex, built and
     d∘d-checked once per K by K's walker, whose per-ω results serve every
-    field.  ``cache_clear`` also discards those results and the walkers.
+    field.  ``cache_clear`` also clears every :func:`rank_cache`: the
+    walkers, their results and the colored blocks of ``tor``.
     """
     om = K.full_mask if omega is None else _within(K, omega)
-    units, residual = _result(K, om)
-    if residual is None:
-        return units
-    # a size's rank over f is its unit rank plus that of its residual
-    cols = [0, *map(len, K.faces_by_card)]
-    ranks = [rank(SparseMap(len(rs), c, rs), f) for c, rs in zip(cols, residual)]
-    return _dims([units.get(k - 1, 0) for k in range(len(ranks))], ranks)
+    return field_dims(*_result(K, om), f)
 
 
 def _cache_clear(clear=reduced_cohomology_dims.cache_clear) -> None:
     clear()
-    _result.cache_clear()
-    _walker.cache_clear()
+    for cache in _rank_caches:
+        cache.cache_clear()
 
 
 reduced_cohomology_dims.cache_clear = _cache_clear
-
-
-def euler_characteristic_reduced(K: SimplicialComplex) -> int:
-    """Alternating sum of face counts, the empty face counted in degree -1."""
-    return sum((-1) ** (f.bit_count() + 1) for f in K.faces)

@@ -106,6 +106,14 @@ class SimplicialComplex:
     faces: frozenset[int]
     labels: tuple[int, ...] | None = field(default=None, compare=False)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of (m, faces), which ``__eq__`` compares: one per complex."""
+        return hash((self.m, self.faces))
+
     @cached_property
     def dim(self) -> int:
         return max(f.bit_count() for f in self.faces) - 1
@@ -248,20 +256,6 @@ def join(
         warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=2)
     faces = frozenset(f1 | (f2 << K1.m) for f1 in K1.faces for f2 in K2.faces)
     return SimplicialComplex(m, faces)
-
-
-def relabel_complex(K: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:
-    """Apply a vertex permutation {old: new} of [m] to K."""
-    if sorted(perm) != list(range(1, K.m + 1)) or sorted(perm.values()) != list(range(1, K.m + 1)):
-        raise VertexOutOfRange("perm must be a permutation of [m]")
-
-    def remap(mask: int) -> int:
-        out = 0
-        for v in vertices_of(mask):
-            out |= 1 << (perm[v] - 1)
-        return out
-
-    return SimplicialComplex(K.m, frozenset(remap(f) for f in K.faces))
 
 
 # --- text and JSON serialization ------------------------------------------

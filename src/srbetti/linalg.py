@@ -11,8 +11,6 @@ each pivot keyed on its largest column index, whatever the field (the
 rows then extend, as the Hochster sweep does from K|ω to K|(ω ∪ v).  The
 kernel branches on the field:
 
-* GF(2): rows are packed into Python-int bitsets and reduced by XOR, the
-  highest set bit being the largest column;
 * GF(p): sparse dict rows, each pivot row normalised to a unit pivot;
 * the rationals: sparse integer rows.  Given a residual list, only ±1 leads
   become pivots and the rows with other leads are set aside; adding the
@@ -25,21 +23,8 @@ All arithmetic is exact; floating point is never used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -52,9 +37,9 @@ class FieldSpec:
     p: int = 0
 
     def __post_init__(self):
-        if self.p != 0:
-            if not (2 <= self.p < 1 << 16) or not _is_prime(self.p):
-                raise ValueError(f"not a prime below 2^16: {self.p}")
+        p = self.p
+        if p != 0 and not (2 <= p < 1 << 16 and all(p % d for d in range(2, isqrt(p) + 1))):
+            raise ValueError(f"not a prime below 2^16: {p}")
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -102,21 +87,6 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
     p = f.p
     pivots = {} if M.pivots is None else M.pivots
     before = len(pivots)
-    if p == 2:
-        for row in M.data:
-            x = 0
-            for c, a in row:
-                if a & 1:
-                    x |= 1 << c
-            while x:
-                top = x.bit_length() - 1
-                pivot = pivots.get(top)
-                if pivot is None:
-                    pivots[top] = x
-                    break
-                x ^= pivot
-        return len(pivots) - before
-
     if p:
         for row in M.data:
             r = {c: a % p for c, a in row if a % p}

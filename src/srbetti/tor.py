@@ -32,7 +32,10 @@ the σ-vertex v of color i, and H(σ, h, I) = κ(i, I∪{i})·(σ, h - e_v, I∪
 inverts that action, so dH + Hd = id.  tor_dims does not assume this: its
 first call at a bound >= 2 checks the identity over ℤ on the piece of each
 such pattern (:func:`_certify`, once per coloring) and raises NotAComplex on
-a failure, so only the e = 0 pieces are built and ranked.
+a failure, so only the e = 0 pieces are built.  The piece 1_L and the
+quotient's L-block are the same matrices under (σ, 1_σ, I) ↔ (σ, I): per
+(K, α, L) the two are built once and compared entry by entry, then one is
+ranked, by one elimination over ℤ for every field (:func:`_e0_block`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .betti import subcomplex_cohomology
-from .cohomology import CochainComplex, assemble, cohomology_dims
+from .cohomology import CochainComplex, assemble, field_dims, integral_elimination, rank_cache
 from .coloring import (
     Partition,
     _as_color_mask,
@@ -221,15 +224,42 @@ def quotient_cochain_complex(
     return assemble(cells_by_deg, partial(quotient_coboundary, ctx))
 
 
-def _colored_routes(K: SimplicialComplex, alpha: Partition, f: FieldSpec):
-    """Per L ⊆ [r] in (|L|, L) order: L, the cohomology dims of the quotient
-    L-block, and the reduced cohomology dims of K|ω_L (Hochster's side)."""
+@rank_cache(2048)  # a few hundred bytes each: fills at r = 11 under the trivial coloring
+def _e0_block(K: SimplicialComplex, alpha: Partition, lmask: int) -> tuple:
+    """The e = 0 piece 1_L and the quotient L-block, built and compared entry
+    by entry; the first difference raises MismatchFound naming (q, L) and the
+    cell.  Then the piece's unit dims over ℤ, as (degree, dim) pairs, and its
+    residual or None, for every field (:func:`~srbetti.cohomology.integral_elimination`)."""
+    ctx = _context(K, alpha)
+    piece = koszul_piece(K, alpha, _pattern_weight(lmask, 0, ctx.r))
+    block = quotient_cochain_complex(K, alpha, lmask)
+    shift = 2 * lmask.bit_count()
+    for deg in range(min(piece.lo, block.lo - shift), max(piece.hi, block.hi - shift) + 1):
+        cells, rows = block.labels.get(deg + shift, []), block.differential(deg + shift - 1).data
+        if [iota_star(ctx, gen) for gen in piece.labels.get(deg, [])] != cells:
+            q, what = -deg, f"the piece's basis is not the cells {cells}"
+        elif (piece_rows := piece.differential(deg - 1).data) != rows:  # the map into deg
+            i = next(i for i, (a, b) in enumerate(zip(piece_rows, rows)) if a != b)
+            a, b = dict(piece_rows[i]), dict(rows[i])
+            j = min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j))
+            q, what = 1 - deg, (
+                f"the entry of d{block.labels[deg + shift - 1][j]} at {cells[i]} is "
+                f"{a.get(j, 0)} in the piece and {b.get(j, 0)} in the block"
+            )
+        else:
+            continue
+        message = f"e = 0 piece and quotient block differ at q={q}, L={vertices_of(lmask)}: {what}"
+        raise MismatchFound(message, q=q, colors=lmask)
+    units, residual = integral_elimination(piece)
+    return tuple(units.items()), residual or None
+
+
+def _e0_dims(K: SimplicialComplex, alpha: Partition, f: FieldSpec):
+    """Per L ⊆ [r] in (|L|, L) order: L and the dims over f of the e = 0 piece
+    1_L by Koszul degree -q, the quotient L-block's in degree 2|L| - q."""
     for lmask in sorted(submasks(alpha.full_color_mask), key=lambda s: (s.bit_count(), s)):
-        yield (
-            lmask,
-            cohomology_dims(quotient_cochain_complex(K, alpha, lmask), f),
-            subcomplex_cohomology(K, omega_L(alpha, lmask), f),
-        )
+        units, residual = _e0_block(K, alpha, lmask)
+        yield lmask, field_dims(dict(units), residual, f)
 
 
 def quotient_cohomology_dims(
@@ -240,17 +270,16 @@ def quotient_cohomology_dims(
     H^q of the L-block = H̃^{q-|L|-1}(K|ω_L); the first disagreement raises
     :class:`~srbetti.errors.MismatchFound` naming that (q, L)."""
     cellular: dict[int, int] = {}
-    for lmask, cell, sub in _colored_routes(K, alpha, f):
-        shift = lmask.bit_count() + 1
-        for q in sorted(set(cell) | {deg + shift for deg in sub}):
-            if cell.get(q, 0) != sub.get(q - shift, 0):
-                raise MismatchFound(
-                    f"quotient routes disagree at q={q}, L={vertices_of(lmask)}: "
-                    f"cellular={cell.get(q, 0)} subcomplex={sub.get(q - shift, 0)}",
-                    q=q,
-                    colors=lmask,
-                )
-            cellular[q] = cellular.get(q, 0) + cell.get(q, 0)
+    for lmask, dims in _e0_dims(K, alpha, f):
+        sub = subcomplex_cohomology(K, omega_L(alpha, lmask), f)
+        lsize = lmask.bit_count()  # H^q of the block is the piece's in degree q - 2|L|
+        for q in sorted({deg + 2 * lsize for deg in dims} | {deg + lsize + 1 for deg in sub}):
+            cell, hochster = dims.get(q - 2 * lsize, 0), sub.get(q - lsize - 1, 0)
+            if cell != hochster:
+                at = f"q={q}, L={vertices_of(lmask)}"
+                message = f"quotient routes disagree at {at}: cellular={cell} subcomplex={hochster}"
+                raise MismatchFound(message, q=q, colors=lmask)
+            cellular[q] = cellular.get(q, 0) + cell
     return cellular
 
 
@@ -431,20 +460,19 @@ def tor_dims(
     max_i w_i <= weight_bound, for every L ⊆ [r].
 
     Every piece with a coordinate >= 2 is acyclic by its contraction
-    certificate (:func:`_certify`), so each L builds and ranks only its e = 0
-    piece, w = 1_L, which fills weight shell 1 (shell 0 for L = ∅).  The flag
-    per L records that the two outermost shells (maximum coordinate B-1 and
-    B) contributed zero homology, which a bound 1 cannot tell for an L that
-    has a piece with e != 0; a :class:`~srbetti.errors.StabilizationNotReached`
-    warning lists the L whose flag is unset.
+    certificate (:func:`_certify`), so each L reads only its e = 0 piece
+    (:func:`_e0_block`), w = 1_L, which fills weight shell 1 (shell 0 for
+    L = ∅).  The flag per L records that the two outermost shells (maximum
+    coordinate B-1 and B) contributed zero homology, which a bound 1 cannot
+    tell for an L that has a piece with e != 0; a
+    :class:`~srbetti.errors.StabilizationNotReached` warning lists the L whose flag is unset.
     """
     ctx = _context(K, alpha)
     bound = _weight_bound(K, alpha, weight_bound)
     if bound >= 2 and ctx.certified is None:
         ctx.certified = _certify(ctx)
     table = TorTable(ctx.r, f, bound, certified=ctx.certified if bound >= 2 else 0)
-    for lmask in submasks(ctx.alpha.full_color_mask):
-        dims = cohomology_dims(koszul_piece(K, alpha, _pattern_weight(lmask, 0, ctx.r)), f)
+    for lmask, dims in _e0_dims(K, alpha, f):
         table.entries.update(((-deg, lmask), v) for deg, v in dims.items())
         high_zero = bound >= 2 or not any(e and not e & ~lmask for e in ctx.faces_by_colorset)
         shell = 1 if lmask else 0  # of the e = 0 piece
@@ -581,18 +609,14 @@ def verify_tor_threeway(
 ) -> TorThreeWayReport:
     """Three-way equality per (q, L): Tor dims from the truncated Koszul
     route, cellular cohomology in degree 2|L|-q, and reduced cohomology of
-    K|ω_L in degree |L|-q-1."""
+    K|ω_L in degree |L|-q-1.  The first two are one entry: the e = 0 piece
+    and the L-block are compared entry by entry, then one is ranked."""
     table = tor_dims(K, alpha, f, weight_bound)
     records = []
-    for lmask, cell_dims, sub_dims in _colored_routes(K, alpha, f):
+    for lmask in sorted(table.stabilized, key=lambda s: (s.bit_count(), s)):
         lsize = lmask.bit_count()
+        sub_dims = subcomplex_cohomology(K, omega_L(alpha, lmask), f)
         for q in range(0, lsize + 2):
-            rec = TorThreeWayRecord(
-                colors=lmask,
-                q=q,
-                tor=table.get(q, lmask),
-                cellular=cell_dims.get(2 * lsize - q, 0),
-                hochster=sub_dims.get(lsize - q - 1, 0),
-            )
-            records.append(rec)
+            dim = table.get(q, lmask)
+            records.append(TorThreeWayRecord(lmask, q, dim, dim, sub_dims.get(lsize - q - 1, 0)))
     return TorThreeWayReport(records, table)

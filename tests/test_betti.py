@@ -12,11 +12,11 @@ from srbetti.complexes import (
     from_facets,
     full_simplex,
     mask_of,
-    relabel_complex,
 )
 from srbetti.corpus import cycle_complex, rp2_complex
 from srbetti.errors import NotAComplex, VertexOutOfRange
 from srbetti.linalg import GF2, GF3, QQ
+from test_complexes import relabel_complex
 
 
 def test_betti_number_base_cases():

@@ -288,8 +288,9 @@ def test_corpus_max_m_below_4_is_a_usage_error(capsys):
 
 def test_a_failed_check_exits_1(capsys, monkeypatch):
     # mutation checks: a Betti table that lost an entry makes zk's two routes
-    # disagree, and a flipped quotient sign breaks d∘d; both are failed
-    # checks, not usage errors
+    # disagree, and a flipped quotient sign makes the L = {1} block differ
+    # from its Koszul piece, before the L = {1, 2} block's d∘d check sees
+    # it; both are failed checks, not usage errors
     table = srbetti.betti.betti_table
 
     def dropping(K, f):
@@ -312,11 +313,13 @@ def test_a_failed_check_exits_1(capsys, monkeypatch):
         code, out, err = run(capsys, "zk", *square)
     assert (code, out) == (1, "")
     assert err.startswith("error: MismatchFound: moment-angle routes disagree")
+    srbetti.reduced_cohomology_dims.cache_clear()  # the blocks of earlier runs
     with monkeypatch.context() as patch:
         patch.setattr(srbetti.tor, "quotient_coboundary", flipped)
         code, out, err = run(capsys, "quotient", *square)
+    srbetti.reduced_cohomology_dims.cache_clear()
     assert (code, out) == (1, "")
-    assert err.startswith("error: NotAComplex: d∘d != 0")
+    assert err.startswith("error: MismatchFound: e = 0 piece and quotient block differ at q=1, L=(1,)")
 
 
 def test_corpus_lists_the_unstabilized_L_per_field(capsys):
@@ -382,3 +385,27 @@ def test_random_complex_contract():
     # determinism
     assert random_complex(6, 0.3, 7) == random_complex(6, 0.3, 7)
     assert random_complex(6, 0.3, 7) != random_complex(6, 0.3, 8)
+
+
+def test_consecutive_main_calls_match_fresh_runs(capsys):
+    # main parses with one parser per process: a second call, with another
+    # subcommand and none of the first call's flags, prints what a fresh
+    # process prints, and build_parser still hands out a parser of its own
+    src = str(Path(srbetti.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    square = ["--facets", "1 2, 2 3, 3 4, 1 4"]
+    calls = [
+        ["verify", *square, "--format", "text", "--field", "f2", "--trivial"],
+        ["betti", *square],
+        ["quotient", *square, "--minimum", "--field", "f3"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    fresh = [
+        subprocess.run([sys.executable, "-m", "srbetti.cli", *argv], capture_output=True, text=True, env=env)
+        for argv in calls
+    ]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert in_process[1][1].startswith("{")  # the default format, not the first call's text
+    assert srbetti.cli._parser() is srbetti.cli._parser()
+    assert srbetti.cli.build_parser() is not srbetti.cli.build_parser()

@@ -24,7 +24,6 @@ from srbetti.complexes import (
     join,
     mask_of,
     parse_complex,
-    relabel_complex,
     submasks,
     vertices_of,
 )
@@ -35,6 +34,20 @@ from srbetti.errors import (
     VertexBudgetExceeded,
     VertexOutOfRange,
 )
+
+
+def relabel_complex(K: SimplicialComplex, perm: dict[int, int]) -> SimplicialComplex:
+    """Apply a vertex permutation {old: new} of [m] to K."""
+    if sorted(perm) != list(range(1, K.m + 1)) or sorted(perm.values()) != list(range(1, K.m + 1)):
+        raise VertexOutOfRange("perm must be a permutation of [m]")
+
+    def remap(mask: int) -> int:
+        out = 0
+        for v in vertices_of(mask):
+            out |= 1 << (perm[v] - 1)
+        return out
+
+    return SimplicialComplex(K.m, frozenset(remap(f) for f in K.faces))
 
 
 def four_cycle():
@@ -288,6 +301,27 @@ def maximal_faces(masks) -> frozenset[int]:
 def test_a_complex_stores_its_faces_only():
     assert [f.name for f in dataclasses.fields(SimplicialComplex)] == ["m", "faces", "labels"]
     assert empty_complex().facets == maximal_faces({0}) == frozenset({0})
+
+
+def test_equal_complexes_hash_equal_whatever_built_them():
+    # the hash is computed once per complex, from (m, faces) as __eq__ compares
+    # them: the labels full_subcomplex keeps, and the constructor, do not count
+    cycle = from_facets(4, [mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (1, 4))])
+    builds = [
+        cycle,
+        parse_complex("m 4\nfacet 3 4\nfacet 1 4\nfacet 2 3\nfacet 1 2\n"),
+        complex_from_json(complex_to_json(cycle)),
+        SimplicialComplex(4, frozenset(cycle.faces)),
+        full_subcomplex(join(cycle, from_facets(1, [1])), 0b1111),
+        relabel_complex(cycle, {1: 3, 2: 2, 3: 1, 4: 4}),
+    ]
+    assert builds[4].labels == (1, 2, 3, 4) and builds[0].labels is None
+    for K in builds:
+        assert K == cycle and hash(K) == hash(cycle) == hash((4, cycle.faces))
+        assert hash(K) == hash(K)  # read back, not recomputed differently
+    assert len({K: None for K in builds}) == 1
+    other = from_facets(5, [mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (1, 4))], allow_isolated=True)
+    assert other != cycle and hash(other) == hash((5, other.faces))
 
 
 @st.composite

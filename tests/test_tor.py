@@ -10,7 +10,7 @@ import srbetti.tor
 from hypothesis import given, settings, strategies as st
 
 from srbetti.betti import betti_table, zk_cohomology_dims
-from srbetti.cohomology import cohomology_dims
+from srbetti.cohomology import cohomology_dims, reduced_cohomology_dims
 from srbetti.coloring import (
     greedy_coloring,
     omega_L,
@@ -494,10 +494,10 @@ def _certificate_failure(monkeypatch, K, alpha, match):
     checking that it names a generator of that piece with its degree
     q = -|I|, and that no piece was ranked on the way."""
 
-    def no_rank(C, f):
+    def no_rank(C):
         raise AssertionError("a piece was ranked before the certificate")
 
-    monkeypatch.setattr(srbetti.tor, "cohomology_dims", no_rank)
+    monkeypatch.setattr(srbetti.tor, "integral_elimination", no_rank)
     with pytest.raises(NotAComplex, match=match) as err:
         tor_dims(K, alpha, QQ)
     exc = err.value
@@ -770,3 +770,131 @@ def test_verify_tor_threeway_random_with_greedy(seed, f):
     K = random_complex(5, 0.5, seed)
     report = verify_tor_threeway(K, greedy_coloring(K), f)
     assert report.ok and report.all_stabilized
+
+
+# --- the e = 0 piece and the quotient block: one build, one elimination --------
+
+@pytest.fixture
+def fresh_blocks():
+    # the compared and eliminated blocks are cached per (K, α, L) for every
+    # field: a mutation must build its own, and leave none behind
+    reduced_cohomology_dims.cache_clear()
+    yield
+    reduced_cohomology_dims.cache_clear()
+
+
+def _flip_first_term(monkeypatch, name, source):
+    """Patch the rule ``name`` of srbetti.tor to flip the sign of the first
+    term of d(source)."""
+    good = getattr(srbetti.tor, name)
+
+    def flipped(ctx, gen):
+        out = good(ctx, gen)
+        if gen == source:
+            (coeff, target), *rest = out
+            out = [(-coeff, target), *rest]
+        return out
+
+    monkeypatch.setattr(srbetti.tor, name, flipped)
+
+
+@pytest.mark.parametrize(
+    "name, source, piece, block",
+    [
+        ("quotient_coboundary", (0, 0b01), 1, -1),
+        ("koszul_coboundary", (0, (0, 0, 0, 0), 0b01), -1, 1),
+    ],
+)
+def test_a_flipped_sign_in_an_e0_map_is_caught_entry_by_entry(monkeypatch, fresh_blocks, name, source, piece, block):
+    # mutation checks: d(∅, {1}) is the only map of the square's L = {1}
+    # block and of its piece w = (1, 0), so no d∘d check sees a flipped sign
+    # there; the entry comparison names q = |I| = 1, L = {1} and the entry
+    K, alpha = square_with_coloring()
+    _flip_first_term(monkeypatch, name, source)
+    for run in (
+        lambda: verify_tor_threeway(K, alpha, QQ),
+        lambda: quotient_cohomology_dims(K, alpha, GF2),
+        lambda: tor_dims(K, alpha, GF3),
+    ):
+        with pytest.raises(MismatchFound) as err:
+            run()
+        assert (err.value.q, err.value.colors) == (1, 0b01)
+        assert str(err.value) == (
+            "e = 0 piece and quotient block differ at q=1, L=(1,): the entry of "
+            f"d(0, 1) at (1, 0) is {piece} in the piece and {block} in the block"
+        )
+
+
+def test_verify_builds_each_kind_once_per_L_for_every_field(monkeypatch, fresh_blocks):
+    K = random_complex(7, 0.5, 3)
+    alpha = greedy_coloring(K)
+    builds = {"piece": [], "block": []}
+    piece, block = srbetti.tor.koszul_piece, srbetti.tor.quotient_cochain_complex
+
+    def counted_piece(K, alpha, w):
+        builds["piece"].append(sum(1 << i for i, x in enumerate(w) if x))
+        return piece(K, alpha, w)
+
+    def counted_block(K, alpha, L):
+        builds["block"].append(L)
+        return block(K, alpha, L)
+
+    monkeypatch.setattr(srbetti.tor, "koszul_piece", counted_piece)
+    monkeypatch.setattr(srbetti.tor, "quotient_cochain_complex", counted_block)
+    right = {}
+    for f in (QQ, GF2, GF3):
+        report = verify_tor_threeway(K, alpha, f)
+        assert report.ok and report.all_stabilized
+        right[f] = quotient_cohomology_dims(K, alpha, f)
+    every_L = sorted(submasks(alpha.full_color_mask))
+    assert sorted(builds["piece"]) == sorted(builds["block"]) == every_L
+    assert all(right[f] == sum_of_quotient_blocks(K, alpha, f) for f in right)
+
+
+def sum_of_quotient_blocks(K, alpha, f):
+    """Σ_L of the quotient L-block's dims, each block built and ranked over f."""
+    out = {}
+    for lmask in submasks(alpha.full_color_mask):
+        for q, d in cohomology_dims(srbetti.tor.quotient_cochain_complex(K, alpha, lmask), f).items():
+            out[q] = out.get(q, 0) + d
+    return out
+
+
+def test_a_second_field_ranks_only_the_residual_rows(monkeypatch, fresh_blocks):
+    # RP² under the trivial coloring: only L = [6] leaves a row that no ±1
+    # pivot reduces, its ℤ/2; GF(2) reads the blocks ℚ built, ranks that row
+    # as 0 and so gains Tor_{3,[6]} and Tor_{4,[6]}, H̃² and H̃¹ of RP²
+    K, alpha = rp2_complex(), trivial_partition(6)
+    over_q = tor_dims(K, alpha, QQ).entries
+
+    def no_build(*args):
+        raise AssertionError("a block was built again")
+
+    monkeypatch.setattr(srbetti.tor, "koszul_piece", no_build)
+    monkeypatch.setattr(srbetti.tor, "quotient_cochain_complex", no_build)
+    over_2 = tor_dims(K, alpha, GF2).entries
+    full = alpha.full_color_mask
+    residual = {L: srbetti.tor._e0_block(K, alpha, L)[1] for L in submasks(full)}
+    assert [L for L, rows in residual.items() if rows] == [full]
+    assert [M.rows for M in residual[full].values()] == [1]
+    assert {k: v for k, v in over_2.items() if over_q.get(k) != v} == {(3, full): 1, (4, full): 1}
+    assert set(over_q) <= set(over_2)
+    for f, entries in ((QQ, over_q), (GF2, over_2)):
+        table = betti_table(K, f)
+        assert entries == {(q, L): table.get(q, omega_L(alpha, L)) for q, L in entries}
+        assert sum(entries.values()) == table.total()
+
+
+def test_cache_clear_discards_the_colored_blocks(monkeypatch, fresh_blocks):
+    # a wrong rank met while the blocks of (K, α) were eliminated must not
+    # outlive cache_clear, which drops the blocks with the walker's results
+    K = random_complex(6, 0.5, 2024)  # no other test builds its blocks
+    alpha = greedy_coloring(K)
+    rank = srbetti.cohomology.rank
+    with monkeypatch.context() as patch:
+        patch.setattr(srbetti.cohomology, "rank", lambda M, f: rank(M, f) + 1)
+        wrong = verify_tor_threeway(K, alpha, QQ)
+    reduced_cohomology_dims.cache_clear()
+    report = verify_tor_threeway(K, alpha, QQ)
+    assert report.ok and report.table.entries != wrong.table.entries
+    assert srbetti.tor._e0_block.cache_info().currsize == len(report.table.stabilized)
