@@ -265,9 +265,11 @@ class _Walker:
                 self._push(v)
                 rest ^= v
             _, faces, ranks, _, residual = chain[-1]
+        if not any(residual):  # as for most ω
+            return _dims(faces, ranks), None
         cols = self.cols  # the rows of the faces of size k are those of d_{k-2}
         residual = {k - 2: SparseMap(len(r), cols[k - 1], r) for k, r in enumerate(residual) if r}
-        return _dims(faces, ranks), residual or None
+        return _dims(faces, ranks), residual
 
 
 def _dims(sizes: list[int], ranks: list[int], lo: int = -1) -> Mapping[int, int]:
@@ -277,9 +279,8 @@ def _dims(sizes: list[int], ranks: list[int], lo: int = -1) -> Mapping[int, int]
 
 
 def field_dims(units: Mapping[int, int], residual: dict | None, f: FieldSpec) -> Mapping[int, int]:
-    """Dimensions over f from those of the unit pivots over ℤ and the rows that
-    the elimination set aside from each d_q: their rank over f lowers the
-    degrees q and q + 1 (see :func:`~srbetti.linalg.rank`)."""
+    """Dimensions over f from those of the unit pivots over ℤ and the rows set aside
+    from each d_q, whose rank over f lowers degrees q and q + 1 (see :func:`rank`)."""
     if not residual:
         return units
     out = dict(units)
@@ -290,9 +291,8 @@ def field_dims(units: Mapping[int, int], residual: dict | None, f: FieldSpec) ->
 
 
 def integral_elimination(C: CochainComplex) -> tuple[Mapping[int, int], dict[int, SparseMap]]:
-    """C's dimensions from the unit pivots of one elimination over ℤ of each
-    d_q, and the rows it set aside, by degree: :func:`field_dims` turns them
-    into the dimensions over any field."""
+    """C's dimensions from the unit pivots of one elimination over ℤ of each d_q,
+    and the rows it set aside by degree, which :func:`field_dims` reads for any field."""
     ranks, residual = [0], {}  # ranks[k]: of the map into degree lo + k
     for q in range(C.lo, C.hi):
         d, rows = C.differential(q), []

@@ -319,7 +319,9 @@ def test_a_failed_check_exits_1(capsys, monkeypatch):
         code, out, err = run(capsys, "quotient", *square)
     srbetti.reduced_cohomology_dims.cache_clear()
     assert (code, out) == (1, "")
-    assert err.startswith("error: MismatchFound: e = 0 piece and quotient block differ at q=1, L=(1,)")
+    assert err.startswith(
+        "error: MismatchFound: e = 0 piece and quotient block differ at q=1, L=(1,)"
+    )
 
 
 def test_corpus_lists_the_unstabilized_L_per_field(capsys):
@@ -402,7 +404,9 @@ def test_consecutive_main_calls_match_fresh_runs(capsys):
     ]
     in_process = [run(capsys, *argv) for argv in calls]
     fresh = [
-        subprocess.run([sys.executable, "-m", "srbetti.cli", *argv], capture_output=True, text=True, env=env)
+        subprocess.run(
+            [sys.executable, "-m", "srbetti.cli", *argv], capture_output=True, text=True, env=env
+        )
         for argv in calls
     ]
     assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]

@@ -320,7 +320,7 @@ def test_equal_complexes_hash_equal_whatever_built_them():
         assert K == cycle and hash(K) == hash(cycle) == hash((4, cycle.faces))
         assert hash(K) == hash(K)  # read back, not recomputed differently
     assert len({K: None for K in builds}) == 1
-    other = from_facets(5, [mask_of(e) for e in ((1, 2), (2, 3), (3, 4), (1, 4))], allow_isolated=True)
+    other = from_facets(5, cycle.facets, allow_isolated=True)
     assert other != cycle and hash(other) == hash((5, other.faces))
 
 

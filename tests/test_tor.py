@@ -805,7 +805,9 @@ def _flip_first_term(monkeypatch, name, source):
         ("koszul_coboundary", (0, (0, 0, 0, 0), 0b01), -1, 1),
     ],
 )
-def test_a_flipped_sign_in_an_e0_map_is_caught_entry_by_entry(monkeypatch, fresh_blocks, name, source, piece, block):
+def test_a_flipped_sign_in_an_e0_map_is_caught_entry_by_entry(
+    monkeypatch, fresh_blocks, name, source, piece, block
+):
     # mutation checks: d(∅, {1}) is the only map of the square's L = {1}
     # block and of its piece w = (1, 0), so no d∘d check sees a flipped sign
     # there; the entry comparison names q = |I| = 1, L = {1} and the entry
@@ -855,7 +857,7 @@ def sum_of_quotient_blocks(K, alpha, f):
     """Σ_L of the quotient L-block's dims, each block built and ranked over f."""
     out = {}
     for lmask in submasks(alpha.full_color_mask):
-        for q, d in cohomology_dims(srbetti.tor.quotient_cochain_complex(K, alpha, lmask), f).items():
+        for q, d in cohomology_dims(quotient_cochain_complex(K, alpha, lmask), f).items():
             out[q] = out.get(q, 0) + d
     return out
 
