@@ -127,7 +127,10 @@ def check_ustinovskii(K: SimplicialComplex, f: FieldSpec) -> BoundReport:
     n = K.m - K.dim - 1
     report = BoundReport("betti-binomial")
     for i in range(K.m + 1):
-        terms = {om: b for (j, om), b in table.entries.items() if j == i}
+        terms: dict[int, int] = {}
+        for (j, om), b in table.entries.items():
+            if j == i:
+                terms[om] = terms.get(om, 0) + b
         report.rows.append(BoundRow(i, sum(terms.values()), binomial(n, i), terms))
     return report
 

@@ -68,21 +68,35 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="srbetti", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    for name, text, colored, weighted in (  # the commands that read a complex
-        ("betti", "multigraded Betti table", False, False),
-        ("zk", "moment-angle complex cohomology dimensions", False, False),
-        ("color", "partition search / nondegeneracy check", True, False),
-        ("quotient", "torus-quotient cohomology dimensions", True, False),
-        ("tor", "Tor table with stabilization flags", True, True),
-        ("verify", "three-way Tor verification plus all bound checks", True, True),
-    ):
-        p = sub.add_parser(name, help=text)
-        _add_input_args(p)
-        _add_common_args(p)
-        if colored:
-            _add_partition_args(p)
-        if weighted:
-            p.add_argument("--weight-bound", type=int, default=None)
+    p = sub.add_parser("betti", help="multigraded Betti table")
+    _add_input_args(p)
+    _add_common_args(p)
+
+    p = sub.add_parser("zk", help="moment-angle complex cohomology dimensions")
+    _add_input_args(p)
+    _add_common_args(p)
+
+    p = sub.add_parser("color", help="partition search / nondegeneracy check")
+    _add_input_args(p)
+    _add_common_args(p)
+    _add_partition_args(p)
+
+    p = sub.add_parser("quotient", help="torus-quotient cohomology dimensions")
+    _add_input_args(p)
+    _add_common_args(p)
+    _add_partition_args(p)
+
+    p = sub.add_parser("tor", help="Tor table with stabilization flags")
+    _add_input_args(p)
+    _add_common_args(p)
+    _add_partition_args(p)
+    p.add_argument("--weight-bound", type=int, default=None)
+
+    p = sub.add_parser("verify", help="three-way Tor verification plus all bound checks")
+    _add_input_args(p)
+    _add_common_args(p)
+    _add_partition_args(p)
+    p.add_argument("--weight-bound", type=int, default=None)
 
     p = sub.add_parser("sharp", help="sharpness suite for joins of simplex boundaries")
     _add_common_args(p)
@@ -158,16 +172,12 @@ def _cmd_betti(args) -> int:
     return 0
 
 
-def _dims_rows(dims: dict[int, int]) -> tuple[list[dict], str]:
-    """Cohomology dims as JSON rows and as text, by ascending degree."""
-    rows = [{"q": q, "dim": d} for q, d in sorted(dims.items())]
-    return rows, "\n".join(f"q={r['q']} dim={r['dim']}" for r in rows)
-
-
 def _cmd_zk(args) -> int:
     K = _load_complex(args)
     f = FieldSpec.parse(args.field)
-    rows, text = _dims_rows(zk_cohomology_dims(K, f))
+    dims = zk_cohomology_dims(K, f)
+    rows = [{"q": q, "dim": d} for q, d in sorted(dims.items())]
+    text = "\n".join(f"q={r['q']} dim={r['dim']}" for r in rows)
     _emit({"complex": complex_to_json(K), "field": str(f), "dims": rows}, text, args.fmt)
     return 0
 
@@ -192,9 +202,14 @@ def _cmd_quotient(args) -> int:
     K = _load_complex(args)
     f = FieldSpec.parse(args.field)
     _, alpha = _resolve_partition(args, K)
-    rows, text = _dims_rows(quotient_cohomology_dims(K, alpha, f))
-    payload = {"complex": complex_to_json(K), "field": str(f), "blocks": format_blocks(alpha)}
-    _emit({**payload, "dims": rows}, text, args.fmt)
+    dims = quotient_cohomology_dims(K, alpha, f)
+    rows = [{"q": q, "dim": d} for q, d in sorted(dims.items())]
+    text = "\n".join(f"q={r['q']} dim={r['dim']}" for r in rows)
+    _emit(
+        {"complex": complex_to_json(K), "field": str(f), "blocks": format_blocks(alpha), "dims": rows},
+        text,
+        args.fmt,
+    )
     return 0
 
 
@@ -209,7 +224,9 @@ def _cmd_tor(args) -> int:
         "blocks": format_blocks(alpha),
         **table.to_json(),
     }
-    lines = [f"q={q} L={list(vertices_of(L))} dim={v}" for (q, L), v in table.sorted_items()]
+    lines = [
+        f"q={q} L={list(vertices_of(L))} dim={v}" for (q, L), v in table.sorted_items()
+    ]
     _emit(payload, "\n".join(lines), args.fmt)
     return 0
 
@@ -237,7 +254,8 @@ def _cmd_verify(args) -> int:
                 f"cellular={rec.cellular} hochster={rec.hochster} "
                 f"{'ok' if rec.ok else 'MISMATCH'}"
             )
-    text_parts.extend(r.to_text() for r in checks.values())
+    for name, r in checks.items():
+        text_parts.append(r.to_text())
     text_parts.append("pass" if ok else "fail")
     _emit(payload, "\n".join(text_parts), args.fmt)
     return 0 if ok else 1

@@ -65,8 +65,7 @@ class CochainComplex:
             mat = SparseMap(rows, self.size(q), [[] for _ in range(rows)])
         return mat
 
-    def check_dd_zero(self) -> None:
-        """Verify the shape of each d_q and d_{q+1} ∘ d_q = 0 for all q (sparse product)."""
+    def check_shapes(self) -> None:
         for q in range(self.lo, self.hi + 1):
             mat = self.differential(q)
             rows, cols = self.size(q + 1), self.size(q)
@@ -78,6 +77,10 @@ class CochainComplex:
                     f"expected {rows}x{cols}",
                     q=q,
                 )
+
+    def check_dd_zero(self) -> None:
+        """Verify d_{q+1} ∘ d_q = 0 for all q (sparse product)."""
+        self.check_shapes()
         for q in range(self.lo, self.hi):
             labels = self.labels.get(q + 2) if self.labels else None
             _check_composite(self.differential(q), self.differential(q + 1), q, labels)
@@ -290,16 +293,20 @@ def field_dims(units: Mapping[int, int], residual: dict | None, f: FieldSpec) ->
     return MappingProxyType({k: h for k, h in out.items() if h})
 
 
-def integral_elimination(C: CochainComplex) -> tuple[Mapping[int, int], dict[int, SparseMap]]:
+def integral_elimination(
+    C: CochainComplex, shift: int = 0
+) -> tuple[Mapping[int, int], dict[int, SparseMap]]:
     """C's dimensions from the unit pivots of one elimination over ℤ of each d_q,
-    and the rows it set aside by degree, which :func:`field_dims` reads for any field."""
+    and the rows it set aside by degree, which :func:`field_dims` reads for any
+    field; C's degree q is reported as q - shift."""
     ranks, residual = [0], {}  # ranks[k]: of the map into degree lo + k
     for q in range(C.lo, C.hi):
         d, rows = C.differential(q), []
         ranks.append(rank(SparseMap(d.rows, d.cols, d.data, {}, rows), QQ))
         if rows:
-            residual[q] = SparseMap(len(rows), d.cols, rows)
-    return _dims([C.size(q) for q in range(C.lo, C.hi + 2)], ranks + [0], C.lo), residual
+            residual[q - shift] = SparseMap(len(rows), d.cols, rows)
+    sizes = [C.size(q) for q in range(C.lo, C.hi + 2)]
+    return _dims(sizes, ranks + [0], C.lo - shift), residual
 
 
 _rank_caches: list = []

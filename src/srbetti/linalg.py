@@ -23,8 +23,21 @@ All arithmetic is exact; floating point is never used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
 
 
 @dataclass(frozen=True)
@@ -37,9 +50,9 @@ class FieldSpec:
     p: int = 0
 
     def __post_init__(self):
-        p = self.p
-        if p != 0 and not (2 <= p < 1 << 16 and all(p % d for d in range(2, isqrt(p) + 1))):
-            raise ValueError(f"not a prime below 2^16: {p}")
+        if self.p != 0:
+            if not (2 <= self.p < 1 << 16) or not _is_prime(self.p):
+                raise ValueError(f"not a prime below 2^16: {self.p}")
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":

@@ -33,9 +33,11 @@ inverts that action, so dH + Hd = id.  tor_dims does not assume this: its
 first call at a bound >= 2 checks the identity over ℤ on the piece of each
 such pattern (:func:`_certify`, once per coloring) and raises NotAComplex on
 a failure, so only the e = 0 pieces are built.  The piece 1_L and the
-quotient's L-block are the same matrices under (σ, 1_σ, I) ↔ (σ, I): per
-(K, α, L) the two are built once and compared entry by entry, then one is
-ranked, by one elimination over ℤ for every field (:func:`_e0_block`).
+quotient's L-block are the same matrices under (σ, 1_σ, I) ↔ (σ, I):
+verify_tor_threeway builds each once per (K, α, L) and compares them entry
+by entry, tor_dims builds the piece alone and quotient_cohomology_dims the
+block alone; one of them is ranked, by one elimination over ℤ for every
+field (:func:`_e0_dims`).
 """
 
 from __future__ import annotations
@@ -224,15 +226,60 @@ def quotient_cochain_complex(
     return assemble(cells_by_deg, partial(quotient_coboundary, ctx))
 
 
-@rank_cache(2048)  # a few hundred bytes each: fills at r = 11 under the trivial coloring
-def _e0_block(K: SimplicialComplex, alpha: Partition, lmask: int) -> tuple:
-    """The e = 0 piece 1_L and the quotient L-block, built and compared entry
-    by entry; the first difference raises MismatchFound naming (q, L) and the
-    cell.  Then the piece's unit dims over ℤ, as (degree, dim) pairs, and its
-    residual or None, for every field (:func:`~srbetti.cohomology.integral_elimination`)."""
-    ctx = _context(K, alpha)
-    piece = koszul_piece(K, alpha, _pattern_weight(lmask, 0, ctx.r))
-    block = quotient_cochain_complex(K, alpha, lmask)
+_PIECE, _BLOCK = 1, 2  # the e = 0 routes: the Koszul piece 1_L (tor), the quotient L-block
+_SWEPT_COLORS = 11  # a sweep keeps 2^r results: 2048 at most
+
+
+class _E0Sweep(dict):
+    """L ↦ the e = 0 unit dims of (K, α) over ℤ, as (degree, dim) pairs, the
+    residual or None, and the routes built for them, for every field."""
+
+    def __init__(self, K: SimplicialComplex, alpha: Partition):
+        super().__init__()
+        self.ctx = _context(K, alpha)
+
+    def entry(self, lmask: int, routes: int) -> tuple:
+        """L's entry, unless kept for ``routes``: those built, compared when both
+        are, and one eliminated over ℤ; kept while 2^r <= 2048."""
+        entry = self.get(lmask)
+        if entry is None or routes & ~entry[2]:
+            ctx = self.ctx
+            w = _pattern_weight(lmask, 0, ctx.r)
+            piece = koszul_piece(ctx.K, ctx.alpha, w) if routes & _PIECE else None
+            block = quotient_cochain_complex(ctx.K, ctx.alpha, lmask) if routes & _BLOCK else None
+            if piece is None:  # the block's degree 2|L| - q is the piece's -q
+                units, residual = integral_elimination(block, 2 * lmask.bit_count())
+            else:
+                if block is not None:
+                    _compare_e0(ctx, lmask, piece, block)
+                units, residual = integral_elimination(piece)
+            entry = tuple(units.items()), residual or None, routes
+            if ctx.r <= _SWEPT_COLORS:
+                self[lmask] = entry
+        return entry
+
+
+_e0_sweep = rank_cache(4)(_E0Sweep)  # the fields of one (K, α) follow each other
+
+
+def _e0_dims(K: SimplicialComplex, alpha: Partition, f: FieldSpec, routes: int):
+    """Per L ⊆ [r] in (|L|, L) order: L and the dims over f of the e = 0 piece
+    1_L by Koszul degree -q, the quotient L-block's in degree 2|L| - q.
+
+    Only ``routes`` are built: the piece, the block, or both compared entry by
+    entry.  One of them is eliminated over ℤ, once per (K, α, L) for every
+    field while 2^r <= 2048 (:class:`_E0Sweep`); a later field ranks only the
+    residual rows (:func:`~srbetti.cohomology.field_dims`)."""
+    sweep = _e0_sweep(K, alpha)
+    for lmask in sorted(submasks(alpha.full_color_mask), key=lambda s: (s.bit_count(), s)):
+        units, residual, _ = sweep.entry(lmask, routes)
+        yield lmask, field_dims(dict(units), residual, f)
+
+
+def _compare_e0(ctx: _Ctx, lmask: int, piece: CochainComplex, block: CochainComplex) -> None:
+    """Compare the e = 0 piece 1_L and the quotient L-block under
+    (σ, 1_σ, I) ↔ (σ, I), bases and maps entry by entry; the first difference
+    raises MismatchFound naming (q, L) and the cell."""
     shift = 2 * lmask.bit_count()
     for deg in range(min(piece.lo, block.lo - shift), max(piece.hi, block.hi - shift) + 1):
         cells, rows = block.labels.get(deg + shift, []), block.differential(deg + shift - 1).data
@@ -250,16 +297,6 @@ def _e0_block(K: SimplicialComplex, alpha: Partition, lmask: int) -> tuple:
             continue
         message = f"e = 0 piece and quotient block differ at q={q}, L={vertices_of(lmask)}: {what}"
         raise MismatchFound(message, q=q, colors=lmask)
-    units, residual = integral_elimination(piece)
-    return tuple(units.items()), residual or None
-
-
-def _e0_dims(K: SimplicialComplex, alpha: Partition, f: FieldSpec):
-    """Per L ⊆ [r] in (|L|, L) order: L and the dims over f of the e = 0 piece
-    1_L by Koszul degree -q, the quotient L-block's in degree 2|L| - q."""
-    for lmask in sorted(submasks(alpha.full_color_mask), key=lambda s: (s.bit_count(), s)):
-        units, residual = _e0_block(K, alpha, lmask)
-        yield lmask, field_dims(dict(units), residual, f)
 
 
 def quotient_cohomology_dims(
@@ -270,7 +307,7 @@ def quotient_cohomology_dims(
     H^q of the L-block = H̃^{q-|L|-1}(K|ω_L); the first disagreement raises
     :class:`~srbetti.errors.MismatchFound` naming that (q, L)."""
     cellular: dict[int, int] = {}
-    for lmask, dims in _e0_dims(K, alpha, f):
+    for lmask, dims in _e0_dims(K, alpha, f, _BLOCK):
         sub = subcomplex_cohomology(K, omega_L(alpha, lmask), f)
         lsize = lmask.bit_count()  # H^q of the block is the piece's in degree q - 2|L|
         for q in sorted({deg + 2 * lsize for deg in dims} | {deg + lsize + 1 for deg in sub}):
@@ -461,18 +498,25 @@ def tor_dims(
 
     Every piece with a coordinate >= 2 is acyclic by its contraction
     certificate (:func:`_certify`), so each L reads only its e = 0 piece
-    (:func:`_e0_block`), w = 1_L, which fills weight shell 1 (shell 0 for
+    (:func:`_e0_dims`), w = 1_L, which fills weight shell 1 (shell 0 for
     L = ∅).  The flag per L records that the two outermost shells (maximum
     coordinate B-1 and B) contributed zero homology, which a bound 1 cannot
     tell for an L that has a piece with e != 0; a
     :class:`~srbetti.errors.StabilizationNotReached` warning lists the L whose flag is unset.
     """
+    return _tor_table(K, alpha, f, weight_bound, _PIECE)
+
+
+def _tor_table(
+    K: SimplicialComplex, alpha: Partition, f: FieldSpec, weight_bound: int | None, routes: int
+) -> TorTable:
+    """:func:`tor_dims`, reading the e = 0 pieces through ``routes``."""
     ctx = _context(K, alpha)
     bound = _weight_bound(K, alpha, weight_bound)
     if bound >= 2 and ctx.certified is None:
         ctx.certified = _certify(ctx)
     table = TorTable(ctx.r, f, bound, certified=ctx.certified if bound >= 2 else 0)
-    for lmask, dims in _e0_dims(K, alpha, f):
+    for lmask, dims in _e0_dims(K, alpha, f, routes):
         table.entries.update(((-deg, lmask), v) for deg, v in dims.items())
         high_zero = bound >= 2 or not any(e and not e & ~lmask for e in ctx.faces_by_colorset)
         shell = 1 if lmask else 0  # of the e = 0 piece
@@ -480,7 +524,7 @@ def tor_dims(
     unstable = _unstabilized(table.stabilized)
     if unstable:
         message = f"weight shells still contribute at the bound {bound} for L in {unstable}"
-        warnings.warn(StabilizationNotReached(message, colors=unstable), stacklevel=2)
+        warnings.warn(StabilizationNotReached(message, colors=unstable), stacklevel=3)
     return table
 
 
@@ -611,7 +655,7 @@ def verify_tor_threeway(
     route, cellular cohomology in degree 2|L|-q, and reduced cohomology of
     K|ω_L in degree |L|-q-1.  The first two are one entry: the e = 0 piece
     and the L-block are compared entry by entry, then one is ranked."""
-    table = tor_dims(K, alpha, f, weight_bound)
+    table = _tor_table(K, alpha, f, weight_bound, _PIECE | _BLOCK)
     records = []
     for lmask in sorted(table.stabilized, key=lambda s: (s.bit_count(), s)):
         lsize = lmask.bit_count()

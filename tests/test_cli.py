@@ -288,9 +288,9 @@ def test_corpus_max_m_below_4_is_a_usage_error(capsys):
 
 def test_a_failed_check_exits_1(capsys, monkeypatch):
     # mutation checks: a Betti table that lost an entry makes zk's two routes
-    # disagree, and a flipped quotient sign makes the L = {1} block differ
-    # from its Koszul piece, before the L = {1, 2} block's d∘d check sees
-    # it; both are failed checks, not usage errors
+    # disagree, and a flipped quotient sign breaks d∘d in quotient, which
+    # builds the blocks alone, while verify finds the L = {1} block differ
+    # from its Koszul piece first; all are failed checks, not usage errors
     table = srbetti.betti.betti_table
 
     def dropping(K, f):
@@ -313,15 +313,17 @@ def test_a_failed_check_exits_1(capsys, monkeypatch):
         code, out, err = run(capsys, "zk", *square)
     assert (code, out) == (1, "")
     assert err.startswith("error: MismatchFound: moment-angle routes disagree")
-    srbetti.reduced_cohomology_dims.cache_clear()  # the blocks of earlier runs
-    with monkeypatch.context() as patch:
-        patch.setattr(srbetti.tor, "quotient_coboundary", flipped)
-        code, out, err = run(capsys, "quotient", *square)
-    srbetti.reduced_cohomology_dims.cache_clear()
-    assert (code, out) == (1, "")
-    assert err.startswith(
-        "error: MismatchFound: e = 0 piece and quotient block differ at q=1, L=(1,)"
-    )
+    for command, error in (
+        ("quotient", "error: NotAComplex: d∘d != 0"),
+        ("verify", "error: MismatchFound: e = 0 piece and quotient block differ at q=1, L=(1,)"),
+    ):
+        srbetti.reduced_cohomology_dims.cache_clear()  # the blocks of earlier runs
+        with monkeypatch.context() as patch:
+            patch.setattr(srbetti.tor, "quotient_coboundary", flipped)
+            code, out, err = run(capsys, command, *square)
+        srbetti.reduced_cohomology_dims.cache_clear()
+        assert (code, out) == (1, "")
+        assert err.startswith(error)
 
 
 def test_corpus_lists_the_unstabilized_L_per_field(capsys):

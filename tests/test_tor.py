@@ -810,16 +810,14 @@ def test_a_flipped_sign_in_an_e0_map_is_caught_entry_by_entry(
 ):
     # mutation checks: d(∅, {1}) is the only map of the square's L = {1}
     # block and of its piece w = (1, 0), so no d∘d check sees a flipped sign
-    # there; the entry comparison names q = |I| = 1, L = {1} and the entry
+    # there; verify's entry comparison names q = |I| = 1, L = {1} and the
+    # entry, also when tor has eliminated the pieces without their blocks
     K, alpha = square_with_coloring()
     _flip_first_term(monkeypatch, name, source)
-    for run in (
-        lambda: verify_tor_threeway(K, alpha, QQ),
-        lambda: quotient_cohomology_dims(K, alpha, GF2),
-        lambda: tor_dims(K, alpha, GF3),
-    ):
+    tor_dims(K, alpha, GF3)
+    for f in (QQ, GF2):
         with pytest.raises(MismatchFound) as err:
-            run()
+            verify_tor_threeway(K, alpha, f)
         assert (err.value.q, err.value.colors) == (1, 0b01)
         assert str(err.value) == (
             "e = 0 piece and quotient block differ at q=1, L=(1,): the entry of "
@@ -827,9 +825,8 @@ def test_a_flipped_sign_in_an_e0_map_is_caught_entry_by_entry(
         )
 
 
-def test_verify_builds_each_kind_once_per_L_for_every_field(monkeypatch, fresh_blocks):
-    K = random_complex(7, 0.5, 3)
-    alpha = greedy_coloring(K)
+def _count_builds(monkeypatch):
+    """Count the e = 0 pieces (by the support of w) and quotient blocks built."""
     builds = {"piece": [], "block": []}
     piece, block = srbetti.tor.koszul_piece, srbetti.tor.quotient_cochain_complex
 
@@ -843,6 +840,13 @@ def test_verify_builds_each_kind_once_per_L_for_every_field(monkeypatch, fresh_b
 
     monkeypatch.setattr(srbetti.tor, "koszul_piece", counted_piece)
     monkeypatch.setattr(srbetti.tor, "quotient_cochain_complex", counted_block)
+    return builds
+
+
+def test_verify_builds_each_kind_once_per_L_for_every_field(monkeypatch, fresh_blocks):
+    K = random_complex(7, 0.5, 3)
+    alpha = greedy_coloring(K)
+    builds = _count_builds(monkeypatch)
     right = {}
     for f in (QQ, GF2, GF3):
         report = verify_tor_threeway(K, alpha, f)
@@ -851,6 +855,37 @@ def test_verify_builds_each_kind_once_per_L_for_every_field(monkeypatch, fresh_b
     every_L = sorted(submasks(alpha.full_color_mask))
     assert sorted(builds["piece"]) == sorted(builds["block"]) == every_L
     assert all(right[f] == sum_of_quotient_blocks(K, alpha, f) for f in right)
+
+
+def test_tor_and_quotient_alone_build_one_kind(monkeypatch, fresh_blocks):
+    # a lone field costs what it cost before the blocks were shared: tor
+    # builds the pieces alone, quotient the blocks alone, and a second field
+    # of either builds nothing
+    K = random_complex(7, 0.5, 3)
+    alpha = greedy_coloring(K)
+    every_L = sorted(submasks(alpha.full_color_mask))
+    for run, kind in (
+        (lambda f: tor_dims(K, alpha, f), "piece"),
+        (lambda f: quotient_cohomology_dims(K, alpha, f), "block"),
+    ):
+        reduced_cohomology_dims.cache_clear()
+        with monkeypatch.context() as patch:
+            builds = _count_builds(patch)
+            for f in (QQ, GF2):
+                run(f)
+        assert sorted(builds[kind]) == every_L
+        assert builds["block" if kind == "piece" else "piece"] == []
+
+
+def test_no_sweep_is_kept_above_its_colors(monkeypatch, fresh_blocks):
+    # 2^r results per sweep: above the bound every field builds its own
+    K, alpha = square_with_coloring()
+    monkeypatch.setattr(srbetti.tor, "_SWEPT_COLORS", alpha.r - 1)
+    builds = _count_builds(monkeypatch)
+    for f in (QQ, GF2):
+        assert verify_tor_threeway(K, alpha, f).ok
+    assert sorted(builds["piece"]) == sorted(builds["block"]) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert len(srbetti.tor._e0_sweep(K, alpha)) == 0
 
 
 def sum_of_quotient_blocks(K, alpha, f):
@@ -876,7 +911,7 @@ def test_a_second_field_ranks_only_the_residual_rows(monkeypatch, fresh_blocks):
     monkeypatch.setattr(srbetti.tor, "quotient_cochain_complex", no_build)
     over_2 = tor_dims(K, alpha, GF2).entries
     full = alpha.full_color_mask
-    residual = {L: srbetti.tor._e0_block(K, alpha, L)[1] for L in submasks(full)}
+    residual = {L: entry[1] for L, entry in srbetti.tor._e0_sweep(K, alpha).items()}
     assert [L for L, rows in residual.items() if rows] == [full]
     assert [M.rows for M in residual[full].values()] == [1]
     assert {k: v for k, v in over_2.items() if over_q.get(k) != v} == {(3, full): 1, (4, full): 1}
@@ -899,4 +934,4 @@ def test_cache_clear_discards_the_colored_blocks(monkeypatch, fresh_blocks):
     reduced_cohomology_dims.cache_clear()
     report = verify_tor_threeway(K, alpha, QQ)
     assert report.ok and report.table.entries != wrong.table.entries
-    assert srbetti.tor._e0_block.cache_info().currsize == len(report.table.stabilized)
+    assert len(srbetti.tor._e0_sweep(K, alpha)) == len(report.table.stabilized)
