@@ -226,8 +226,8 @@ def quotient_cochain_complex(
     return assemble(cells_by_deg, partial(quotient_coboundary, ctx))
 
 
-_PIECE, _BLOCK = 1, 2  # the e = 0 routes: the Koszul piece 1_L (tor), the quotient L-block
-_SWEPT_COLORS = 11  # a sweep keeps 2^r results: 2048 at most
+_PIECE, _BLOCK = 1, 2  # the e = 0 routes: the Koszul piece 1_L and the quotient L-block
+_SWEPT_COLORS = 11  # a sweep keeps 2^r entries of a few hundred bytes: 2048 at most
 
 
 class _E0Sweep(dict):
