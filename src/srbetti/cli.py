@@ -291,6 +291,8 @@ def _cmd_corpus(args) -> int:
         raise ValueError(f"--corpus-max-m must be at least 4, got {args.corpus_max_m}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.count < 1:  # no member checked is no pass
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     tasks = []
     for k in range(args.count):
         m = 4 + k % (args.corpus_max_m - 3)

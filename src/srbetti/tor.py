@@ -230,50 +230,36 @@ _PIECE, _BLOCK = 1, 2  # the e = 0 routes: the Koszul piece 1_L and the quotient
 _SWEPT_COLORS = 11  # a sweep keeps 2^r entries of a few hundred bytes: 2048 at most
 
 
-class _E0Sweep(dict):
-    """L ↦ the e = 0 unit dims of (K, α) over ℤ, as (degree, dim) pairs, the
-    residual or None, and the routes built for them, for every field."""
-
-    def __init__(self, K: SimplicialComplex, alpha: Partition):
-        super().__init__()
-        self.ctx = _context(K, alpha)
-
-    def entry(self, lmask: int, routes: int) -> tuple:
-        """L's entry, unless kept for ``routes``: those built, compared when both
-        are, and one eliminated over ℤ; kept while 2^r <= 2048."""
-        entry = self.get(lmask)
-        if entry is None or routes & ~entry[2]:
-            ctx = self.ctx
-            w = _pattern_weight(lmask, 0, ctx.r)
-            piece = koszul_piece(ctx.K, ctx.alpha, w) if routes & _PIECE else None
-            block = quotient_cochain_complex(ctx.K, ctx.alpha, lmask) if routes & _BLOCK else None
-            if piece is None:  # the block's degree 2|L| - q is the piece's -q
-                units, residual = integral_elimination(block, 2 * lmask.bit_count())
-            else:
-                if block is not None:
-                    _compare_e0(ctx, lmask, piece, block)
-                units, residual = integral_elimination(piece)
-            entry = tuple(units.items()), residual or None, routes
-            if ctx.r <= _SWEPT_COLORS:
-                self[lmask] = entry
-        return entry
+def _e0_entries(K: SimplicialComplex, alpha: Partition, routes: int):
+    """Per L ⊆ [r] in (|L|, L) order: L, the unit dims over ℤ of the e = 0
+    piece 1_L by degree -q (the L-block's in degree 2|L| - q) and the residual
+    or None.  Only ``routes`` are built: the piece, the block, or both compared
+    entry by entry; one of them is eliminated over ℤ, for every field."""
+    for lmask in sorted(submasks(alpha.full_color_mask), key=lambda s: (s.bit_count(), s)):
+        w = _pattern_weight(lmask, 0, alpha.r)
+        piece = koszul_piece(K, alpha, w) if routes & _PIECE else None
+        block = quotient_cochain_complex(K, alpha, lmask) if routes & _BLOCK else None
+        if piece is None:  # the block's degree 2|L| - q is the piece's -q
+            units, residual = integral_elimination(block, 2 * lmask.bit_count())
+        else:
+            if block is not None:
+                _compare_e0(_context(K, alpha), lmask, piece, block)
+            units, residual = integral_elimination(piece)
+        yield lmask, units, residual or None
 
 
-_e0_sweep = rank_cache(4)(_E0Sweep)  # the fields of one (K, α) follow each other
+@rank_cache(4)  # the fields of one (K, α) follow each other
+def _e0_sweep(K: SimplicialComplex, alpha: Partition, routes: int) -> tuple:
+    return tuple(_e0_entries(K, alpha, routes))
 
 
 def _e0_dims(K: SimplicialComplex, alpha: Partition, f: FieldSpec, routes: int):
-    """Per L ⊆ [r] in (|L|, L) order: L and the dims over f of the e = 0 piece
-    1_L by Koszul degree -q, the quotient L-block's in degree 2|L| - q.
-
-    Only ``routes`` are built: the piece, the block, or both compared entry by
-    entry.  One of them is eliminated over ℤ, once per (K, α, L) for every
-    field while 2^r <= 2048 (:class:`_E0Sweep`); a later field ranks only the
-    residual rows (:func:`~srbetti.cohomology.field_dims`)."""
-    sweep = _e0_sweep(K, alpha)
-    for lmask in sorted(submasks(alpha.full_color_mask), key=lambda s: (s.bit_count(), s)):
-        units, residual, _ = sweep.entry(lmask, routes)
-        yield lmask, field_dims(dict(units), residual, f)
+    """Per L in (|L|, L) order: L and the dims over f of :func:`_e0_entries`, whose
+    tuple is kept per (K, α, routes) while 2^r <= 2048, so that a later field ranks
+    only the residual rows (field_dims); above that, each field streams its own."""
+    swept = alpha.r <= _SWEPT_COLORS
+    for lmask, units, residual in (_e0_sweep if swept else _e0_entries)(K, alpha, routes):
+        yield lmask, field_dims(units, residual, f)
 
 
 def _compare_e0(ctx: _Ctx, lmask: int, piece: CochainComplex, block: CochainComplex) -> None:

@@ -280,6 +280,14 @@ def test_corpus_jobs_below_1_is_a_usage_error(capsys, jobs):
     assert err == f"error: ValueError: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_corpus_count_below_1_is_a_usage_error(capsys, count):
+    # a corpus of no member checks nothing, so it must not report a pass
+    code, out, err = run(capsys, "corpus", "--seed", "1", "--count", count)
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: --count must be at least 1, got {count}\n"
+
+
 def test_corpus_max_m_below_4_is_a_usage_error(capsys):
     code, out, err = run(capsys, "corpus", "--seed", "1", "--count", "2", "--corpus-max-m", "3")
     assert (code, out) == (2, "")

@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -9,6 +11,12 @@ from pathlib import Path
 import pytest
 
 import srbetti
+from srbetti.betti import betti_table
+from srbetti.cohomology import reduced_cohomology_dims
+from srbetti.coloring import greedy_coloring
+from srbetti.corpus import cycle_complex
+from srbetti.linalg import QQ
+from srbetti.tor import quotient_cohomology_dims, tor_dims, verify_tor_threeway
 
 SRC = Path(srbetti.__file__).resolve().parent
 REPO = Path(__file__).resolve().parents[1]
@@ -226,3 +234,43 @@ def test_the_dead_definition_scan_sees_every_form():
         "called", "attr", "Imported", "dotted", "aliased", "dead", "method"
     ]
     assert [name for _, name in _definitions(defs) if name not in used] == ["dead"]
+
+
+# caches that hold no rank result: the combinatorics of (K, α) and the CLI parser
+_RANK_FREE_CACHES = {"tor._context", "cli._parser"}
+
+
+def _functools_caches():
+    """module.name ↦ every functools cache defined at the top level of a
+    srbetti module or in one of its classes."""
+    found = {}
+    for info in pkgutil.iter_modules(srbetti.__path__):
+        module = importlib.import_module(f"srbetti.{info.name}")
+        owners = [(info.name, module)] + [
+            (f"{info.name}.{name}", value)
+            for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        for prefix, owner in owners:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                    found[f"{prefix}.{name}"] = value
+    return found
+
+
+def test_cache_clear_empties_every_cache_of_rank_results():
+    # reduced_cohomology_dims.cache_clear() must drop every rank-derived
+    # result: a cache of ranks that skips rank_cache would keep a wrong rank
+    K = cycle_complex(4)
+    alpha = greedy_coloring(K)
+    verify_tor_threeway(K, alpha, QQ)
+    tor_dims(K, alpha, QQ)
+    quotient_cohomology_dims(K, alpha, QQ)
+    betti_table(K, QQ)
+    caches = _functools_caches()
+    assert _RANK_FREE_CACHES <= set(caches)
+    filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
+    assert {"tor._e0_sweep", "cohomology.reduced_cohomology_dims"} <= filled
+    reduced_cohomology_dims.cache_clear()
+    kept = {name for name, cache in caches.items() if cache.cache_info().currsize}
+    assert kept - _RANK_FREE_CACHES == set()

@@ -776,8 +776,8 @@ def test_verify_tor_threeway_random_with_greedy(seed, f):
 
 @pytest.fixture
 def fresh_blocks():
-    # the compared and eliminated blocks are cached per (K, α, L) for every
-    # field: a mutation must build its own, and leave none behind
+    # the e = 0 sweeps are kept per (K, α, route) for every field: a mutation
+    # must build its own, and leave none behind
     reduced_cohomology_dims.cache_clear()
     yield
     reduced_cohomology_dims.cache_clear()
@@ -826,9 +826,11 @@ def test_a_flipped_sign_in_an_e0_map_is_caught_entry_by_entry(
 
 
 def _count_builds(monkeypatch):
-    """Count the e = 0 pieces (by the support of w) and quotient blocks built."""
-    builds = {"piece": [], "block": []}
+    """Count the e = 0 pieces (by the support of w) and quotient blocks built,
+    and the L at which the two were compared."""
+    builds = {"piece": [], "block": [], "compared": []}
     piece, block = srbetti.tor.koszul_piece, srbetti.tor.quotient_cochain_complex
+    compare = srbetti.tor._compare_e0
 
     def counted_piece(K, alpha, w):
         builds["piece"].append(sum(1 << i for i, x in enumerate(w) if x))
@@ -838,23 +840,32 @@ def _count_builds(monkeypatch):
         builds["block"].append(L)
         return block(K, alpha, L)
 
+    def counted_compare(ctx, lmask, *maps):
+        builds["compared"].append(lmask)
+        return compare(ctx, lmask, *maps)
+
     monkeypatch.setattr(srbetti.tor, "koszul_piece", counted_piece)
     monkeypatch.setattr(srbetti.tor, "quotient_cochain_complex", counted_block)
+    monkeypatch.setattr(srbetti.tor, "_compare_e0", counted_compare)
     return builds
 
 
 def test_verify_builds_each_kind_once_per_L_for_every_field(monkeypatch, fresh_blocks):
+    # verify keeps a sweep of its own: the pieces tor eliminated first stand
+    # in for no comparison, and q, f2 and f3 read one build of each per L
     K = random_complex(7, 0.5, 3)
     alpha = greedy_coloring(K)
-    builds = _count_builds(monkeypatch)
-    right = {}
-    for f in (QQ, GF2, GF3):
-        report = verify_tor_threeway(K, alpha, f)
-        assert report.ok and report.all_stabilized
-        right[f] = quotient_cohomology_dims(K, alpha, f)
+    tor_dims(K, alpha, QQ)
+    with monkeypatch.context() as patch:
+        builds = _count_builds(patch)
+        for f in (QQ, GF2, GF3):
+            report = verify_tor_threeway(K, alpha, f)
+            assert report.ok and report.all_stabilized
     every_L = sorted(submasks(alpha.full_color_mask))
     assert sorted(builds["piece"]) == sorted(builds["block"]) == every_L
-    assert all(right[f] == sum_of_quotient_blocks(K, alpha, f) for f in right)
+    assert sorted(builds["compared"]) == every_L
+    for f in (QQ, GF2, GF3):
+        assert quotient_cohomology_dims(K, alpha, f) == sum_of_quotient_blocks(K, alpha, f)
 
 
 def test_tor_and_quotient_alone_build_one_kind(monkeypatch, fresh_blocks):
@@ -874,18 +885,47 @@ def test_tor_and_quotient_alone_build_one_kind(monkeypatch, fresh_blocks):
             for f in (QQ, GF2):
                 run(f)
         assert sorted(builds[kind]) == every_L
-        assert builds["block" if kind == "piece" else "piece"] == []
+        assert builds["block" if kind == "piece" else "piece"] == builds["compared"] == []
+
+
+def test_entry_points_in_any_order_agree_and_build_their_own_route(monkeypatch, fresh_blocks):
+    # one sweep per (K, α, route): a later tor reads the first tor's, verify
+    # builds and compares both kinds, quotient after verify builds its own
+    # blocks; every entry point reports the same numbers over each field
+    K = random_complex(7, 0.5, 3)
+    alpha = greedy_coloring(K)
+    n = 1 << alpha.r
+    runs = {
+        "tor": lambda f: tor_dims(K, alpha, f).entries,
+        "verify": lambda f: verify_tor_threeway(K, alpha, f).table.entries,
+        "quotient": lambda f: quotient_cohomology_dims(K, alpha, f),
+    }
+    builds = _count_builds(monkeypatch)
+    out, counts = {}, []
+    for name in ("tor", "verify", "quotient", "tor"):
+        for f in (QQ, GF2):
+            out.setdefault((name, f), []).append(runs[name](f))
+        counts.append(tuple(len(builds[kind]) for kind in ("piece", "block", "compared")))
+    assert counts == [(n, 0, 0), (2 * n, n, n), (2 * n, 2 * n, n), (2 * n, 2 * n, n)]
+    for f in (QQ, GF2):
+        (first, last), (verified,), (quotient,) = (out[name, f] for name in runs)
+        assert first == verified == last
+        by_cell_degree = {}
+        for (q, L), dim in first.items():
+            deg = 2 * L.bit_count() - q
+            by_cell_degree[deg] = by_cell_degree.get(deg, 0) + dim
+        assert quotient == by_cell_degree
 
 
 def test_no_sweep_is_kept_above_its_colors(monkeypatch, fresh_blocks):
-    # 2^r results per sweep: above the bound every field builds its own
+    # 2^r results per sweep: above the bound every field streams its own
     K, alpha = square_with_coloring()
     monkeypatch.setattr(srbetti.tor, "_SWEPT_COLORS", alpha.r - 1)
     builds = _count_builds(monkeypatch)
     for f in (QQ, GF2):
         assert verify_tor_threeway(K, alpha, f).ok
     assert sorted(builds["piece"]) == sorted(builds["block"]) == [0, 0, 1, 1, 2, 2, 3, 3]
-    assert len(srbetti.tor._e0_sweep(K, alpha)) == 0
+    assert srbetti.tor._e0_sweep.cache_info().currsize == 0
 
 
 def sum_of_quotient_blocks(K, alpha, f):
@@ -899,7 +939,7 @@ def sum_of_quotient_blocks(K, alpha, f):
 
 def test_a_second_field_ranks_only_the_residual_rows(monkeypatch, fresh_blocks):
     # RP² under the trivial coloring: only L = [6] leaves a row that no ±1
-    # pivot reduces, its ℤ/2; GF(2) reads the blocks ℚ built, ranks that row
+    # pivot reduces, its ℤ/2; GF(2) reads the pieces ℚ built, ranks that row
     # as 0 and so gains Tor_{3,[6]} and Tor_{4,[6]}, H̃² and H̃¹ of RP²
     K, alpha = rp2_complex(), trivial_partition(6)
     over_q = tor_dims(K, alpha, QQ).entries
@@ -911,7 +951,8 @@ def test_a_second_field_ranks_only_the_residual_rows(monkeypatch, fresh_blocks):
     monkeypatch.setattr(srbetti.tor, "quotient_cochain_complex", no_build)
     over_2 = tor_dims(K, alpha, GF2).entries
     full = alpha.full_color_mask
-    residual = {L: entry[1] for L, entry in srbetti.tor._e0_sweep(K, alpha).items()}
+    sweep = srbetti.tor._e0_sweep(K, alpha, srbetti.tor._PIECE)  # kept: builds nothing
+    residual = {L: rows for L, _units, rows in sweep}
     assert [L for L, rows in residual.items() if rows] == [full]
     assert [M.rows for M in residual[full].values()] == [1]
     assert {k: v for k, v in over_2.items() if over_q.get(k) != v} == {(3, full): 1, (4, full): 1}
@@ -924,14 +965,37 @@ def test_a_second_field_ranks_only_the_residual_rows(monkeypatch, fresh_blocks):
 
 def test_cache_clear_discards_the_colored_blocks(monkeypatch, fresh_blocks):
     # a wrong rank met while the blocks of (K, α) were eliminated must not
-    # outlive cache_clear, which drops the blocks with the walker's results
+    # outlive cache_clear, which drops the kept sweeps with the walker's results
     K = random_complex(6, 0.5, 2024)  # no other test builds its blocks
     alpha = greedy_coloring(K)
     rank = srbetti.cohomology.rank
     with monkeypatch.context() as patch:
         patch.setattr(srbetti.cohomology, "rank", lambda M, f: rank(M, f) + 1)
         wrong = verify_tor_threeway(K, alpha, QQ)
+    assert srbetti.tor._e0_sweep.cache_info().currsize == 1
     reduced_cohomology_dims.cache_clear()
+    assert srbetti.tor._e0_sweep.cache_info().currsize == 0
     report = verify_tor_threeway(K, alpha, QQ)
     assert report.ok and report.table.entries != wrong.table.entries
-    assert len(srbetti.tor._e0_sweep(K, alpha)) == len(report.table.stabilized)
+    assert srbetti.tor._e0_sweep.cache_info().currsize == 1
+
+
+def test_a_piece_without_its_bottom_generator_is_caught_by_its_basis(monkeypatch, fresh_blocks):
+    # mutation check: nothing maps into the bottom generator (∅, 0, L) of the
+    # piece 1_L, so dropping it for L = {1, 2} leaves a complex that passes
+    # every d∘d check; verify's basis comparison names q = |L| = 2 and L
+    K = cycle_complex(4)
+    alpha = greedy_coloring(K)
+    generators = srbetti.tor._piece_generators
+
+    def dropped(ctx, w):
+        return (gen for gen in generators(ctx, w) if gen[0] or w != (1, 1))
+
+    monkeypatch.setattr(srbetti.tor, "_piece_generators", dropped)
+    with pytest.raises(MismatchFound) as err:
+        verify_tor_threeway(K, alpha, QQ)
+    assert (err.value.q, err.value.colors) == (2, 0b11)
+    assert str(err.value) == (
+        "e = 0 piece and quotient block differ at q=2, L=(1, 2): "
+        "the piece's basis is not the cells [(0, 3)]"
+    )
