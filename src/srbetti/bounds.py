@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .betti import betti_number, betti_table, zk_cohomology_dims
+from .betti import betti_table, subcomplex_cohomology, zk_cohomology_dims
 from .coloring import Partition, omega_L, require_nondegenerate
 from .complexes import SimplicialComplex, boundary_simplex, join, submasks, vertices_of
 from .errors import InvalidDimension
@@ -89,15 +89,12 @@ def check_colored_binomial(
     r = alpha.r
     n = r - K.dim - 1
     report = BoundReport("colored-binomial-bound")
+    # β_{q+|ω_L|-|L|, ω_L} = dim H̃^{|L|-q-1}(K|ω_L): one group per L serves every q
+    full = alpha.full_color_mask
+    cohom = {L: subcomplex_cohomology(K, omega_L(alpha, L), f) for L in submasks(full)}
     for q in range(r + 1):
-        terms = {}
-        for lmask in submasks(alpha.full_color_mask):
-            om = omega_L(alpha, lmask)
-            i = q + om.bit_count() - lmask.bit_count()
-            terms[lmask] = betti_number(K, i, om, f)
-        report.rows.append(
-            BoundRow(q, sum(terms.values()), binomial(n, q), terms)
-        )
+        terms = {L: h.get(L.bit_count() - q - 1, 0) for L, h in cohom.items()}
+        report.rows.append(BoundRow(q, sum(terms.values()), binomial(n, q), terms))
     return report
 
 

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 from .betti import betti_table, zk_cohomology_dims
@@ -149,9 +148,47 @@ def _resolve_partition(args, K: SimplicialComplex) -> tuple[str, Partition]:
     return "greedy", greedy_coloring(K)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALARS = {str: _ESCAPE, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
+_ITEM = object()  # the key of every list item; its head is empty
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, in one pass: json indents in pure Python."""
+    out: list[str] = []
+    put = out.append
+    heads = {_ITEM: ""}  # str key -> '"key": '
+
+    def enc(o, nl: str) -> None:
+        t = type(o)
+        if (t is dict or t is list) and o:
+            inner = nl + "  "
+            sep, comma = ("{" if t is dict else "[") + inner, "," + inner
+            for k, v in o.items() if t is dict else zip([_ITEM] * len(o), o):
+                head = heads.get(k)
+                if head is None:  # json escapes the key, or coerces one that is no str
+                    head = json.dumps({k: 0})[1:-2]
+                    if type(k) is str:
+                        heads[k] = head
+                scalar = _SCALARS.get(type(v))
+                if scalar is not None:
+                    put(sep + head + scalar(v))
+                else:
+                    put(sep + head)
+                    enc(v, inner)
+                sep = comma
+            put(nl + ("}" if t is dict else "]"))
+        else:  # an empty container, or a type no payload holds (float, tuple, ...)
+            put(json.dumps(o, indent=2).replace("\n", nl))
+
+    enc(obj, "\n")
+    return "".join(out)
+
+
 def _emit(payload: dict, text: str, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(_dumps(payload))
     else:
         print(text)
 
@@ -299,20 +336,17 @@ def _cmd_corpus(args) -> int:
         tasks.append((m, args.density, args.seed + k, args.weight_bound, args.max_m))
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)  # the pool forks them all at once
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_corpus_member, tasks))
     else:
         results = [_corpus_member(t) for t in tasks]
     ok = all(r["pass"] for r in results)
-    if args.fmt == "json":
-        print(json.dumps({"members": results, "pass": ok}, indent=2))
-    else:
-        for r in results:
-            print(
-                f"m={r['m']} density={r['density']} seed={r['seed']} "
-                f"{'pass' if r['pass'] else 'FAIL'}"
-            )
-        print("pass" if ok else "fail")
+    lines = [
+        f"m={r['m']} density={r['density']} seed={r['seed']} {'pass' if r['pass'] else 'FAIL'}"
+        for r in results
+    ] + ["pass" if ok else "fail"]
+    _emit({"members": results, "pass": ok}, "\n".join(lines), args.fmt)
     return 0 if ok else 1
 
 

@@ -11,7 +11,6 @@ from .complexes import (
     from_facets,
     full_simplex,
     mask_of,
-    submasks,
 )
 from .errors import VertexOutOfRange
 
@@ -48,7 +47,7 @@ def random_complex(
     rng = random.Random(seed)
     full = (1 << m) - 1
     facets = []
-    for s in sorted(submasks(full), key=lambda s: (s.bit_count(), s)):
+    for s in sorted(range(full + 1), key=int.bit_count):  # stable: by size, then mask
         k = s.bit_count()
         if k >= 2 and rng.random() < density * 2.0 ** (-k):
             facets.append(s)

@@ -13,8 +13,9 @@ from srbetti.bounds import (
     krull_dimension,
     sharpness_suite,
 )
-from srbetti.coloring import greedy_coloring, parse_blocks, trivial_partition
-from srbetti.complexes import boundary_simplex, from_facets, full_simplex, mask_of
+from srbetti.betti import betti_number
+from srbetti.coloring import greedy_coloring, omega_L, parse_blocks, trivial_partition
+from srbetti.complexes import boundary_simplex, from_facets, full_simplex, mask_of, submasks
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
 from srbetti.errors import DegeneratePartition, InvalidDimension
 from srbetti.linalg import GF2, GF3, QQ
@@ -158,3 +159,27 @@ def test_report_serialization():
     assert payload["rows"][0]["slack"] == payload["rows"][0]["lhs"] - payload["rows"][0]["rhs"]
     text = rep.to_text()
     assert "index" in text and "slack" in text and "pass" in text
+
+
+def _colored_binomial_by_definition(K, alpha, f):
+    """(q, lhs, rhs, terms) per row, with every term read as the Betti number
+    β_{q+|ω_L|-|L|, ω_L} itself."""
+    rows = []
+    for q in range(alpha.r + 1):
+        terms = {}
+        for L in submasks(alpha.full_color_mask):
+            om = omega_L(alpha, L)
+            terms[L] = betti_number(K, q + om.bit_count() - L.bit_count(), om, f)
+        rows.append((q, sum(terms.values()), binomial(alpha.r - K.dim - 1, q), terms))
+    return rows
+
+
+@pytest.mark.parametrize("f", [QQ, GF2, GF3], ids=str)
+def test_colored_binomial_rows_are_the_betti_numbers_of_the_definition(f):
+    complexes = [cycle_complex(4), cycle_complex(5), boundary_simplex(2), rp2_complex()]
+    complexes += [random_complex(m, 0.5, seed) for m, seed in ((5, 1), (6, 2), (7, 3))]
+    for K in complexes:
+        for alpha in (greedy_coloring(K), trivial_partition(K.m)):
+            report = check_colored_binomial(K, alpha, f)
+            got = [(row.index, row.lhs, row.rhs, row.terms) for row in report.rows]
+            assert got == _colored_binomial_by_definition(K, alpha, f)

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
 import re
@@ -248,7 +249,8 @@ class SerialPool:
 @pytest.fixture
 def serial_pool(monkeypatch):
     monkeypatch.setattr(SerialPool, "asked", [])
-    monkeypatch.setattr(srbetti.cli, "ProcessPoolExecutor", SerialPool)
+    # _cmd_corpus imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return SerialPool.asked
 
 
@@ -423,3 +425,54 @@ def test_consecutive_main_calls_match_fresh_runs(capsys):
     assert in_process[1][1].startswith("{")  # the default format, not the first call's text
     assert srbetti.cli._parser() is srbetti.cli._parser()
     assert srbetti.cli.build_parser() is not srbetti.cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"a": {}}],
+        {"nested": {"empty": [], "deeper": {"x": [{}]}}},
+        [-1, 0, 7, -(10**30)],
+        {"t": True, "f": False, "n": None, "in list": [True, False, None, 1]},
+        ["δ = ∂∘∂", "ω_L ⊆ [m]", "\U0001d52d", "tab\tnewline\n"],
+        {'quo"te': 'say "hi"', "back\\slash": "C:\\dir\\", "ключ": "значение"},
+        {"float": 0.4, "tuple": (1, (2, 3)), "deep": [[0.5, []]]},
+        {1: "int key", "s": [{True: None, None: 2.5}]},
+        "bare string",
+        3,
+        None,
+    ],
+)
+def test_dumps_writes_what_json_dumps_indent_2_writes(obj):
+    assert srbetti.cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.fixture
+def dumped(monkeypatch):
+    """Every (payload, text) that the CLI's encoder writes."""
+    seen = []
+    dumps = srbetti.cli._dumps
+
+    def record(obj):
+        seen.append((obj, dumps(obj)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(srbetti.cli, "_dumps", record)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "facets, m", [("1 2, 2 3, 3 4, 1 4", "4"), ("1 2 3, 3 4, 4 5 6, 2 5", "6"), ("1 2, 3", "4")]
+)
+def test_every_command_payload_is_written_as_json_dumps_writes_it(capsys, dumped, facets, m):
+    inp = ["--facets", facets, "--m", m, "--allow-isolated"]
+    commands = [["betti", *inp, "--field", "f2"], ["zk", *inp], ["color", *inp, "--trivial"]]
+    commands += [[c, *inp, "--field", "f3"] for c in ("quotient", "tor", "verify")]
+    commands += [["sharp", "--dims", "1", "2"], ["corpus", "--seed", "5", "--count", "2"]]
+    for argv in commands:
+        run(capsys, *argv)
+    assert len(dumped) == len(commands)
+    for obj, text in dumped:
+        assert text == json.dumps(obj, indent=2)

@@ -1,12 +1,16 @@
 """Built-in corpus members have the structure the rest of the suite relies on."""
 
+import random
 from collections import Counter
 
-from srbetti.complexes import vertices_of
+import pytest
+
+from srbetti.complexes import from_facets, submasks, vertices_of
 from srbetti.corpus import (
     acceptance_corpus,
     cycle_complex,
     named_corpus,
+    random_complex,
     random_corpus,
     rp2_complex,
 )
@@ -46,3 +50,25 @@ def test_acceptance_corpus_size():
     members = acceptance_corpus()
     assert len(members) == len(named_corpus()) + 200
     assert all(K.m <= 7 for _, K in members)
+
+
+def _random_complex_reference(m, density, seed):
+    """random_complex's draws spelled out: one per subset of [m], in the
+    order (size, mask)."""
+    rng = random.Random(seed)
+    full = (1 << m) - 1
+    facets = [
+        s
+        for s in sorted(submasks(full), key=lambda s: (s.bit_count(), s))
+        if s.bit_count() >= 2 and rng.random() < density * 2.0 ** (-s.bit_count())
+    ]
+    return from_facets(m, facets + [1 << j for j in range(m)])
+
+
+@pytest.mark.parametrize("m", [2, 4, 7, 10])
+def test_random_complex_draws_in_the_reference_order(m):
+    # the sort by size alone is stable over range(2^m), so each draw meets
+    # the same subset as before and every seed keeps its complex
+    for density in (0.0, 0.3, 0.6, 1.0):
+        for seed in range(8):
+            assert random_complex(m, density, seed) == _random_complex_reference(m, density, seed)

@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -274,3 +276,17 @@ def test_cache_clear_empties_every_cache_of_rank_results():
     reduced_cohomology_dims.cache_clear()
     kept = {name for name, cache in caches.items() if cache.cache_info().currsize}
     assert kept - _RANK_FREE_CACHES == set()
+
+
+def test_importing_the_cli_starts_no_process_pool_machinery():
+    # only `corpus --jobs N` with N > 1 needs the pool; importing it at start-up
+    # pulls in multiprocessing, socket and pickle for every command
+    code = (
+        "import sys, srbetti.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
