@@ -64,7 +64,7 @@ def betti_number(K: SimplicialComplex, i: int, omega, f: FieldSpec) -> int:
 
 
 def subcomplex_cohomology(K: SimplicialComplex, omega: int, f: FieldSpec) -> Mapping[int, int]:
-    """Reduced cohomology dimensions of K|ω (shared cached primitive)."""
+    """Reduced cohomology dimensions of K|ω, read from the one per-ω store."""
     return reduced_cohomology_dims(K, f, omega)
 
 

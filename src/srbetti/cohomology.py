@@ -45,7 +45,7 @@ class CochainComplex:
 
     ``d[q]`` maps degree q to degree q+1 and has shape size(q+1) x size(q).
     Degrees run over the contiguous range lo..hi; sizes outside are zero.
-    ``checked`` records that d∘d = 0 was verified when the maps were built.
+    :func:`assemble` checks d∘d = 0 as it builds; :func:`cohomology_dims` rechecks.
     """
 
     lo: int
@@ -53,7 +53,6 @@ class CochainComplex:
     sizes: dict[int, int]
     d: dict[int, SparseMap]
     labels: dict[int, list] | None = field(default=None, repr=False)
-    checked: bool = field(default=False, repr=False)
 
     def size(self, q: int) -> int:
         return self.sizes.get(q, 0)
@@ -84,7 +83,6 @@ class CochainComplex:
         for q in range(self.lo, self.hi):
             labels = self.labels.get(q + 2) if self.labels else None
             _check_composite(self.differential(q), self.differential(q + 1), q, labels)
-        self.checked = True
 
 
 def _check_composite(first: SparseMap, second: SparseMap, q: int, labels=None) -> None:
@@ -138,7 +136,7 @@ def assemble(bases: dict[int, list], rule: Callable) -> CochainComplex:
     the empty basis; each basis is sorted.  No basis at all gives the zero
     complex."""
     if not bases:
-        return CochainComplex(0, 0, {0: 0}, {}, {0: []}, checked=True)
+        return CochainComplex(0, 0, {0: 0}, {}, {0: []})
     lo, hi = min(bases), max(bases)
     labels = {q: sorted(bases.get(q, ())) for q in range(lo, hi + 1)}
     d: dict[int, SparseMap] = {}
@@ -147,15 +145,14 @@ def assemble(bases: dict[int, list], rule: Callable) -> CochainComplex:
         if q > lo:
             _check_composite(d[q - 1], d[q], q - 1, labels[q + 1])
     sizes = {q: len(labels[q]) for q in range(lo, hi + 1)}
-    return CochainComplex(lo, hi, sizes, d, labels, checked=True)
+    return CochainComplex(lo, hi, sizes, d, labels)
 
 
 def cohomology_dims(C: CochainComplex, f: FieldSpec) -> dict[int, int]:
     """dim H^q = (size(q) - rank d_q) - rank d_{q-1}; zero entries omitted.
 
-    A complex that was not checked when it was built is checked here."""
-    if not C.checked:
-        C.check_dd_zero()
+    C's shapes and d∘d = 0 are checked first, on the maps as they are now."""
+    C.check_dd_zero()
     lo = C.lo
     sizes = [C.size(q) for q in range(lo, C.hi + 1)]
     ranks = [rank(C.differential(q), f) for q in range(lo, C.hi + 1)]
@@ -327,29 +324,29 @@ _walker = rank_cache(16)(_Walker)  # one walker per K, for every field
 
 @rank_cache(1 << 18)
 def _result(K: SimplicialComplex, omega: int) -> tuple[Mapping[int, int], dict | None]:
-    return _walker(K).result(omega)  # shared by every field's sweep
+    return _walker(K).result(omega)  # the one per-ω store, for every field
 
 
-@lru_cache(maxsize=1 << 18)
 def reduced_cohomology_dims(
     K: SimplicialComplex, f: FieldSpec, omega: int | None = None
 ) -> Mapping[int, int]:
     """Reduced cohomology dimensions of K|ω over f, ω all of [m] when None
-    (cached, read-only view).
+    (a read-only view of the one per-ω store).
 
     C^*(K|ω) is not built: its rows are read off K's own complex, built and
-    d∘d-checked once per K by K's walker, whose per-ω results serve every
-    field.  ``cache_clear`` also clears every :func:`rank_cache`: the
+    d∘d-checked once per K by K's walker.  ω's result is kept once for every
+    field, and only its residual rows, rare, are ranked over f.  ``cache_info``
+    is that store's; ``cache_clear`` clears every :func:`rank_cache`: the
     walkers, their results and the colored blocks of ``tor``.
     """
     om = K.full_mask if omega is None else _within(K, omega)
     return field_dims(*_result(K, om), f)
 
 
-def _cache_clear(clear=reduced_cohomology_dims.cache_clear) -> None:
-    clear()
+def _cache_clear() -> None:
     for cache in _rank_caches:
         cache.cache_clear()
 
 
 reduced_cohomology_dims.cache_clear = _cache_clear
+reduced_cohomology_dims.cache_info = _result.cache_info

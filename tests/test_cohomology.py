@@ -440,6 +440,17 @@ def test_dd_zero_checked_on_every_reduced_complex():
         reduced_cochain_complex(K).check_dd_zero()
 
 
+def test_cohomology_dims_checks_a_complex_edited_after_it_was_built():
+    # assemble checked d∘d on the maps it built; one sign flipped since then,
+    # in the row of the first edge in d_0, breaks d_0 ∘ d_{-1} at that edge
+    C = reduced_cochain_complex(rp2_complex())
+    (j, a), *rest = C.d[0].data[0]
+    C.d[0].data[0] = [(j, -a), *rest]
+    with pytest.raises(NotAComplex) as err:
+        cohomology_dims(C, QQ)
+    assert (err.value.q, err.value.label) == (-1, C.labels[1][0])
+
+
 def test_cached_dims_cannot_be_corrupted_by_a_caller():
     K = boundary_simplex(2)
     d = reduced_cohomology_dims(K, QQ)
@@ -475,7 +486,7 @@ def test_assemble_sorts_each_basis_and_fills_a_degree_gap():
     # 10 to 1 + 2 and 20 to -2
     rule = {10: [(1, 1), (1, 2)], 20: [(-1, 2)]}.get
     C = assemble({2: [7], -1: [20, 10], 0: [2, 1]}, lambda x: rule(x, []))
-    assert (C.lo, C.hi, C.checked) == (-1, 2, True)
+    assert (C.lo, C.hi) == (-1, 2)
     assert C.labels == {-1: [10, 20], 0: [1, 2], 1: [], 2: [7]}
     assert C.sizes == {-1: 2, 0: 2, 1: 0, 2: 1}
     assert C.differential(-1).data == [[(0, 1)], [(0, 1), (1, -1)]]
@@ -484,5 +495,5 @@ def test_assemble_sorts_each_basis_and_fills_a_degree_gap():
 
 def test_assemble_with_no_basis_is_the_zero_complex():
     C = assemble({}, lambda x: [])
-    assert (C.lo, C.hi, C.sizes, C.d, C.labels, C.checked) == (0, 0, {0: 0}, {}, {0: []}, True)
+    assert (C.lo, C.hi, C.sizes, C.d, C.labels) == (0, 0, {0: 0}, {}, {0: []})
     assert cohomology_dims(C, QQ) == {}

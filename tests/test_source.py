@@ -16,8 +16,8 @@ import srbetti
 from srbetti.betti import betti_table
 from srbetti.cohomology import reduced_cohomology_dims
 from srbetti.coloring import greedy_coloring
-from srbetti.corpus import cycle_complex
-from srbetti.linalg import QQ
+from srbetti.corpus import cycle_complex, rp2_complex
+from srbetti.linalg import GF2, GF3, QQ
 from srbetti.tor import quotient_cohomology_dims, tor_dims, verify_tor_threeway
 
 SRC = Path(srbetti.__file__).resolve().parent
@@ -276,6 +276,23 @@ def test_cache_clear_empties_every_cache_of_rank_results():
     reduced_cohomology_dims.cache_clear()
     kept = {name for name, cache in caches.items() if cache.cache_info().currsize}
     assert kept - _RANK_FREE_CACHES == set()
+
+
+def test_the_tables_of_further_fields_add_no_cache_entry():
+    # each ω is kept once for every field: after the ℚ table of K, those over
+    # GF(2) and GF(3), which differ from it on RP², store nothing new, and
+    # equal the tables computed from cleared caches
+    K = rp2_complex()
+    reduced_cohomology_dims.cache_clear()
+    betti_table(K, QQ)
+    caches = _functools_caches()
+    sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    tables = {f: betti_table(K, f).entries for f in (GF2, GF3)}
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == sizes
+    assert tables[GF2] != tables[GF3]
+    for f, entries in tables.items():
+        reduced_cohomology_dims.cache_clear()
+        assert betti_table(K, f).entries == entries, f
 
 
 def test_importing_the_cli_starts_no_process_pool_machinery():
