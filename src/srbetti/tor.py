@@ -29,15 +29,17 @@ pattern min(w_i, 2).
 
 A piece with some w_i >= 2 is in fact acyclic: t_i acts on it only through
 the σ-vertex v of color i, and H(σ, h, I) = κ(i, I∪{i})·(σ, h - e_v, I∪{i})
-inverts that action, so dH + Hd = id.  tor_dims does not assume this: its
-first call at a bound >= 2 checks the identity over ℤ on the piece of each
-such pattern (:func:`_certify`, once per coloring) and raises NotAComplex on
-a failure, so only the e = 0 pieces are built.  The piece 1_L and the
-quotient's L-block are the same matrices under (σ, 1_σ, I) ↔ (σ, I):
-verify_tor_threeway builds each once per (K, α, L) and compares them entry
-by entry, tor_dims builds the piece alone and quotient_cohomology_dims the
-block alone; one of them is ranked, by one elimination over ℤ for every
-field (:func:`_e0_dims`).
+inverts that action, so dH + Hd = id.  tor_dims does not assume this.  As
+(σ, I, w) fix h, each piece lifts one weight-free rule on shapes (σ, I)
+(:func:`_koszul_terms`): the first tor_dims at a bound >= 2 checks the
+identity over ℤ once per L and color i, on the shapes Ũ(L, i) of the pieces
+(L, e) whose e has least color i (:func:`_certify`, once per coloring), and
+raises NotAComplex on a failure, so only the e = 0 pieces are built.  The
+piece 1_L and the quotient's L-block are the same matrices under
+(σ, 1_σ, I) ↔ (σ, I): verify_tor_threeway builds each once per (K, α, L) and
+compares them entry by entry, tor_dims builds the piece alone and
+quotient_cohomology_dims the block alone; one of them is ranked, by one
+elimination over ℤ for every field (:func:`_e0_dims`).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .coloring import (
     require_nondegenerate,
 )
 from .complexes import SimplicialComplex, submasks, vertices_of
-from .errors import MismatchFound, NotAComplex, StabilizationNotReached
+from .errors import MismatchFound, NotAComplex, NotAMember, StabilizationNotReached
 from .linalg import FieldSpec
 
 # A Koszul generator t_I v^(σ,h) and equally a fattened cell: h is a weight
@@ -91,8 +93,10 @@ class _Ctx:
         self.certified: int | None = None  # set by the first tor_dims at a bound >= 2
 
     def sigma_vertex(self, sigma: int, i: int) -> int:
-        """The unique vertex of σ in block i (nondegeneracy)."""
+        """The unique vertex of σ in block i (nondegeneracy); NotAMember if none."""
         inter = sigma & self.alpha.blocks[i - 1]
+        if not inter:
+            raise NotAMember(f"the face {vertices_of(sigma)} has no vertex of color {i}")
         return inter.bit_length()
 
 
@@ -126,31 +130,30 @@ def x_cell_dim(gen: Gen) -> int:
     return imask.bit_count() + 2 * sum(h)
 
 
-def koszul_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
-    """Differential via the module structure: each t_i maps to Σ_{j∈α_i} v_j,
-    and v_j multiplies v^(σ,h) in the face ring (zero if σ∪{j} is a nonface).
-    """
-    sigma, h, imask = gen
+def _koszul_terms(ctx: _Ctx, sigma: int, imask: int):
+    """The Koszul rule on the weight-free shape (σ, I): each t_i, i ∈ I, maps
+    to Σ_{j∈α_i} v_j, and v_j multiplies v^σ in the face ring (zero if σ∪{j}
+    is a nonface).  Yields (coefficient, σ', I', j); the term raises the
+    weight of j."""
     # face-ring membership, not K.coface_vertices: the three-way check must not rest on it
     faces = ctx.K.faces
-    out = []
     sign = 1
     for i in vertices_of(imask):
-        bit = 1 << (i - 1)
-        new_imask = imask & ~bit
+        new_imask = imask & ~(1 << (i - 1))
         for j in ctx.block_verts[i - 1]:
             jbit = 1 << (j - 1)
             if sigma & jbit:
-                new_sigma = sigma
+                yield sign, sigma, new_imask, j
             elif sigma | jbit in faces:
-                new_sigma = sigma | jbit
-            else:
-                continue
-            new_h = list(h)
-            new_h[j - 1] += 1
-            out.append((sign, (new_sigma, tuple(new_h), new_imask)))
+                yield sign, sigma | jbit, new_imask, j
         sign = -sign
-    return out
+
+
+def koszul_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
+    """d(t_I v^(σ,h)): :func:`_koszul_terms`, each term raising h at its j."""
+    sigma, h, imask = gen
+    terms = _koszul_terms(ctx, sigma, imask)
+    return [(c, (s, h[: j - 1] + (h[j - 1] + 1,) + h[j:], t)) for c, s, t, j in terms]
 
 
 def x_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
@@ -345,50 +348,57 @@ def koszul_piece(
         raise NotAComplex(f"{exc}; piece w={w}", q=exc.q, label=exc.label, weight=w) from exc
 
 
-def _homotopy(ctx: _Ctx, i: int, gen: Gen) -> list[tuple[int, Gen]]:
-    """H(σ, h, I) = κ(i, I∪{i})·(σ, h - e_v, I∪{i}) for the σ-vertex v of
-    color i, and 0 when i ∈ I: the signed inverse of the t_i-part of d."""
-    sigma, h, imask = gen
+def _homotopy(i: int, sigma: int, imask: int) -> list[tuple[int, tuple[int, int]]]:
+    """H(σ, I) = κ(i, I∪{i})·(σ, I∪{i}), and 0 when i ∈ I: the signed inverse
+    of the t_i-part of the Koszul rule; lifted to weights, it lowers h at the
+    σ-vertex of color i."""
     bit = 1 << (i - 1)
-    if imask & bit:
-        return []
-    new_h = list(h)
-    new_h[ctx.sigma_vertex(sigma, i) - 1] -= 1
-    return [(kappa(i, imask | bit), (sigma, tuple(new_h), imask | bit))]
+    return [] if imask & bit else [(kappa(i, imask | bit), (sigma, imask | bit))]
 
 
 def _certify(ctx: _Ctx) -> int:
-    """Check the contraction of the piece of each clamped pattern with a
-    coordinate >= 2, one per L ⊆ [r] and nonzero face color set e ⊆ L, and
-    count them; a failure raises :class:`~srbetti.errors.NotAComplex` naming
-    w, the generator and its degree q = -|I|."""
+    """Check the contraction of every piece with a coordinate >= 2, one per
+    (L, i) (:func:`_contraction_failure`), and count the patterns (L, e), one
+    per L ⊆ [r] and nonzero face color set e ⊆ L; a failure raises
+    :class:`~srbetti.errors.NotAComplex` naming the smallest piece holding the
+    failing shape, e = J ∪ {i}, its generator there and q = -|I|."""
     count = 0
     for lmask in submasks(ctx.alpha.full_color_mask):
-        for emask in ctx.faces_by_colorset:
-            if emask and not emask & ~lmask:
-                w = _pattern_weight(lmask, emask, ctx.r)
-                failure = _contraction_failure(ctx, w, (emask & -emask).bit_length())
-                if failure:
-                    gen, what = failure
-                    message = f"contraction certificate fails at {gen!r}: {what}; piece w={w}"
-                    raise NotAComplex(message, q=-gen[2].bit_count(), label=gen, weight=w)
-                count += 1
+        inside = [e for e in ctx.faces_by_colorset if e and not e & ~lmask]
+        count += len(inside)
+        for ibit in sorted({e & -e for e in inside}):
+            if failure := _contraction_failure(ctx, lmask, ibit):
+                (sigma, imask), what = failure
+                w = _pattern_weight(lmask, imask & ctx.colorsets[sigma] | ibit, ctx.r)
+                gen = next(g for g in _piece_generators(ctx, w) if (g[0], g[2]) == (sigma, imask))
+                message = f"contraction certificate fails at {gen!r}: {what}; piece w={w}"
+                raise NotAComplex(message, q=-imask.bit_count(), label=gen, weight=w)
     return count
 
 
-def _contraction_failure(ctx: _Ctx, w: tuple[int, ...], i: int):
-    """Where the piece w fails to carry :func:`_homotopy` for the color i,
-    checked over ℤ generator by generator: d and H stay in the piece,
-    d∘d = 0 and dH + Hd = id, which make it acyclic over every field.  The
-    first failing generator and what fails there, or None."""
-    gens = list(_piece_generators(ctx, w))
-    index = {gen: k for k, gen in enumerate(gens)}
-    # d and H on generator positions; None marks a target outside the piece
-    d = [[(c, index.get(t)) for c, t in koszul_coboundary(ctx, gen)] for gen in gens]
-    hom = [[(c, index.get(t)) for c, t in _homotopy(ctx, i, gen)] for gen in gens]
-    for k, gen in enumerate(gens):
-        if any(t is None for row in (d[k], hom[k]) for _, t in row):
-            return gen, "d or H leaves the piece"
+def _contraction_failure(ctx: _Ctx, lmask: int, ibit: int):
+    """The first shape of Ũ(L, i) where the contraction :func:`_homotopy`
+    fails over ℤ, and what fails there, or None.  Ũ(L, i) holds the (σ, I)
+    with i ∈ I_α(σ) ⊆ L, I = (L ∖ I_α(σ)) ∪ J and J ⊆ I_α(σ) ∩ [i, r]; the
+    piece (L, e) those with e ⊆ I_α(σ) and J ⊆ e.  Each target of d or H must
+    stay in every piece holding its source (I_α(σ) ∩ [i, r] ⊆ I_α(σ') and
+    J' ⊆ J ∪ {i}); then d∘d = 0 and dH + Hd = id make each piece acyclic."""
+    i, low = ibit.bit_length(), ibit - 1  # low: the colors below i
+    shapes, csets = [], []
+    for cset, faces in ctx.faces_by_colorset.items():
+        if cset & ibit and not cset & ~lmask:
+            for jmask in submasks(cset & ~low):
+                shapes += [(sigma, lmask & ~cset | jmask) for sigma, _pairs in faces]
+                csets += [cset] * len(faces)
+    index = {shape: k for k, shape in enumerate(shapes)}
+    # d and H on shape positions; None marks a target outside Ũ(L, i)
+    d = [[(c, index.get((s, t))) for c, s, t, _j in _koszul_terms(ctx, *sh)] for sh in shapes]
+    hom = [[(c, index.get(t)) for c, t in _homotopy(i, *sh)] for sh in shapes]
+    for k, (_sigma, imask) in enumerate(shapes):
+        keep, jk = csets[k] & ~low, imask & csets[k] | ibit
+        for _c, t in d[k] + hom[k]:
+            if t is None or keep & ~csets[t] or shapes[t][1] & csets[t] & ~jk:
+                return shapes[k], "d or H leaves the piece"
     for k, dk in enumerate(d):
         dd: dict[int, int] = {}
         acc = {k: -1}  # dH + Hd - id
@@ -401,7 +411,7 @@ def _contraction_failure(ctx: _Ctx, w: tuple[int, ...], i: int):
             for c2, t2 in d[t]:
                 acc[t2] = acc.get(t2, 0) + c * c2
         if any(dd.values()) or any(acc.values()):
-            return gens[k], "d∘d != 0" if any(dd.values()) else "dH + Hd != id"
+            return shapes[k], "d∘d != 0" if any(dd.values()) else "dH + Hd != id"
     return None
 
 

@@ -190,12 +190,12 @@ def test_field_is_refused_where_it_is_never_read(argv):
 
 
 def test_a_failed_contraction_certificate_exits_1(square_file, capsys, monkeypatch):
-    # mutation check: a homotopy that drops one term of the piece w = (2, 1)
+    # mutation check: a homotopy that drops its term at the shape ({1}, {2}),
+    # whose smallest piece is w = (2, 1)
     good = srbetti.tor._homotopy
-    dropped = (mask_of([1]), (2, 0, 0, 0), 0b10)
 
-    def lossy(ctx, i, gen):
-        return [] if gen == dropped else good(ctx, i, gen)
+    def lossy(i, sigma, imask):
+        return [] if (sigma, imask) == (mask_of([1]), 0b10) else good(i, sigma, imask)
 
     monkeypatch.setattr(srbetti.tor, "_homotopy", lossy)
     srbetti.tor._context.cache_clear()  # the count of an earlier run is kept there

@@ -31,6 +31,7 @@ from srbetti.errors import (
     DegeneratePartition,
     MismatchFound,
     NotAComplex,
+    NotAMember,
     StabilizationNotReached,
 )
 from srbetti.linalg import GF2, GF3, QQ
@@ -466,20 +467,26 @@ def test_tor_dims_counts_certified_patterns_without_fallback(fresh_certificates)
     assert verify_tor_threeway(K, alpha, GF3).table.certified == 5
 
 
+def _count_shapes(monkeypatch):
+    """Count the shapes (σ, I) the certificate checks: one homotopy call each."""
+    good = srbetti.tor._homotopy
+    calls = []
+
+    def counted(i, sigma, imask):
+        calls.append((i, sigma, imask))
+        return good(i, sigma, imask)
+
+    monkeypatch.setattr(srbetti.tor, "_homotopy", counted)
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore::srbetti.errors.StabilizationNotReached")
 def test_the_certificate_is_checked_once_per_coloring(monkeypatch, fresh_certificates):
     # the first field's tor_dims checks every piece; later fields and bounds
     # read the count and call the homotopy no more
     K = random_complex(6, 0.6, 5)
     alpha = greedy_coloring(K)
-    good = srbetti.tor._homotopy
-    calls = []
-
-    def counted(ctx, i, gen):
-        calls.append(gen)
-        return good(ctx, i, gen)
-
-    monkeypatch.setattr(srbetti.tor, "_homotopy", counted)
+    calls = _count_shapes(monkeypatch)
     certified = tor_dims(K, alpha, QQ).certified
     assert certified > 0 and calls
     calls.clear()
@@ -487,6 +494,29 @@ def test_the_certificate_is_checked_once_per_coloring(monkeypatch, fresh_certifi
         assert tor_dims(K, alpha, f, bound).certified == certified
     assert verify_tor_threeway(K, alpha, GF3).table.certified == certified
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "K, alpha, shapes, generators",
+    [
+        (*square_with_coloring(), 40, 48),
+        (random_complex(6, 0.6, 5), None, 1164, 1744),
+    ],
+)
+def test_the_certificate_checks_each_shape_once_per_least_color(
+    monkeypatch, fresh_certificates, K, alpha, shapes, generators
+):
+    # the work of the certificate: the shapes of every Ũ(L, i), each checked
+    # once, against the generators of the pieces (L, e) it stands for.  On
+    # the square, L = {1, 2} checks 20 shapes for i = 1 and 12 for i = 2,
+    # and L = {1}, {2} check 4 each; its pieces hold 12 + 12 + 16 + 4 + 4
+    alpha = alpha or greedy_coloring(K)
+    calls = _count_shapes(monkeypatch)
+    tor_dims(K, alpha, QQ)
+    ctx = _context(K, alpha)
+    pieces = sum(len(list(_piece_generators(ctx, w))) for w in _high_patterns(K, alpha))
+    assert (len(calls), pieces) == (shapes, generators)
+    assert len(set(calls)) == len(calls) < pieces
 
 
 def _certificate_failure(monkeypatch, K, alpha, match):
@@ -508,65 +538,102 @@ def _certificate_failure(monkeypatch, K, alpha, match):
     return exc
 
 
+def _mutate_terms(monkeypatch, mutation):
+    """Run the Koszul shape rule through ``mutation(shape, terms)``."""
+    good = srbetti.tor._koszul_terms
+
+    def mutated(ctx, sigma, imask):
+        return mutation((sigma, imask), list(good(ctx, sigma, imask)))
+
+    monkeypatch.setattr(srbetti.tor, "_koszul_terms", mutated)
+
+
 def test_flipped_sign_in_the_koszul_coboundary_is_caught(monkeypatch, fresh_certificates):
-    # mutation check: one wrong sign in d({1}, (1,0,0,0), {1, 2}), a generator
-    # of the piece w = (2, 1), fails its certificate, which names the piece
+    # mutation check: one wrong sign in the rule at the shape ({1}, {1, 2}),
+    # whose smallest piece is w = (2, 1), fails the certificate of
+    # Ũ({1, 2}, 1), which names the shape's generator in that piece
     K, alpha = square_with_coloring()
-    good = srbetti.tor.koszul_coboundary
-    bad_gen = (mask_of([1]), (1, 0, 0, 0), 0b11)
+    bad = (mask_of([1]), 0b11)
 
-    def flipped(ctx, gen):
-        out = good(ctx, gen)
-        if gen == bad_gen:
-            (coeff, target), *rest = out
-            out = [(-coeff, target), *rest]
-        return out
+    def flipped(shape, terms):
+        if shape == bad:
+            (coeff, *target), *rest = terms
+            terms = [(-coeff, *target), *rest]
+        return terms
 
-    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", flipped)
+    _mutate_terms(monkeypatch, flipped)
     exc = _certificate_failure(monkeypatch, K, alpha, "contraction certificate fails")
-    assert exc.label == bad_gen and exc.q == -2
+    assert exc.label == (mask_of([1]), (1, 0, 0, 0), 0b11) and exc.q == -2
 
 
 def test_certificate_checks_d_squared_on_its_own(monkeypatch, fresh_certificates):
     # mutation check: d' = d + H still satisfies d'H + Hd' = id, as H∘H = 0,
     # but d'∘d' = dH + Hd = id; only the d∘d leg of the certificate sees it
     K, alpha = square_with_coloring()
-    good = srbetti.tor.koszul_coboundary
 
-    def skewed(ctx, gen):
-        return good(ctx, gen) + srbetti.tor._homotopy(ctx, 1, gen)
+    def skewed(shape, terms):  # the certificate reads no vertex j
+        return terms + [(c, *t, None) for c, t in srbetti.tor._homotopy(1, *shape)]
 
-    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", skewed)
+    _mutate_terms(monkeypatch, skewed)
     _certificate_failure(monkeypatch, K, alpha, "d∘d != 0")
 
 
 def test_a_target_outside_the_piece_fails_the_certificate(monkeypatch, fresh_certificates):
+    # every target loses its face: (∅, I') lies in no Ũ(L, i)
     K, alpha = square_with_coloring()
-    good = srbetti.tor.koszul_coboundary
-
-    def leaky(ctx, gen):
-        # every target one unit heavier on each of its vertices
-        return [
-            (c, (sigma, tuple(x + 1 if x else 0 for x in h), imask))
-            for c, (sigma, h, imask) in good(ctx, gen)
-        ]
-
-    monkeypatch.setattr(srbetti.tor, "koszul_coboundary", leaky)
+    _mutate_terms(monkeypatch, lambda shape, terms: [(c, 0, t, j) for c, _s, t, j in terms])
     _certificate_failure(monkeypatch, K, alpha, "d or H leaves the piece")
 
 
+@pytest.mark.parametrize(
+    "source, target, label",
+    [
+        # the piece e = {1, 2} holds ({1, 2}, ∅), not ({1}, {2}): the target
+        # drops the σ-vertex of the color 2 ∈ e ∖ {1}
+        ((mask_of((1, 2)), 0b00), (mask_of([1]), 0b10), (mask_of((1, 2)), (2, 1, 0, 0), 0)),
+        # the piece e = {1} holds ({1, 2}, {1}), not ({1, 2}, {2}): J' = {2}
+        # gains a color outside J ∪ {1}
+        ((mask_of((1, 2)), 0b01), (mask_of((1, 2)), 0b10), (mask_of((1, 2)), (1, 1, 0, 0), 1)),
+    ],
+)
+def test_a_target_in_the_shape_complex_but_outside_a_piece_fails(
+    monkeypatch, fresh_certificates, source, target, label
+):
+    # mutation checks: both targets lie in Ũ({1, 2}, 1), so only the check
+    # that each target stays in every piece holding its source sees them
+    K, alpha = square_with_coloring()
+
+    def extended(shape, terms):  # the certificate reads no vertex j
+        return terms + [(1, *target, None)] if shape == source else terms
+
+    _mutate_terms(monkeypatch, extended)
+    exc = _certificate_failure(monkeypatch, K, alpha, "d or H leaves the piece")
+    assert exc.label == label
+
+
 def test_a_homotopy_with_a_term_dropped_is_caught(monkeypatch, fresh_certificates):
+    # mutation check: H drops its term at the shape ({1}, {2}), whose
+    # smallest piece is w = (2, 1)
     K, alpha = square_with_coloring()
     good = srbetti.tor._homotopy
-    dropped = (mask_of([1]), (2, 0, 0, 0), 0b10)  # in the piece w = (2, 1)
 
-    def lossy(ctx, i, gen):
-        return [] if gen == dropped else good(ctx, i, gen)
+    def lossy(i, sigma, imask):
+        return [] if (sigma, imask) == (mask_of([1]), 0b10) else good(i, sigma, imask)
 
     monkeypatch.setattr(srbetti.tor, "_homotopy", lossy)
     _certificate_failure(monkeypatch, K, alpha, "dH \\+ Hd != id")
     with pytest.raises(NotAComplex):  # a failure is not remembered as a count
         verify_tor_threeway(K, alpha, GF2)
+
+
+def test_sigma_vertex_refuses_a_face_without_the_color():
+    # a face with no vertex of color i has no weight to raise or lower there:
+    # reading bit_length() = 0 would index h[-1], the last vertex
+    K, alpha = square_with_coloring()
+    ctx = _context(K, alpha)
+    assert ctx.sigma_vertex(mask_of((1, 2)), 2) == 2
+    with pytest.raises(NotAMember, match=re.escape("the face (1,) has no vertex of color 2")):
+        ctx.sigma_vertex(mask_of([1]), 2)
 
 
 def test_tor_dims_stabilization_flag_low_bound():
