@@ -6,11 +6,11 @@ the reduced cohomology of the full subcomplex K|ω in degree |ω|-i-1.  The
 2^m sweep never re-indexes or rebuilds K|ω:
 :func:`~srbetti.cohomology.reduced_cohomology_dims` reads its cochain complex
 off K's own, which is built and d∘d-checked once per K and shared by every ω
-and every field.  The sweeps visit ω in descending mask order, which keeps
-ω minus its smallest vertex on the walker's chain, so each ω reduces only
-the rows through that vertex.  The moment-angle dimensions are computed
-twice, once directly from subcomplex cohomology and once through the Betti
-table, and the two routes must agree.
+and every field.  The sweeps visit ω in the walker's order (busiest vertices
+last, :func:`~srbetti.cohomology.sweep_order`), which keeps ω's parent on its
+chain, so each ω reduces only the rows through one vertex.  The moment-angle
+dimensions are computed twice, once directly from subcomplex cohomology and
+once through the Betti table, and the two routes must agree.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .complexes import SimplicialComplex, _within, submasks, vertices_of
+from .complexes import SimplicialComplex, _within, vertices_of
 from .errors import MismatchFound
-from .cohomology import reduced_cohomology_dims
+from .cohomology import reduced_cohomology_dims, sweep_order
 from .linalg import FieldSpec
 
 
@@ -71,7 +71,7 @@ def subcomplex_cohomology(K: SimplicialComplex, omega: int, f: FieldSpec) -> Map
 def betti_table(K: SimplicialComplex, f: FieldSpec) -> BettiTable:
     """All nonzero β_{i,ω}; 2^m subcomplex cohomology computations."""
     table = BettiTable(K.m, f)
-    for om in submasks(K.full_mask):
+    for om in sweep_order(K):
         card = om.bit_count()
         # the dims are nonzero and deg <= |ω| - 1, so every i = |ω| - deg - 1 is >= 0
         for deg, d in subcomplex_cohomology(K, om, f).items():
@@ -89,7 +89,7 @@ def zk_cohomology_dims_two_routes(
     dim H^q = Σ_ω β_{2|ω|-q, ω}.
     """
     direct: dict[int, int] = {}
-    for om in submasks(K.full_mask):
+    for om in sweep_order(K):
         shift = om.bit_count() + 1
         for deg, d in subcomplex_cohomology(K, om, f).items():
             q = deg + shift

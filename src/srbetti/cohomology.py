@@ -15,10 +15,11 @@ built and checked once per complex K, by K's one walker, and the cohomology
 of a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to
 the rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
 are reduced incrementally, as in persistent homology (Edelsbrunner–Letscher–
-Zomorodian 2002): K|ω is K|(ω ∖ min ω) plus the faces through min ω, so the
-walker extends the elimination over ℤ, for every field, of a prefix of ω,
-from the largest faces down, clearing each face that a row one size up has
-as its unit pivot: by d∘d = 0 its row adds no rank (Chen–Kerber, 2011).
+Zomorodian 2002): K|ω is K|(ω ∖ v) plus the faces through v, the least vertex
+of ω with busy vertices last (:func:`sweep_order`), so the walker extends the
+elimination over ℤ, for every field, of a prefix of ω, from the largest faces
+down, clearing each face that a row one size up has as its unit pivot: by
+d∘d = 0 its row adds no rank (Chen–Kerber, 2011).
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from threading import Lock
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .complexes import SimplicialComplex, _within
 from .errors import NotAComplex
@@ -186,21 +187,22 @@ class _Walker:
     """K's coboundary rows, eliminated over ℤ along a chain of full
     subcomplexes ∅ = ω_0 ⊂ … ⊂ ω_j, each adding a vertex below the last.
 
-    The reduced complex of K is built and d∘d-checked once, here, and its
-    rows are kept in one table.  Level j holds, per face size k, the number
-    of faces of K|ω_j, the number of unit pivots among their rows (of
-    d_{k-2}) and that elimination's state and residual (see
-    :func:`~srbetti.linalg.rank`).  A query pops back to the longest prefix
-    of ω's own chain and pushes ω's remaining vertices, so a sweep in
-    descending mask order pops once and pushes once per ω.  Pushing v
-    reduces only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the
-    parent's states, so a pop just drops a level and a failed push leaves
-    none.
+    It works on π(K), π ranking K's vertices by their number of faces, fewest
+    first, ties by label (``image``, ``preimage``): a sweep pushes each face
+    σ's row 2^(m − min σ − |σ| + 1) times.  K's reduced complex is built and
+    d∘d-checked once, here, in K's labels; its rows, re-indexed for π(K), are
+    kept in one table.  Level j holds, per face size k, the number of faces of
+    K|ω_j, the number of unit pivots among their rows (of d_{k-2}) and that
+    elimination's state and residual (:func:`~srbetti.linalg.rank`).  A query
+    pops back to the longest prefix of π(ω)'s chain and pushes the rest, so a
+    sweep in :func:`sweep_order` pops and pushes once per ω.  Pushing v reduces
+    only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the parent's
+    states, so a pop just drops a level and a failed push leaves none.
 
-    Rows list their columns in reverse order, so a pivot's key, its largest
-    column, is the face without the row's top vertex: for a row {v} ∪ σ with
-    σ ≠ ∅ one through v, which no parent pivot holds.  K's column order, or
-    growing faces by their smallest new vertex first, ran up to 1.5× slower.
+    Columns number π(K)'s faces in descending mask order, so a pivot's key,
+    its largest column, is the face without the row's top vertex: for a row
+    {v} ∪ σ, σ ≠ ∅, one through v, which no parent pivot holds.  Ascending
+    numbers, or growing faces by their least new vertex first, ran up to 1.5× slower.
 
     A push reduces its new faces from the largest size down and clears (skips)
     a size-k face whose key (``keys``) is a unit pivot of the size-(k+1) state
@@ -212,14 +214,19 @@ class _Walker:
     which shrinks where a row set aside meets a later unit pivot (``rows_*``)."""
 
     def __init__(self, K: SimplicialComplex):
-        self.cofaces = K.coface_vertices
-        by_card, d = K.faces_by_card, reduced_cochain_complex(K).d
+        order = sorted(range(K.m), key=lambda v: (sum(g >> v & 1 for g in K.faces), v))  # π⁻¹
+        self.image = _byte_tables(sorted(range(K.m), key=order.__getitem__))
+        self.preimage = _byte_tables(order)
+        d, lower = reduced_cochain_complex(K).d, K.faces_by_card  # checked in K's labels
+        pi = {g: _relabel(self.image, g) for g in K.faces}
+        P = SimplicialComplex(K.m, frozenset(pi.values()))
+        self.cofaces, by_card = P.coface_vertices, P.faces_by_card
         self.cols = cols = [len(level) for level in by_card]
-        self.rows = {
-            g: [(cols[k - 1] - 1 - c, a) for c, a in d[k - 2].data[i]]
-            for k in range(1, len(by_card)) for i, g in enumerate(by_card[k])
+        self.keys = keys = {g: cols[k] - 1 - i for k, lv in enumerate(by_card) for i, g in enumerate(lv)}
+        self.rows = {  # K's rows, re-indexed: each column is the key of its face in π(K)
+            pi[g]: [(keys[pi[lower[k - 1][c]]], a) for c, a in d[k - 2].data[i]]
+            for k in range(1, len(lower)) for i, g in enumerate(lower[k])
         }
-        self.keys = {g: cols[k] - 1 - i for k, lv in enumerate(by_card) for i, g in enumerate(lv)}
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
         self.chain = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)]
         self.lock = Lock()
@@ -254,6 +261,7 @@ class _Walker:
 
     def result(self, omega: int) -> tuple[Mapping[int, int], dict[int, SparseMap] | None]:
         """ω's dimensions from the unit ranks, and its residual (see :func:`field_dims`)."""
+        omega = _relabel(self.image, omega)
         with self.lock:
             chain = self.chain
             # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
@@ -270,6 +278,21 @@ class _Walker:
         cols = self.cols  # the rows of the faces of size k are those of d_{k-2}
         residual = {k - 2: SparseMap(len(r), cols[k - 1], r) for k, r in enumerate(residual) if r}
         return _dims(faces, ranks), residual
+
+
+def _byte_tables(target: list[int]) -> list[list[int]]:
+    """Per byte i of a mask, the table of its images under bit j ↦ bit target[j]."""
+    tables = [[0] for _ in range(0, max(len(target), 1), 8)]
+    for j, t in enumerate(target):
+        tables[j >> 3] += [x | 1 << t for x in tables[j >> 3]]
+    return tables
+
+
+def _relabel(tables: list[list[int]], mask: int) -> int:
+    out = 0
+    for table in tables:
+        out, mask = out | table[mask & 255], mask >> 8
+    return out
 
 
 def _dims(sizes: list[int], ranks: list[int], lo: int = -1) -> Mapping[int, int]:
@@ -320,6 +343,13 @@ def rank_cache(maxsize: int) -> Callable:
 
 
 _walker = rank_cache(16)(_Walker)  # one walker per K, for every field
+
+
+def sweep_order(K: SimplicialComplex) -> Iterator[int]:
+    """Every ω ⊆ [m] in K's labels, descending in π(ω): each ω's parent is on the walker's chain."""
+    tables = _walker(K).preimage
+    for top in range(K.full_mask >> 8, -1, -1):  # π(ω)'s high bytes, then its low byte
+        yield from map(_relabel(tables, top << 8).__or__, reversed(tables[0]))
 
 
 @rank_cache(1 << 18)

@@ -18,6 +18,7 @@ from srbetti.cohomology import (
     cohomology_dims,
     reduced_cochain_complex,
     reduced_cohomology_dims,
+    sweep_order,
 )
 from srbetti.complexes import (
     boundary_simplex,
@@ -184,25 +185,27 @@ SWEPT = [
     rp2_complex(),
     *(random_complex(7, d, s) for d in (0.5, 0.9) for s in (0, 1)),
     moore_space_mod_3(),
+    random_complex(9, 0.5, 0),  # the walker's order moves vertex 9 out of its mask's second byte
 ]
 
 
 def sweep(K, f):
-    """A fresh walker for K and its answers to every ω over f, asked in
-    descending mask order from empty caches, which are emptied again after
+    """A fresh walker for K and its answers to every ω over f, asked in the
+    package's sweep order from empty caches, which are emptied again after
     (``srbetti.cohomology.reduced_cohomology_dims``, which a test may patch)."""
     reduced_cohomology_dims.cache_clear()
     try:
         dims = srbetti.cohomology.reduced_cohomology_dims
-        answers = {omega: dims(K, f, omega) for omega in range(K.full_mask, -1, -1)}
+        answers = {omega: dims(K, f, omega) for omega in sweep_order(K)}
         return srbetti.cohomology._walker(K), answers
     finally:
         reduced_cohomology_dims.cache_clear()
 
 
 def test_walker_answers_a_descending_full_sweep():
-    # the betti_table order: every ω is pushed once, onto ω ∖ min ω, so every
-    # row that clearing skips is skipped here, which scattered queries miss
+    # the betti_table order: every ω is pushed once, onto ω minus its least
+    # vertex under the walker's order, so every row that clearing skips is
+    # skipped here, which scattered queries miss
     for K in SWEPT:
         for f in (QQ, GF2, GF3):
             for omega, dims in sweep(K, f)[1].items():
@@ -231,42 +234,75 @@ def test_a_push_that_clears_the_wrong_rows_is_caught(monkeypatch, code, mutant):
         test_walker_answers_a_descending_full_sweep()
 
 
+def busy_last(K):
+    """The walker's vertex order as 0-based vertex -> 0-based place: ascending
+    by the number of faces through the vertex, ties broken by label."""
+    through = [sum(g >> v & 1 for g in K.faces) for v in range(K.m)]
+    return {v: i for i, v in enumerate(sorted(range(K.m), key=lambda v: (through[v], v)))}
+
+
 def test_a_sweep_clears_rows_and_reduces_the_rest():
-    # every face a push adds is either reduced or cleared, and clearing does
+    # every face a push adds, one through the least vertex of ω under the
+    # walker's order, is either reduced or cleared, and clearing does
     # happen: a push that reduced bottom-up would clear nothing and still
     # answer every query right
     K = SWEPT[3]
+    place = busy_last(K)
+    assert place != {v: v for v in range(K.m)}
     walker, _ = sweep(K, QQ)
-    added = sum(
-        1
-        for omega in range(1, K.full_mask + 1)
-        for g in K.faces
-        if g & omega & -omega and not g & ~omega
-    )
+    added = 0
+    for omega in range(1, K.full_mask + 1):
+        least = min((v for v in range(K.m) if omega >> v & 1), key=place.get)
+        added += sum(1 for g in K.faces if g >> least & 1 and not g & ~omega)
     assert walker.rows_cleared > 0
     assert walker.rows_reduced + walker.rows_cleared == added
 
 
-def cone_over_suspended_rp2():
-    point, two_points = from_facets(1, [0b1]), from_facets(2, [0b01, 0b10])
-    return join(point, join(two_points, rp2_complex()))
+def pushed_rows(K, place):
+    """Σ 2^(m − min σ − |σ| + 1) over the faces σ ≠ ∅ of K, min σ the least
+    1-based place of a vertex of σ: the ω through σ whose least vertex is
+    σ's, one push of σ's row each."""
+    return sum(
+        2 ** (K.m - 1 - min(place[v] for v in range(K.m) if g >> v & 1) - g.bit_count() + 1)
+        for g in K.faces
+        if g
+    )
+
+
+def test_a_sweep_pushes_each_face_once_per_omega_it_leads_and_busy_vertices_last():
+    # the sweep order lists every ω once, descending in the walker's labels;
+    # the rows it pushes are those of the formula under that order, and no
+    # more than under K's own labels
+    for K in SWEPT:
+        place = busy_last(K)
+        relabeled = [sum(1 << place[v] for v in range(K.m) if om >> v & 1) for om in sweep_order(K)]
+        assert relabeled == list(range(K.full_mask, -1, -1))
+        walker, _ = sweep(K, QQ)
+        pushed = walker.rows_reduced + walker.rows_cleared
+        assert pushed == pushed_rows(K, place), K
+        assert pushed <= pushed_rows(K, {v: v for v in range(K.m)}), K
+
+
+def double_suspension_of_rp2():
+    two_points = from_facets(2, [0b01, 0b10])
+    return join(two_points, join(two_points, rp2_complex()))
 
 
 def test_a_sweep_counts_the_rows_it_sets_aside():
     # RP²'s ℤ/2 leaves one row with lead 2; a complex without torsion leaves
-    # none; on the cone over ΣRP², later unit pivots take two more rows out
-    # of the residual than pushes set aside
+    # none; on ΣΣRP², later unit pivots take two more rows out of the
+    # residual than pushes set aside
     assert sweep(rp2_complex(), QQ)[0].rows_residual == 1
     assert sweep(random_complex(7, 0.5, 0), QQ)[0].rows_residual == 0
-    assert sweep(cone_over_suspended_rp2(), QQ)[0].rows_residual == -2
+    assert sweep(double_suspension_of_rp2(), QQ)[0].rows_residual == -2
 
 
 def test_a_sweep_clears_by_unit_pivots_only():
-    # the cone over ΣRP² has a residual row one size up whose lead is the
-    # key of a face a push adds: clearing by it too would clear that face
-    # and still answer every ω right, so only the counts tell
-    walker, _ = sweep(cone_over_suspended_rp2(), QQ)
-    assert (walker.rows_reduced, walker.rows_cleared) == (3390, 3194)
+    # ΣΣRP² has a residual row one size up whose lead is the key of a face a
+    # push adds: clearing by it too would clear that face and still answer
+    # every ω right, so only the counts tell
+    walker, _ = sweep(double_suspension_of_rp2(), QQ)
+    assert (walker.rows_reduced, walker.rows_cleared) == (8066, 7734)
 
 
 def test_a_push_that_clears_by_a_residual_key_is_caught(monkeypatch):
@@ -459,10 +495,8 @@ def test_cached_dims_cannot_be_corrupted_by_a_caller():
     assert reduced_cohomology_dims(K, QQ) == {1: 1}
 
 
-def test_flipped_sign_in_the_reduced_builder_is_caught(monkeypatch):
-    # mutation check: one wrong sign in d_1 (edges -> triangles) of the
-    # 2-sphere must make the fused d∘d check fail on d_1 ∘ d_0, that is from
-    # degree 0, at a triangle
+def flip_a_sign_in_d1(monkeypatch):
+    """Make the builder flip the first entry of the first row of d_1 (edges -> triangles)."""
     build = srbetti.cohomology.coboundary_map
 
     def flipped(rule, lower, upper, q):
@@ -473,12 +507,36 @@ def test_flipped_sign_in_the_reduced_builder_is_caught(monkeypatch):
         return M
 
     monkeypatch.setattr(srbetti.cohomology, "coboundary_map", flipped)
+
+
+def test_flipped_sign_in_the_reduced_builder_is_caught(monkeypatch):
+    # mutation check: one wrong sign in d_1 (edges -> triangles) of the
+    # 2-sphere must make the fused d∘d check fail on d_1 ∘ d_0, that is from
+    # degree 0, at a triangle
+    flip_a_sign_in_d1(monkeypatch)
     K = boundary_simplex(3)
     with pytest.raises(NotAComplex) as err:
         reduced_cochain_complex(K)
     assert err.value.q == 0
     assert "from degree 0" in str(err.value)
     assert err.value.label == K.faces_by_card[3][0]
+
+
+def test_a_flipped_sign_is_named_in_the_complexs_own_labels(monkeypatch):
+    # the walker sweeps the cone over the 4-cycle with its apex, vertex 1,
+    # last; the same flipped sign as above must name the first triangle of K
+    # itself, {1, 2, 3}, and not its image {1, 2, 5} under that order
+    K = join(from_facets(1, [0b1]), cycle_complex(4))
+    assert busy_last(K)[0] == K.m - 1
+    flip_a_sign_in_d1(monkeypatch)
+    reduced_cohomology_dims.cache_clear()
+    try:
+        with pytest.raises(NotAComplex) as err:
+            reduced_cohomology_dims(K, QQ)
+    finally:
+        reduced_cohomology_dims.cache_clear()
+    assert err.value.q == 0
+    assert err.value.label == mask_of((1, 2, 3)) == K.faces_by_card[3][0]
 
 
 def test_assemble_sorts_each_basis_and_fills_a_degree_gap():
