@@ -183,6 +183,7 @@ def _dumps(obj) -> str:
             put(json.dumps(o, indent=2).replace("\n", nl))
 
     enc(obj, "\n")
+    del enc  # enc refers to itself: a cycle that would keep every fragment until a gc pass
     return "".join(out)
 
 

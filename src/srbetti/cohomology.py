@@ -19,7 +19,8 @@ Zomorodian 2002): K|ω is K|(ω ∖ v) plus the faces through v, the least verte
 of ω with busy vertices last (:func:`sweep_order`), so the walker extends the
 elimination over ℤ, for every field, of a prefix of ω, from the largest faces
 down, clearing each face that a row one size up has as its unit pivot: by
-d∘d = 0 its row adds no rank (Chen–Kerber, 2011).
+d∘d = 0 its row adds no rank (Chen–Kerber, 2011).  The walker keeps each
+ω's result, walked once for every field, in one byte per ω (:class:`_Walker`).
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -30,12 +31,13 @@ dimensions (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import _CacheInfo, lru_cache, partial
 from threading import Lock
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
+from weakref import WeakSet
 
-from .complexes import SimplicialComplex, _within
+from .complexes import VERTEX_CAP, SimplicialComplex, _within
 from .errors import NotAComplex
 from .linalg import QQ, FieldSpec, SparseMap, rank
 
@@ -211,7 +213,12 @@ class _Walker:
     smaller keys, each kept, in the parent's state or itself cleared: the span
     over every field, so the ranks and the pivot keys, are unchanged.  Pushes
     count the rows they reduce and clear, and the growth of the residual,
-    which shrinks where a row set aside meets a later unit pivot (``rows_*``)."""
+    which shrinks where a row set aside meets a later unit pivot (``rows_*``).
+
+    Each ω is walked once, for every field, and kept in one byte: 0 until it is
+    walked, else the index of a distinct residual-free result in ``values``
+    (1–254), or 255 for one in ``rare``, with a residual or past the 254th.
+    ω's byte sits in a block of 2^16 ω, allocated when first written."""
 
     def __init__(self, K: SimplicialComplex):
         order = sorted(range(K.m), key=lambda v: (sum(g >> v & 1 for g in K.faces), v))  # π⁻¹
@@ -230,7 +237,10 @@ class _Walker:
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
         self.chain = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)]
         self.lock = Lock()
-        self.rows_reduced = self.rows_cleared = self.rows_residual = 0
+        self.rows_reduced = self.rows_cleared = self.rows_residual = self.hits = 0
+        self.blocks, self.block = {}, min(1 << K.m, 1 << 16)  # ω >> 16 ↦ the bytes of its block
+        self.values, self.index, self.rare = [None], {}, {}
+        _walkers.add(self)
 
     def _push(self, v: int) -> None:
         om, faces, ranks, pivots, residual = self.chain[-1]
@@ -260,24 +270,35 @@ class _Walker:
         self.chain.append((om | v, faces, ranks, pivots, residual))
 
     def result(self, omega: int) -> tuple[Mapping[int, int], dict[int, SparseMap] | None]:
-        """ω's dimensions from the unit ranks, and its residual (see :func:`field_dims`)."""
-        omega = _relabel(self.image, omega)
+        """ω's unit dimensions and residual (see :func:`field_dims`), walked once, then read back."""
+        block = self.blocks.get(omega >> 16)
+        if block is not None and (b := block[omega & 0xFFFF]):
+            self.hits += 1  # a count only: racing threads may lose one, never an answer
+            return self.values[b] if b < 255 else self.rare[omega]
         with self.lock:
-            chain = self.chain
-            # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
-            while (top := chain[-1][0]) != omega & -(top & -top):
-                chain.pop()
-            rest = omega ^ top
-            while rest:
-                v = 1 << rest.bit_length() - 1
-                self._push(v)
-                rest ^= v
-            _, faces, ranks, _, residual = chain[-1]
-        if not any(residual):  # as for most ω
-            return _dims(faces, ranks), None
-        cols = self.cols  # the rows of the faces of size k are those of d_{k-2}
-        residual = {k - 2: SparseMap(len(r), cols[k - 1], r) for k, r in enumerate(residual) if r}
-        return _dims(faces, ranks), residual
+            block = block or self.blocks.setdefault(omega >> 16, bytearray(self.block))
+            if not (b := block[omega & 0xFFFF]):  # else another thread walked ω meanwhile
+                chain, image = self.chain, _relabel(self.image, omega)
+                # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
+                while (top := chain[-1][0]) != image & -(top & -top):
+                    chain.pop()
+                rest = image ^ top
+                while rest:
+                    v = 1 << rest.bit_length() - 1
+                    self._push(v)
+                    rest ^= v
+                _, faces, ranks, _, residual = chain[-1]
+                units = tuple([n - r - s for n, r, s in zip(faces, ranks, ranks[1:])])  # as in _dims
+                b = 255 if any(residual) else self.index.get(units, len(self.values))
+                if b == len(self.values) < 255:  # a new value
+                    self.values.append((_dims(faces, ranks), None))
+                    self.index[units] = b
+                elif b == 255:
+                    cols = self.cols  # the rows of the faces of size k are those of d_{k-2}
+                    rows = {k - 2: SparseMap(len(r), cols[k - 1], r) for k, r in enumerate(residual) if r}
+                    self.rare[omega] = _dims(faces, ranks), rows or None
+                block[omega & 0xFFFF] = b
+        return self.values[b] if b < 255 else self.rare[omega]
 
 
 def _byte_tables(target: list[int]) -> list[list[int]]:
@@ -342,7 +363,9 @@ def rank_cache(maxsize: int) -> Callable:
     return wrap
 
 
-_walker = rank_cache(16)(_Walker)  # one walker per K, for every field
+_walkers: WeakSet = WeakSet()  # the live walkers, whose stores make cache_info
+_SLOTS = 8  # so the stores hold at most 8 × 2^VERTEX_CAP bytes, 128 MiB
+_walker = rank_cache(_SLOTS)(_Walker)  # one walker per K, for every field
 
 
 def sweep_order(K: SimplicialComplex) -> Iterator[int]:
@@ -352,11 +375,6 @@ def sweep_order(K: SimplicialComplex) -> Iterator[int]:
         yield from map(_relabel(tables, top << 8).__or__, reversed(tables[0]))
 
 
-@rank_cache(1 << 18)
-def _result(K: SimplicialComplex, omega: int) -> tuple[Mapping[int, int], dict | None]:
-    return _walker(K).result(omega)  # the one per-ω store, for every field
-
-
 def reduced_cohomology_dims(
     K: SimplicialComplex, f: FieldSpec, omega: int | None = None
 ) -> Mapping[int, int]:
@@ -364,13 +382,19 @@ def reduced_cohomology_dims(
     (a read-only view of the one per-ω store).
 
     C^*(K|ω) is not built: its rows are read off K's own complex, built and
-    d∘d-checked once per K by K's walker.  ω's result is kept once for every
-    field, and only its residual rows, rare, are ranked over f.  ``cache_info``
-    is that store's; ``cache_clear`` clears every :func:`rank_cache`: the
-    walkers, their results and the colored blocks of ``tor``.
+    d∘d-checked once per K by K's walker, which stores ω's result for every
+    field; only its residual rows, rare, are ranked over f.  ``cache_info``
+    counts ω read back (hits) and walked (misses) in the live walkers' stores;
+    ``cache_clear`` clears every :func:`rank_cache`: walkers and ``tor``'s blocks.
     """
     om = K.full_mask if omega is None else _within(K, omega)
-    return field_dims(*_result(K, om), f)
+    return field_dims(*_walker(K).result(om), f)
+
+
+def _cache_info() -> _CacheInfo:  # maxsize is the stores' worst case
+    walkers = list(_walkers)
+    stored = sum(len(b) - b.count(0) for w in walkers for b in w.blocks.values())
+    return _CacheInfo(sum(w.hits for w in walkers), stored, _SLOTS << VERTEX_CAP, stored)
 
 
 def _cache_clear() -> None:
@@ -379,4 +403,4 @@ def _cache_clear() -> None:
 
 
 reduced_cohomology_dims.cache_clear = _cache_clear
-reduced_cohomology_dims.cache_info = _result.cache_info
+reduced_cohomology_dims.cache_info = _cache_info

@@ -9,14 +9,13 @@ from srbetti.cli import main
 from srbetti.cohomology import reduced_cohomology_dims
 from srbetti.complexes import (
     boundary_simplex,
-    from_facets,
     full_simplex,
     mask_of,
 )
 from srbetti.corpus import cycle_complex, rp2_complex
 from srbetti.errors import NotAComplex, VertexOutOfRange
 from srbetti.linalg import GF2, GF3, QQ
-from test_complexes import relabel_complex
+from test_complexes import complexes, relabel_complex
 
 
 def test_betti_number_base_cases():
@@ -119,13 +118,6 @@ def test_zk_budget(capsys):
     assert main([*pentagon, "--max-m", "4"]) == 2
     assert "error: VertexBudgetExceeded: " in capsys.readouterr().err
     assert main([*pentagon, "--max-m", "5"]) == 0
-
-
-@st.composite
-def complexes(draw, max_m=5):
-    m = draw(st.integers(1, max_m))
-    facets = [draw(st.integers(1, (1 << m) - 1)) for _ in range(draw(st.integers(1, 6)))]
-    return from_facets(m, facets, allow_isolated=True)
 
 
 @settings(max_examples=30, deadline=None)

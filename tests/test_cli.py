@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import concurrent.futures
+import gc
 import json
 import os
 import re
@@ -447,6 +448,19 @@ def test_consecutive_main_calls_match_fresh_runs(capsys):
 )
 def test_dumps_writes_what_json_dumps_indent_2_writes(obj):
     assert srbetti.cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_leaves_no_garbage_for_the_cycle_collector():
+    # the recursive encoder must not stay in a reference cycle with the
+    # output, which would keep every fragment alive until a gc pass
+    payload = {"rows": [{"i": i, "omega": [1, 2], "beta": i} for i in range(50)], "ok": True}
+    gc.collect()
+    gc.disable()
+    try:
+        srbetti.cli._dumps(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 """Reduced cochain complexes and cohomology dimensions."""
 
+import gc
 import inspect
 import random
 import sys
 import textwrap
+import threading
+import tracemalloc
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import srbetti.betti
 import srbetti.cohomology
 import srbetti.linalg
-from srbetti.betti import betti_table
+from srbetti.betti import betti_number, betti_table
 from srbetti.cohomology import (
     CochainComplex,
     assemble,
@@ -32,7 +36,7 @@ from srbetti.complexes import (
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
 from srbetti.errors import NotAComplex
 from srbetti.linalg import GF2, GF3, QQ, SparseMap, rank
-from test_complexes import relabel_complex
+from test_complexes import complexes, relabel_complex
 
 
 def test_empty_complex_chain():
@@ -85,13 +89,6 @@ def test_shape_mismatch_raises():
     bad = CochainComplex(0, 1, {0: 2, 1: 1}, {0: SparseMap(1, 1, [[(0, 1)]])})
     with pytest.raises(NotAComplex):
         cohomology_dims(bad, QQ)
-
-
-@st.composite
-def complexes(draw, max_m=5):
-    m = draw(st.integers(1, max_m))
-    facets = [draw(st.integers(1, (1 << m) - 1)) for _ in range(draw(st.integers(1, 6)))]
-    return from_facets(m, facets, allow_isolated=True)
 
 
 def euler_characteristic_reduced(K) -> int:
@@ -462,6 +459,7 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
             with pytest.raises(RuntimeError, match="injected"):
                 betti_table(K, f)
         walker = srbetti.cohomology._walker(K)
+        walker.blocks.clear()  # forget the ω it stored, so that every query walks
         reduced_cohomology_dims.cache_clear()
         rest = [omega for omega in reference if omega != asked[-1]]
         random.Random(k).shuffle(rest)
@@ -469,6 +467,119 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
             patch.setattr(srbetti.cohomology, "_walker", lambda K: walker)
             for omega in [asked[-1], *rest]:
                 assert reduced_cohomology_dims(K, f, omega) == reference[omega], (k, omega)
+
+
+def test_three_tables_walk_each_omega_once_and_read_it_back_twice():
+    # cache_info counts the walkers' stores as lru_cache counts: a miss is an
+    # ω walked, a hit an ω read back, and currsize the ω stored
+    K = moore_space_mod_3()
+    reduced_cohomology_dims.cache_clear()
+    gc.collect()  # walkers kept alive by an earlier traceback count as live
+    tables = {f: betti_table(K, f).entries for f in (QQ, GF2, GF3)}
+    n = 1 << K.m
+    info = reduced_cohomology_dims.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (n, 2 * n, n)
+    assert tables[QQ] == tables[GF2] != tables[GF3]
+    reduced_cohomology_dims.cache_clear()
+    assert reduced_cohomology_dims.cache_info().currsize == 0
+
+
+def test_a_single_query_on_a_large_complex_allocates_one_block():
+    # the store's bytes come in blocks of 2^16 ω, allocated when first
+    # written, so one ω of a 30-vertex complex does not cost 2^30 bytes
+    m = 30
+    with pytest.warns(UserWarning, match="2\\^30 subset"):
+        K = from_facets(m, [mask_of((v, v % m + 1)) for v in range(1, m + 1)], max_vertices=m)
+    reduced_cohomology_dims.cache_clear()
+    walker = srbetti.cohomology._walker(K)
+    tracemalloc.start()
+    try:
+        assert betti_number(K, m - 2, K.full_mask, QQ) == 1  # the m-cycle's H̃^1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        reduced_cohomology_dims.cache_clear()
+    assert [len(block) for block in walker.blocks.values()] == [1 << 16]
+    assert peak < 2 << 16
+
+
+@pytest.mark.parametrize(
+    "K", SWEPT[:3] + SWEPT[-2:], ids=["rp2", "r7-0.5-0", "r7-0.5-1", "moore3", "r9-0.5-0"]
+)
+def test_a_walker_with_a_full_value_table_stores_every_result_apart(K):
+    # once 254 distinct results fill the value table, each new ω's result
+    # goes to the per-ω dict behind byte 255; the fillers are wrong answers
+    # that no ω may read
+    reduced_cohomology_dims.cache_clear()
+    fresh = {f: betti_table(K, f).entries for f in (QQ, GF2, GF3)}
+    reduced_cohomology_dims.cache_clear()
+    walker = srbetti.cohomology._walker(K)
+    walker.values += [(MappingProxyType({7: 1}), None)] * 254
+    try:
+        assert {f: betti_table(K, f).entries for f in (QQ, GF2, GF3)} == fresh
+        assert len(walker.rare) == 1 << K.m
+        assert set(b for block in walker.blocks.values() for b in block) == {255}
+    finally:
+        reduced_cohomology_dims.cache_clear()
+
+
+def test_rp2s_residual_reaches_every_field_through_byte_255():
+    # RP²'s ℤ/2 leaves a row set aside on the ω through it: those results
+    # sit behind byte 255 with their rows, which GF(2) and GF(3) rank apart
+    K = rp2_complex()
+    reduced_cohomology_dims.cache_clear()
+    walker = srbetti.cohomology._walker(K)
+    assert reduced_cohomology_dims(K, QQ) == {}
+    assert walker.blocks[0][K.full_mask] == 255
+    assert walker.rare[K.full_mask][1]  # the residual rows
+    assert reduced_cohomology_dims(K, GF2) == {1: 1, 2: 1}
+    assert reduced_cohomology_dims(K, GF3) == {}
+    for omega in range(K.full_mask + 1):
+        for f in (GF2, GF3):
+            assert reduced_cohomology_dims(K, f, omega) == rebuilt_dims(K, omega, f), (f, omega)
+    assert list(walker.rare) == [K.full_mask]  # the only ω with a residual
+
+
+def ask_in_threads(K, reference, seeds):
+    """Each seed's thread asks every (ω, f) of ``reference`` in its own order,
+    the threads starting together and switching often; the queries answered
+    wrong, and the seeds of the threads that finished."""
+    wrong, done, start = [], [], threading.Barrier(len(seeds))
+
+    def ask(seed):
+        queries = list(reference)
+        random.Random(seed).shuffle(queries)
+        start.wait(timeout=60)
+        wrong.extend(q for q in queries if reduced_cohomology_dims(K, q[1], q[0]) != reference[q])
+        done.append(seed)  # not reached if a query raised
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return wrong, sorted(done)
+
+
+def test_threads_sharing_one_walker_get_right_answers():
+    # the store's byte is read without the lock and written under it: four
+    # threads on one walker must get right answers and store every ω; three
+    # rounds, as a race shows only at times
+    K = SWEPT[-1]
+    reference = {(omega, f): rebuilt_dims(K, omega, f) for omega in range(1 << K.m) for f in (QQ, GF2)}
+    for round in range(3):
+        reduced_cohomology_dims.cache_clear()
+        gc.collect()  # walkers kept alive by an earlier traceback count as live
+        seeds = [4 * round + k for k in range(4)]
+        assert ask_in_threads(K, reference, seeds) == ([], seeds)
+        assert reduced_cohomology_dims.cache_info().misses == 1 << K.m
+    reduced_cohomology_dims.cache_clear()
 
 
 def test_dd_zero_checked_on_every_reduced_complex():

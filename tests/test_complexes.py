@@ -246,11 +246,10 @@ def test_json_roundtrip():
 
 @st.composite
 def complexes(draw, max_m=5):
+    """A complex on 1..max_m vertices spanned by 1..6 random facets, isolated
+    vertices allowed (shared with test_betti and test_cohomology)."""
     m = draw(st.integers(1, max_m))
-    n_facets = draw(st.integers(1, 6))
-    facets = [
-        draw(st.integers(1, (1 << m) - 1)) for _ in range(n_facets)
-    ]
+    facets = [draw(st.integers(1, (1 << m) - 1)) for _ in range(draw(st.integers(1, 6)))]
     return from_facets(m, facets, allow_isolated=True)
 
 
