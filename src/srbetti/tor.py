@@ -31,11 +31,11 @@ A piece with some w_i >= 2 is in fact acyclic: t_i acts on it only through
 the σ-vertex v of color i, and H(σ, h, I) = κ(i, I∪{i})·(σ, h - e_v, I∪{i})
 inverts that action, so dH + Hd = id.  tor_dims does not assume this.  As
 (σ, I, w) fix h, each piece lifts one weight-free rule on shapes (σ, I)
-(:func:`_koszul_terms`): the first tor_dims at a bound >= 2 checks the
-identity over ℤ once per L and color i, on the shapes Ũ(L, i) of the pieces
-(L, e) whose e has least color i (:func:`_certify`, once per coloring), and
-raises NotAComplex on a failure, so only the e = 0 pieces are built.  The
-piece 1_L and the quotient's L-block are the same matrices under
+(:func:`_koszul_terms`): the first tor_dims at a bound >= 2 evaluates it once
+per shape of the pieces (L, e), checking d∘d = 0 over ℤ, and dH + Hd = id per
+L and color i on the shapes Ũ(L, i) of the pieces whose e has least color i
+(:func:`_certify`, once per coloring), so only the e = 0 pieces are built.
+The piece 1_L and the quotient's L-block are the same matrices under
 (σ, 1_σ, I) ↔ (σ, I): verify_tor_threeway builds each once per (K, α, L) and
 compares them entry by entry, tor_dims builds the piece alone and
 quotient_cohomology_dims the block alone; one of them is ranked, by one
@@ -357,61 +357,61 @@ def _homotopy(i: int, sigma: int, imask: int) -> list[tuple[int, tuple[int, int]
 
 
 def _certify(ctx: _Ctx) -> int:
-    """Check the contraction of every piece with a coordinate >= 2, one per
-    (L, i) (:func:`_contraction_failure`), and count the patterns (L, e), one
-    per L ⊆ [r] and nonzero face color set e ⊆ L; a failure raises
-    :class:`~srbetti.errors.NotAComplex` naming the smallest piece holding the
-    failing shape, e = J ∪ {i}, its generator there and q = -|I|."""
+    """Check the contraction of every piece with a coordinate >= 2, once per L
+    (:func:`_contraction_failure`); count the patterns (L, e), e ⊆ L a nonzero
+    face color set.  A failure raises NotAComplex naming the smallest piece
+    holding the failing shape, e = J ∪ {i}, its generator there and q = -|I|."""
     count = 0
     for lmask in submasks(ctx.alpha.full_color_mask):
-        inside = [e for e in ctx.faces_by_colorset if e and not e & ~lmask]
+        inside = {e: fs for e, fs in ctx.faces_by_colorset.items() if e and not e & ~lmask}
         count += len(inside)
-        for ibit in sorted({e & -e for e in inside}):
-            if failure := _contraction_failure(ctx, lmask, ibit):
-                (sigma, imask), what = failure
-                w = _pattern_weight(lmask, imask & ctx.colorsets[sigma] | ibit, ctx.r)
-                gen = next(g for g in _piece_generators(ctx, w) if (g[0], g[2]) == (sigma, imask))
-                message = f"contraction certificate fails at {gen!r}: {what}; piece w={w}"
-                raise NotAComplex(message, q=-imask.bit_count(), label=gen, weight=w)
+        if failure := _contraction_failure(ctx, lmask, inside):
+            (sigma, imask), ibit, what = failure
+            w = _pattern_weight(lmask, imask & ctx.colorsets[sigma] | ibit, ctx.r)
+            gen = next(g for g in _piece_generators(ctx, w) if (g[0], g[2]) == (sigma, imask))
+            message = f"contraction certificate fails at {gen!r}: {what}; piece w={w}"
+            raise NotAComplex(message, q=-imask.bit_count(), label=gen, weight=w)
     return count
 
 
-def _contraction_failure(ctx: _Ctx, lmask: int, ibit: int):
-    """The first shape of Ũ(L, i) where the contraction :func:`_homotopy`
-    fails over ℤ, and what fails there, or None.  Ũ(L, i) holds the (σ, I)
-    with i ∈ I_α(σ) ⊆ L, I = (L ∖ I_α(σ)) ∪ J and J ⊆ I_α(σ) ∩ [i, r]; the
-    piece (L, e) those with e ⊆ I_α(σ) and J ⊆ e.  Each target of d or H must
-    stay in every piece holding its source (I_α(σ) ∩ [i, r] ⊆ I_α(σ') and
-    J' ⊆ J ∪ {i}); then d∘d = 0 and dH + Hd = id make each piece acyclic."""
-    i, low = ibit.bit_length(), ibit - 1  # low: the colors below i
-    shapes, csets = [], []
-    for cset, faces in ctx.faces_by_colorset.items():
-        if cset & ibit and not cset & ~lmask:
-            for jmask in submasks(cset & ~low):
-                shapes += [(sigma, lmask & ~cset | jmask) for sigma, _pairs in faces]
-                csets += [cset] * len(faces)
-    index = {shape: k for k, shape in enumerate(shapes)}
-    # d and H on shape positions; None marks a target outside Ũ(L, i)
-    d = [[(c, index.get((s, t))) for c, s, t, _j in _koszul_terms(ctx, *sh)] for sh in shapes]
-    hom = [[(c, index.get(t)) for c, t in _homotopy(i, *sh)] for sh in shapes]
-    for k, (_sigma, imask) in enumerate(shapes):
-        keep, jk = csets[k] & ~low, imask & csets[k] | ibit
-        for _c, t in d[k] + hom[k]:
-            if t is None or keep & ~csets[t] or shapes[t][1] & csets[t] & ~jk:
-                return shapes[k], "d or H leaves the piece"
-    for k, dk in enumerate(d):
-        dd: dict[int, int] = {}
-        acc = {k: -1}  # dH + Hd - id
-        for c, t in dk:
-            for c2, t2 in d[t]:
-                dd[t2] = dd.get(t2, 0) + c * c2
-            for c2, t2 in hom[t]:
-                acc[t2] = acc.get(t2, 0) + c * c2
-        for c, t in hom[k]:
-            for c2, t2 in d[t]:
-                acc[t2] = acc.get(t2, 0) + c * c2
-        if any(dd.values()) or any(acc.values()):
-            return shapes[k], "d∘d != 0" if any(dd.values()) else "dH + Hd != id"
+def _contraction_failure(ctx: _Ctx, lmask: int, inside: dict):
+    """The first shape of U(L) where the contraction :func:`_homotopy` fails
+    over ℤ, its color i and what fails, or None.  U(L) holds the (σ, I) with
+    I_α(σ) in ``inside``, I = (L ∖ I_α(σ)) ∪ J and J ⊆ I_α(σ); Ũ(L, i) those
+    with i ∈ I_α(σ) and J ⊆ [i, r], the piece (L, e) of least color i those
+    with e ⊆ I_α(σ) and J ⊆ e.  d is built and d∘d = 0 checked once per shape;
+    per i, each target of d or H stays in every piece holding its source
+    (I_α(σ) ∩ [i, r] ⊆ I_α(σ'), J' ⊆ J ∪ {i}) and dH + Hd = id on Ũ(L, i)."""
+    r, shapes, csets, groups = ctx.r, [], [], {}
+    for cset, faces in inside.items():
+        for jmask in submasks(cset):
+            groups[cset, jmask] = range(len(shapes), len(shapes) + len(faces))
+            shapes += [(sigma, lmask & ~cset | jmask) for sigma, _pairs in faces]
+        csets += [cset] * (len(faces) << cset.bit_count())
+    index = {s << r | t: k for k, (s, t) in enumerate(shapes)}  # .get: a position, or None
+    d = [[(c, index.get(s << r | t)) for c, s, t, _j in _koszul_terms(ctx, *sh)] for sh in shapes]
+    for ibit in sorted({e & -e for e in inside}):
+        i, low, hom = ibit.bit_length(), ibit - 1, {}  # low: the colors below i
+        part = [k for cset in inside if cset & ibit for jmask in submasks(cset & ~low)
+                for k in groups[cset, jmask]]  # Ũ(L, i)
+        for k in part:
+            hom[k] = [(c, index.get(s << r | t)) for c, (s, t) in _homotopy(i, *shapes[k])]
+            keep, jk = csets[k] & ~low, shapes[k][1] & csets[k] | ibit
+            for _c, t in d[k] + hom[k]:
+                if t is None or keep & ~csets[t] or shapes[t][1] & csets[t] & ~jk:
+                    return shapes[k], ibit, "d or H leaves the piece"
+        for k in part:
+            dd, acc = {}, {k: -1}  # acc: dH + Hd - id
+            for c, t in d[k]:
+                for c2, t2 in () if csets[k] & low else d[t]:  # d∘d: at i = min I_α(σ)
+                    dd[t2] = dd.get(t2, 0) + c * c2
+                for c2, t2 in hom[t]:
+                    acc[t2] = acc.get(t2, 0) + c * c2
+            for c, t in hom[k]:
+                for c2, t2 in d[t]:
+                    acc[t2] = acc.get(t2, 0) + c * c2
+            if any(dd.values()) or any(acc.values()):
+                return shapes[k], ibit, "d∘d != 0" if any(dd.values()) else "dH + Hd != id"
     return None
 
 
@@ -552,9 +552,9 @@ def psi_iota_checks(
     alpha: Partition,
     weight_bound: int | None = None,
 ) -> PsiIotaReport:
-    """Verify, generator by generator over the pieces of every color weight
-    w with max_i w_i <= weight bound (the enumeration that tor_dims and its
-    contraction certificate use), that
+    """Verify, generator by generator, on the pieces of all (B + 1)^r color
+    weights w with max_i w_i <= B (the weight bound; no CLI command calls
+    this, and its work grows as (B + 1)^r), that
 
     * each generator of the piece w has color weight w, and the
       generator/cell identification preserves degree and multidegree

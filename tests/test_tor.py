@@ -36,7 +36,9 @@ from srbetti.errors import (
 )
 from srbetti.linalg import GF2, GF3, QQ
 from srbetti.tor import (
+    _certify,
     _context,
+    _Ctx,
     _pattern_weight,
     _piece_generators,
     color_weight,
@@ -506,10 +508,12 @@ def test_the_certificate_is_checked_once_per_coloring(monkeypatch, fresh_certifi
 def test_the_certificate_checks_each_shape_once_per_least_color(
     monkeypatch, fresh_certificates, K, alpha, shapes, generators
 ):
-    # the work of the certificate: the shapes of every Ũ(L, i), each checked
-    # once, against the generators of the pieces (L, e) it stands for.  On
-    # the square, L = {1, 2} checks 20 shapes for i = 1 and 12 for i = 2,
-    # and L = {1}, {2} check 4 each; its pieces hold 12 + 12 + 16 + 4 + 4
+    # the per-color work of the certificate: H, the closure and dH + Hd = id
+    # on the shapes of every Ũ(L, i), each checked once, against the
+    # generators of the pieces (L, e) it stands for (d and d∘d run once per
+    # shape of U(L), below).  On the square, L = {1, 2} checks 20 shapes for
+    # i = 1 and 12 for i = 2, and L = {1}, {2} check 4 each; its pieces hold
+    # 12 + 12 + 16 + 4 + 4
     alpha = alpha or greedy_coloring(K)
     calls = _count_shapes(monkeypatch)
     tor_dims(K, alpha, QQ)
@@ -517,6 +521,27 @@ def test_the_certificate_checks_each_shape_once_per_least_color(
     pieces = sum(len(list(_piece_generators(ctx, w))) for w in _high_patterns(K, alpha))
     assert (len(calls), pieces) == (shapes, generators)
     assert len(set(calls)) == len(calls) < pieces
+
+
+@pytest.mark.parametrize(
+    "K, alpha, rules", [(*square_with_coloring(), 32), (random_complex(6, 0.6, 5), None, 800)]
+)
+def test_the_certificate_evaluates_the_rule_once_per_shape(monkeypatch, K, alpha, rules):
+    # d is built once per color set L, on the union U(L) of its Ũ(L, i): a
+    # shape (σ, I) lies in U(L) for L = I_α(σ) ∪ I only, and a face σ != ∅
+    # has 2^|I_α(σ)| choices of J, so the rule runs (|K| - 1)·2^r times.  On
+    # the square, U({1, 2}) holds 24 shapes and U({1}), U({2}) 4 each
+    alpha = alpha or greedy_coloring(K)
+    good = srbetti.tor._koszul_terms
+    calls = []
+
+    def counted(ctx, sigma, imask):
+        calls.append((sigma, imask))
+        return good(ctx, sigma, imask)
+
+    monkeypatch.setattr(srbetti.tor, "_koszul_terms", counted)
+    _certify(_Ctx(K, alpha))
+    assert len(calls) == len(set(calls)) == (len(K.faces) - 1) << alpha.r == rules
 
 
 def _certificate_failure(monkeypatch, K, alpha, match):
@@ -624,6 +649,44 @@ def test_a_homotopy_with_a_term_dropped_is_caught(monkeypatch, fresh_certificate
     _certificate_failure(monkeypatch, K, alpha, "dH \\+ Hd != id")
     with pytest.raises(NotAComplex):  # a failure is not remembered as a count
         verify_tor_threeway(K, alpha, GF2)
+
+
+@pytest.mark.parametrize(
+    "K, blocks, dropped, label, weight",
+    [
+        # the square: H drops its term only for i = 2 at ({1, 2}, ∅), a shape
+        # of least color 1; dH + Hd = id first fails at ({2}, {1}), whose d
+        # reaches ({1, 2}, ∅)
+        (cycle_complex(4), "1 3 | 2 4", (2, (1, 2), 0), (0b10, (0, 2, 0, 0), 0b01), (1, 2)),
+        # the edge 12 and the triangle 234: H drops its term only for i = 3 at
+        # ({2, 3, 4}, ∅), and the failure shows first at ({2, 4}, {1}), whose
+        # least color 2 is below i
+        (
+            from_facets(4, [mask_of((1, 2)), mask_of((2, 3, 4))]),
+            "1 3 | 2 | 4",
+            (3, (2, 3, 4), 0),
+            (0b1010, (0, 1, 0, 2), 0b001),
+            (1, 1, 2),
+        ),
+    ],
+)
+def test_a_homotopy_failure_above_the_least_color_is_caught(
+    monkeypatch, fresh_certificates, K, blocks, dropped, label, weight
+):
+    # mutation checks: d∘d is checked once per shape, at its least color, but
+    # H, the closure and dH + Hd = id per color i on every shape of Ũ(L, i)
+    alpha = parse_blocks(blocks, K.m)
+    good = srbetti.tor._homotopy
+    i, sigma, imask = dropped
+
+    def lossy(*args):
+        return [] if args == (i, mask_of(sigma), imask) else good(*args)
+
+    monkeypatch.setattr(srbetti.tor, "_homotopy", lossy)
+    with pytest.raises(NotAComplex, match="dH \\+ Hd != id") as err:
+        tor_dims(K, alpha, QQ)
+    exc = err.value
+    assert (exc.label, exc.weight, exc.q) == (label, weight, -1)
 
 
 def test_sigma_vertex_refuses_a_face_without_the_color():
