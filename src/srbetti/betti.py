@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .complexes import SimplicialComplex, _within, vertices_of
+from .complexes import SimplicialComplex, _within, by_size, vertices_of
 from .errors import MismatchFound
 from .cohomology import reduced_cohomology_dims, sweep_order
 from .linalg import FieldSpec
@@ -40,10 +40,7 @@ class BettiTable:
 
     def sorted_items(self):
         """Entries ordered by (|ω|, ω, i) — the canonical emission order."""
-        return sorted(
-            self.entries.items(),
-            key=lambda kv: (kv[0][1].bit_count(), kv[0][1], kv[0][0]),
-        )
+        return sorted(self.entries.items(), key=lambda kv: (by_size(kv[0][1]), kv[0][0]))
 
     def to_json(self) -> list[dict]:
         return [

@@ -12,7 +12,7 @@ from math import comb
 
 from .betti import betti_table, subcomplex_cohomology, zk_cohomology_dims
 from .coloring import Partition, omega_L, require_nondegenerate
-from .complexes import SimplicialComplex, boundary_simplex, join, submasks, vertices_of
+from .complexes import SimplicialComplex, boundary_simplex, by_size, join, submasks, vertices_of
 from .errors import InvalidDimension
 from .linalg import FieldSpec
 
@@ -45,11 +45,9 @@ class BoundRow:
         out = {"index": self.index, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
         if self.terms is not None:
             out["terms"] = [
-                {"L": list(vertices_of(mask)), "value": v}
-                for mask, v in sorted(
-                    self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0])
-                )
-                if v
+                {"L": list(vertices_of(mask)), "value": self.terms[mask]}
+                for mask in sorted(self.terms, key=by_size)
+                if self.terms[mask]
             ]
         return out
 

@@ -63,57 +63,34 @@ def _add_partition_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--trivial", action="store_true", help="trivial partition (r = m)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="srbetti", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+def _add_field_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--field", default="q", help="coefficient field: q | f2 | f3 | fp:P")
 
-    p = sub.add_parser("betti", help="multigraded Betti table")
-    _add_input_args(p)
-    _add_common_args(p)
 
-    p = sub.add_parser("zk", help="moment-angle complex cohomology dimensions")
-    _add_input_args(p)
-    _add_common_args(p)
-
-    p = sub.add_parser("color", help="partition search / nondegeneracy check")
-    _add_input_args(p)
-    _add_common_args(p)
-    _add_partition_args(p)
-
-    p = sub.add_parser("quotient", help="torus-quotient cohomology dimensions")
-    _add_input_args(p)
-    _add_common_args(p)
-    _add_partition_args(p)
-
-    p = sub.add_parser("tor", help="Tor table with stabilization flags")
-    _add_input_args(p)
-    _add_common_args(p)
-    _add_partition_args(p)
+def _add_weight_bound_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-bound", type=int, default=None)
 
-    p = sub.add_parser("verify", help="three-way Tor verification plus all bound checks")
-    _add_input_args(p)
-    _add_common_args(p)
-    _add_partition_args(p)
-    p.add_argument("--weight-bound", type=int, default=None)
 
-    p = sub.add_parser("sharp", help="sharpness suite for joins of simplex boundaries")
-    _add_common_args(p)
+def _add_dims_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dims", type=int, nargs="+", required=True, metavar="N")
 
-    p = sub.add_parser("corpus", help="seeded random complexes, verify over all")
-    _add_common_args(p)
+
+def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--corpus-max-m", type=int, default=6)
     p.add_argument("--density", type=float, default=0.4)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--weight-bound", type=int, default=None)
 
-    for name in ("betti", "zk", "quotient", "tor", "verify", "sharp"):  # the ones that read it
-        sub.choices[name].add_argument(
-            "--field", default="q", help="coefficient field: q | f2 | f3 | fp:P"
-        )
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="srbetti", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, help_, groups, handler in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for add in groups:
+            add(p)
+        p.set_defaults(handler=handler)
     return top
 
 
@@ -187,40 +164,50 @@ def _dumps(obj) -> str:
     return "".join(out)
 
 
-def _emit(payload: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(_dumps(payload))
-    else:
-        print(text)
+# Each handler returns (payload, text, exit code): ``text`` renders the text
+# view and is called only under ``--format text``.
 
 
-def _cmd_betti(args) -> int:
+def _head(args) -> tuple[SimplicialComplex, FieldSpec, Partition, dict]:
+    """K, f, α and the payload head of quotient, tor and verify."""
+    K = _load_complex(args)
+    f = FieldSpec.parse(args.field)
+    _, alpha = _resolve_partition(args, K)
+    return K, f, alpha, {"complex": complex_to_json(K), "field": str(f), "blocks": format_blocks(alpha)}
+
+
+def _dim_rows(dims: dict[int, int]):
+    """The {q, dim} rows of zk and quotient, and their text view."""
+    rows = [{"q": q, "dim": d} for q, d in sorted(dims.items())]
+    return rows, lambda: "\n".join(f"q={r['q']} dim={r['dim']}" for r in rows)
+
+
+def _checks(K: SimplicialComplex, alpha: Partition, f: FieldSpec, weight_bound: int | None):
+    """verify's report, its bound checks and whether all of them pass."""
+    report = verify_tor_threeway(K, alpha, f, weight_bound)
+    checks = all_bound_checks(K, alpha, f)
+    return report, checks, report.ok and all(r.verdict for r in checks.values())
+
+
+def _cmd_betti(args):
     K = _load_complex(args)
     f = FieldSpec.parse(args.field)
     table = betti_table(K, f)
     rows = table.to_json()
-    text = "\n".join(
+    payload = {"complex": complex_to_json(K), "field": str(f), "entries": rows, "total": table.total()}
+    return payload, lambda: "\n".join(
         f"i={row['i']} omega={row['omega']} beta={row['beta']}" for row in rows
-    )
-    _emit(
-        {"complex": complex_to_json(K), "field": str(f), "entries": rows, "total": table.total()},
-        text + f"\ntotal {table.total()}",
-        args.fmt,
-    )
-    return 0
+    ) + f"\ntotal {payload['total']}", 0
 
 
-def _cmd_zk(args) -> int:
+def _cmd_zk(args):
     K = _load_complex(args)
     f = FieldSpec.parse(args.field)
-    dims = zk_cohomology_dims(K, f)
-    rows = [{"q": q, "dim": d} for q, d in sorted(dims.items())]
-    text = "\n".join(f"q={r['q']} dim={r['dim']}" for r in rows)
-    _emit({"complex": complex_to_json(K), "field": str(f), "dims": rows}, text, args.fmt)
-    return 0
+    rows, text = _dim_rows(zk_cohomology_dims(K, f))
+    return {"complex": complex_to_json(K), "field": str(f), "dims": rows}, text, 0
 
 
-def _cmd_color(args) -> int:
+def _cmd_color(args):
     K = _load_complex(args)
     source, alpha = _resolve_partition(args, K)
     nondeg = is_nondegenerate(K, alpha)
@@ -231,79 +218,51 @@ def _cmd_color(args) -> int:
         "r": alpha.r,
         "nondegenerate": nondeg,
     }
-    text = f"{format_blocks(alpha)}\nr {alpha.r}\nnondegenerate {str(nondeg).lower()}"
-    _emit(payload, text, args.fmt)
-    return 0 if nondeg else 1
+    return payload, lambda: "\n".join(
+        [payload["blocks"], f"r {alpha.r}", f"nondegenerate {str(nondeg).lower()}"]
+    ), 0 if nondeg else 1
 
 
-def _cmd_quotient(args) -> int:
-    K = _load_complex(args)
-    f = FieldSpec.parse(args.field)
-    _, alpha = _resolve_partition(args, K)
-    dims = quotient_cohomology_dims(K, alpha, f)
-    rows = [{"q": q, "dim": d} for q, d in sorted(dims.items())]
-    text = "\n".join(f"q={r['q']} dim={r['dim']}" for r in rows)
-    _emit(
-        {"complex": complex_to_json(K), "field": str(f), "blocks": format_blocks(alpha), "dims": rows},
-        text,
-        args.fmt,
-    )
-    return 0
+def _cmd_quotient(args):
+    K, f, alpha, head = _head(args)
+    rows, text = _dim_rows(quotient_cohomology_dims(K, alpha, f))
+    return {**head, "dims": rows}, text, 0
 
 
-def _cmd_tor(args) -> int:
-    K = _load_complex(args)
-    f = FieldSpec.parse(args.field)
-    _, alpha = _resolve_partition(args, K)
+def _cmd_tor(args):
+    K, f, alpha, head = _head(args)
     table = tor_dims(K, alpha, f, args.weight_bound)
-    payload = {
-        "complex": complex_to_json(K),
-        "field": str(f),
-        "blocks": format_blocks(alpha),
-        **table.to_json(),
-    }
-    lines = [
+    return {**head, **table.to_json()}, lambda: "\n".join(
         f"q={q} L={list(vertices_of(L))} dim={v}" for (q, L), v in table.sorted_items()
-    ]
-    _emit(payload, "\n".join(lines), args.fmt)
-    return 0
+    ), 0
 
 
-def _cmd_verify(args) -> int:
-    K = _load_complex(args)
-    f = FieldSpec.parse(args.field)
-    _, alpha = _resolve_partition(args, K)
-    report = verify_tor_threeway(K, alpha, f, args.weight_bound)
-    checks = all_bound_checks(K, alpha, f)
-    ok = report.ok and all(r.verdict for r in checks.values())
+def _cmd_verify(args):
+    K, f, alpha, head = _head(args)
+    report, checks, ok = _checks(K, alpha, f, args.weight_bound)
     payload = {
-        "complex": complex_to_json(K),
-        "field": str(f),
-        "blocks": format_blocks(alpha),
+        **head,
         "threeway": report.to_json(),
         "bounds": {name: r.to_json() for name, r in checks.items()},
         "pass": ok,
     }
-    text_parts = []
-    for rec in report.records:
-        if rec.tor or rec.cellular or rec.hochster or not rec.ok:
-            text_parts.append(
-                f"L={list(vertices_of(rec.colors))} q={rec.q} tor={rec.tor} "
-                f"cellular={rec.cellular} hochster={rec.hochster} "
-                f"{'ok' if rec.ok else 'MISMATCH'}"
-            )
-    for name, r in checks.items():
-        text_parts.append(r.to_text())
-    text_parts.append("pass" if ok else "fail")
-    _emit(payload, "\n".join(text_parts), args.fmt)
-    return 0 if ok else 1
+
+    def text() -> str:
+        lines = [
+            f"L={list(vertices_of(rec.colors))} q={rec.q} tor={rec.tor} "
+            f"cellular={rec.cellular} hochster={rec.hochster} "
+            f"{'ok' if rec.ok else 'MISMATCH'}"
+            for rec in report.records
+            if rec.tor or rec.cellular or rec.hochster or not rec.ok
+        ]
+        return "\n".join([*lines, *(r.to_text() for r in checks.values()), "pass" if ok else "fail"])
+
+    return payload, text, 0 if ok else 1
 
 
-def _cmd_sharp(args) -> int:
-    f = FieldSpec.parse(args.field)
-    report = sharpness_suite(args.dims, f, max_vertices=args.max_m)
-    _emit(report.to_json(), report.to_text(), args.fmt)
-    return 0 if report.verdict else 1
+def _cmd_sharp(args):
+    report = sharpness_suite(args.dims, FieldSpec.parse(args.field), max_vertices=args.max_m)
+    return report.to_json(), report.to_text, 0 if report.verdict else 1
 
 
 def _corpus_member(task) -> dict:
@@ -312,9 +271,7 @@ def _corpus_member(task) -> dict:
     alpha = greedy_coloring(K)
     result = {"m": m, "density": density, "seed": seed, "fields": {}, "pass": True}
     for f in (QQ, GF2, GF3):
-        report = verify_tor_threeway(K, alpha, f, weight_bound)
-        checks = all_bound_checks(K, alpha, f)
-        ok = report.ok and all(r.verdict for r in checks.values())
+        report, _, ok = _checks(K, alpha, f, weight_bound)
         result["fields"][str(f)] = {
             "pass": ok,
             "stabilized": report.all_stabilized,
@@ -324,7 +281,7 @@ def _corpus_member(task) -> dict:
     return result
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args):
     if args.corpus_max_m < 4:
         raise ValueError(f"--corpus-max-m must be at least 4, got {args.corpus_max_m}")
     if args.jobs < 1:
@@ -343,24 +300,30 @@ def _cmd_corpus(args) -> int:
     else:
         results = [_corpus_member(t) for t in tasks]
     ok = all(r["pass"] for r in results)
-    lines = [
-        f"m={r['m']} density={r['density']} seed={r['seed']} {'pass' if r['pass'] else 'FAIL'}"
-        for r in results
-    ] + ["pass" if ok else "fail"]
-    _emit({"members": results, "pass": ok}, "\n".join(lines), args.fmt)
-    return 0 if ok else 1
+    return {"members": results, "pass": ok}, lambda: "\n".join(
+        [f"m={r['m']} density={r['density']} seed={r['seed']} {'pass' if r['pass'] else 'FAIL'}"
+         for r in results] + ["pass" if ok else "fail"]
+    ), 0 if ok else 1
 
 
-_COMMANDS = {
-    "betti": _cmd_betti,
-    "zk": _cmd_zk,
-    "color": _cmd_color,
-    "quotient": _cmd_quotient,
-    "tor": _cmd_tor,
-    "verify": _cmd_verify,
-    "sharp": _cmd_sharp,
-    "corpus": _cmd_corpus,
-}
+_READS_K = (_add_input_args, _add_common_args)
+_PARTITIONED = (*_READS_K, _add_partition_args)
+# name, help, argument groups in --help order, handler
+_SUBCOMMANDS = (
+    ("betti", "multigraded Betti table", (*_READS_K, _add_field_arg), _cmd_betti),
+    ("zk", "moment-angle complex cohomology dimensions", (*_READS_K, _add_field_arg), _cmd_zk),
+    ("color", "partition search / nondegeneracy check", _PARTITIONED, _cmd_color),
+    ("quotient", "torus-quotient cohomology dimensions", (*_PARTITIONED, _add_field_arg),
+     _cmd_quotient),
+    ("tor", "Tor table with stabilization flags",
+     (*_PARTITIONED, _add_weight_bound_arg, _add_field_arg), _cmd_tor),
+    ("verify", "three-way Tor verification plus all bound checks",
+     (*_PARTITIONED, _add_weight_bound_arg, _add_field_arg), _cmd_verify),
+    ("sharp", "sharpness suite for joins of simplex boundaries",
+     (_add_common_args, _add_dims_arg, _add_field_arg), _cmd_sharp),
+    ("corpus", "seeded random complexes, verify over all",
+     (_add_common_args, _add_corpus_args, _add_weight_bound_arg), _cmd_corpus),
+)
 
 
 def main(argv=None) -> int:
@@ -372,7 +335,9 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            return _COMMANDS[args.command](args)
+            payload, text, code = args.handler(args)
+            print(_dumps(payload) if args.fmt == "json" else text())
+            return code
     except (SRBettiError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (MismatchFound, NotAComplex)) else 2

@@ -41,7 +41,7 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-_VERTICES_CACHE: dict[int, tuple[int, ...]] = {}
+_VERTICES_CACHE: dict[int, tuple[int, ...]] = {}  # masks below 2^16 only: 2^16 tuples at most
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
@@ -60,9 +60,14 @@ def vertices_of(mask: int) -> tuple[int, ...]:
         rest >>= 1
         v += 1
     t = tuple(out)
-    if mask < 1 << 20:
+    if mask < 1 << 16:
         _VERTICES_CACHE[mask] = t
     return t
+
+
+def by_size(mask: int) -> tuple[int, int]:
+    """The canonical order of vertex sets: by size |S|, then by the mask S."""
+    return mask.bit_count(), mask
 
 
 def submasks(mask: int):
@@ -153,7 +158,7 @@ class SimplicialComplex:
         return self.faces_by_card[2] if self.dim >= 1 else ()
 
     def facet_list(self) -> list[int]:
-        return sorted(self.facets, key=lambda f: (f.bit_count(), f))
+        return sorted(self.facets, key=by_size)
 
     def __repr__(self):
         return f"SimplicialComplex(m={self.m}, facets={[vertices_of(f) for f in self.facet_list()]})"

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .betti import subcomplex_cohomology
-from .cohomology import CochainComplex, assemble, field_dims, integral_elimination, rank_cache
+from .cohomology import _SLOTS, CochainComplex, assemble, field_dims, integral_elimination, rank_cache
 from .coloring import (
     Partition,
     _as_color_mask,
@@ -59,7 +59,7 @@ from .coloring import (
     omega_L,
     require_nondegenerate,
 )
-from .complexes import SimplicialComplex, submasks, vertices_of
+from .complexes import SimplicialComplex, by_size, submasks, vertices_of
 from .errors import MismatchFound, NotAComplex, NotAMember, StabilizationNotReached
 from .linalg import FieldSpec
 
@@ -100,7 +100,9 @@ class _Ctx:
         return inter.bit_length()
 
 
-@lru_cache(maxsize=4096)
+# as many (K, α) as walkers: each slot keeps K and its coface table, and every
+# caller (a CLI run, corpus, the benchmark) finishes one (K, α) before the next
+@lru_cache(maxsize=_SLOTS)
 def _context(K: SimplicialComplex, alpha: Partition) -> _Ctx:
     require_nondegenerate(K, alpha)
     return _Ctx(K, alpha)
@@ -238,7 +240,7 @@ def _e0_entries(K: SimplicialComplex, alpha: Partition, routes: int):
     piece 1_L by degree -q (the L-block's in degree 2|L| - q) and the residual
     or None.  Only ``routes`` are built: the piece, the block, or both compared
     entry by entry; one of them is eliminated over ℤ, for every field."""
-    for lmask in sorted(submasks(alpha.full_color_mask), key=lambda s: (s.bit_count(), s)):
+    for lmask in sorted(submasks(alpha.full_color_mask), key=by_size):
         w = _pattern_weight(lmask, 0, alpha.r)
         piece = koszul_piece(K, alpha, w) if routes & _PIECE else None
         block = quotient_cochain_complex(K, alpha, lmask) if routes & _BLOCK else None
@@ -418,8 +420,8 @@ def _contraction_failure(ctx: _Ctx, lmask: int, inside: dict):
 def _stabilized_json(stabilized: dict[int, bool]) -> list[dict]:
     """Per-L stabilization flags, ordered by (|L|, L)."""
     return [
-        {"L": list(vertices_of(L)), "stabilized": flag}
-        for L, flag in sorted(stabilized.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        {"L": list(vertices_of(L)), "stabilized": stabilized[L]}
+        for L in sorted(stabilized, key=by_size)
     ]
 
 
@@ -450,10 +452,7 @@ class TorTable:
         return all(self.stabilized.values())
 
     def sorted_items(self):
-        return sorted(
-            self.entries.items(),
-            key=lambda kv: (kv[0][1].bit_count(), kv[0][1], kv[0][0]),
-        )
+        return sorted(self.entries.items(), key=lambda kv: (by_size(kv[0][1]), kv[0][0]))
 
     def to_json(self) -> dict:
         return {
@@ -653,7 +652,7 @@ def verify_tor_threeway(
     and the L-block are compared entry by entry, then one is ranked."""
     table = _tor_table(K, alpha, f, weight_bound, _PIECE | _BLOCK)
     records = []
-    for lmask in sorted(table.stabilized, key=lambda s: (s.bit_count(), s)):
+    for lmask in sorted(table.stabilized, key=by_size):
         lsize = lmask.bit_count()
         sub_dims = subcomplex_cohomology(K, omega_L(alpha, lmask), f)
         for q in range(0, lsize + 2):

@@ -15,6 +15,7 @@ import pytest
 
 import srbetti
 import srbetti.betti
+import srbetti.bounds
 import srbetti.cli
 import srbetti.tor
 from srbetti.cli import main
@@ -188,6 +189,49 @@ def test_field_is_refused_where_it_is_never_read(argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--field", "bogus"])
     assert exc.value.code == 2
+
+
+_EVERY = {"betti", "zk", "color", "quotient", "tor", "verify", "sharp", "corpus"}
+_READS_K = _EVERY - {"sharp", "corpus"}
+_PARTITIONED = {"color", "quotient", "tor", "verify"}
+_OPTIONS = {  # option string -> the commands that take it, as the README lists them
+    **dict.fromkeys(["-h", "--help", "--format", "--max-m"], _EVERY),
+    **dict.fromkeys(["--in", "--facets", "--m", "--allow-isolated"], _READS_K),
+    **dict.fromkeys(
+        ["--blocks", "--blocks-file", "--greedy", "--minimum", "--trivial"], _PARTITIONED
+    ),
+    "--field": {"betti", "zk", "quotient", "tor", "verify", "sharp"},
+    "--weight-bound": {"tor", "verify", "corpus"},
+    "--dims": {"sharp"},
+    **dict.fromkeys(["--seed", "--count", "--corpus-max-m", "--density", "--jobs"], {"corpus"}),
+}
+
+
+@pytest.mark.parametrize("option", _OPTIONS)
+def test_each_option_is_taken_by_its_commands_only(option):
+    (sub,) = (a for a in srbetti.cli.build_parser()._actions if a.choices and a.dest == "command")
+    taken = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+    assert set(taken) == _EVERY
+    assert set().union(*taken.values()) == set(_OPTIONS)  # no option goes unpinned
+    assert {name for name, options in taken.items() if option in options} == _OPTIONS[option]
+
+
+def test_a_json_run_renders_no_text(square_file, capsys, monkeypatch):
+    # the text view is built only under --format text: with every renderer
+    # that the JSON runs of verify, sharp and tor would reach made to raise,
+    # they still succeed
+    def refuse(*_):
+        raise RuntimeError("text rendered for a JSON run")
+
+    monkeypatch.setattr(srbetti.bounds.BoundReport, "to_text", refuse)
+    monkeypatch.setattr(srbetti.cli, "vertices_of", refuse)
+    square = ["--in", square_file]
+    for argv in (["verify", *square], ["sharp", "--dims", "1", "2"], ["tor", *square]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+        with pytest.raises(RuntimeError, match="text rendered"):
+            main([*argv, "--format", "text"])
 
 
 def test_a_failed_contraction_certificate_exits_1(square_file, capsys, monkeypatch):

@@ -14,6 +14,7 @@ import srbetti
 from srbetti.complexes import (
     SimplicialComplex,
     boundary_simplex,
+    by_size,
     complex_from_json,
     complex_to_json,
     empty_complex,
@@ -58,6 +59,20 @@ def test_mask_helpers():
     assert mask_of((1, 3)) == 0b101
     assert vertices_of(0b1010) == (2, 4)
     assert sorted(submasks(0b101)) == [0, 1, 4, 5]
+    assert sorted([0b110, 0b1, 0b11, 0, 0b100], key=by_size) == [0, 0b1, 0b100, 0b11, 0b110]
+
+
+def test_vertices_of_keeps_only_masks_below_2_16():
+    # one betti run at m = 18 once kept a tuple for every one of its 2^18 ω
+    cache = srbetti.complexes._VERTICES_CACHE
+    for mask, vertices, kept in [
+        (0b1011, (1, 2, 4), True),
+        ((1 << 16) - 1, tuple(range(1, 17)), True),
+        (1 << 16, (17,), False),
+        (1 << 17 | 0b101, (1, 3, 18), False),
+    ]:
+        assert vertices_of(mask) == vertices
+        assert (mask in cache) is kept, mask
 
 
 def test_from_facets_two_points():

@@ -177,6 +177,39 @@ def test_the_parameter_scan_sees_every_form():
     }
 
 
+def _prints(tree: ast.AST, scope: str = ""):
+    """(line, the top-level function or class around it, or "") of every print call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            yield node.lineno, scope
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _prints(node, node.name if named and not scope else scope)
+
+
+def test_only_cli_main_prints():
+    # main writes stdout and stderr; every other function returns what it has
+    # to say, so a JSON run renders no text view and a library call prints nothing
+    found = [
+        f"{path.name}:{line}: print in {scope or 'module'}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, scope in _prints(ast.parse(path.read_text(), str(path)))
+        if (path.name, scope) != ("cli.py", "main")
+    ]
+    assert found == []
+
+
+def test_the_print_scan_sees_every_form():
+    tree = ast.parse(
+        "print('top')\ndef main():\n    print(1)\n    def inner():\n        print(2)\n"
+        "class C:\n    def m(self):\n        return [print(x) for x in self]\n"
+        "async def f():\n    lambda: print()\nif x:\n    print(file=y)\n"
+        "def other():\n    out.print(3)\n    pprint(4)\n"
+    )
+    assert list(_prints(tree)) == [
+        (1, ""), (3, "main"), (5, "main"), (8, "C"), (10, "f"), (12, "")
+    ]
+
+
 def _definitions(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

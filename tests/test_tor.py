@@ -10,7 +10,7 @@ import srbetti.tor
 from hypothesis import given, settings, strategies as st
 
 from srbetti.betti import betti_table, zk_cohomology_dims
-from srbetti.cohomology import cohomology_dims, reduced_cohomology_dims
+from srbetti.cohomology import _SLOTS, cohomology_dims, reduced_cohomology_dims
 from srbetti.coloring import (
     greedy_coloring,
     omega_L,
@@ -1108,6 +1108,18 @@ def test_cache_clear_discards_the_colored_blocks(monkeypatch, fresh_blocks):
     report = verify_tor_threeway(K, alpha, QQ)
     assert report.ok and report.table.entries != wrong.table.entries
     assert srbetti.tor._e0_sweep.cache_info().currsize == 1
+
+
+def test_the_contexts_kept_stay_at_one_per_walker_slot(fresh_certificates):
+    # each kept context holds K and its coface table, which cache_clear does not
+    # free: 500 distinct (K, α) once held 14.8 MiB; callers finish one at a time
+    complexes = {random_complex(5, 0.5, seed) for seed in range(40)}
+    assert len(complexes) > 2 * _SLOTS
+    for K in complexes:
+        tor_dims(K, greedy_coloring(K), GF2)
+    info = _context.cache_info()
+    assert info.maxsize == info.currsize == _SLOTS
+    assert info.misses >= len(complexes)
 
 
 def test_a_piece_without_its_bottom_generator_is_caught_by_its_basis(monkeypatch, fresh_blocks):
