@@ -120,14 +120,11 @@ def check_ustinovskii(K: SimplicialComplex, f: FieldSpec) -> BoundReport:
     """For each i: Σ_ω β_{i,ω} >= C(m - dim K - 1, i)."""
     table = betti_table(K, f)
     n = K.m - K.dim - 1
-    report = BoundReport("betti-binomial")
-    for i in range(K.m + 1):
-        terms: dict[int, int] = {}
-        for (j, om), b in table.entries.items():
-            if j == i:
-                terms[om] = terms.get(om, 0) + b
-        report.rows.append(BoundRow(i, sum(terms.values()), binomial(n, i), terms))
-    return report
+    terms: list[dict[int, int]] = [{} for _ in range(K.m + 1)]
+    for (i, om), b in table.entries.items():  # one pass: each (i, ω) occurs once
+        terms[i][om] = b
+    rows = [BoundRow(i, sum(t.values()), binomial(n, i), t) for i, t in enumerate(terms)]
+    return BoundReport("betti-binomial", rows)
 
 
 def check_caolu(K: SimplicialComplex, f: FieldSpec) -> BoundReport:

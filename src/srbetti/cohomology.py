@@ -324,7 +324,8 @@ def _dims(sizes: list[int], ranks: list[int], lo: int = -1) -> Mapping[int, int]
 
 def field_dims(units: Mapping[int, int], residual: dict | None, f: FieldSpec) -> Mapping[int, int]:
     """Dimensions over f from those of the unit pivots over ℤ and the rows set aside
-    from each d_q, whose rank over f lowers degrees q and q + 1 (see :func:`rank`)."""
+    from each d_q, whose rank over f, a count of their diagonal form (see
+    :func:`rank`), lowers degrees q and q + 1."""
     if not residual:
         return units
     out = dict(units)

@@ -3,19 +3,20 @@
 Every coboundary in the package is a :class:`SparseMap`: a list of sparse
 rows, each row a list of (column index, nonzero integer coefficient) pairs
 with distinct columns.  The builders produce it straight from face bitmasks
-and generator indices, and :func:`rank` is the single elimination kernel.
-Rows are reduced one after another against the pivot rows found so far,
-each pivot keyed on its largest column index, whatever the field (the
-"low" of Chen–Kerber, "Persistent homology computation with a twist",
-2011); a map may carry such pivots from an earlier elimination, which its
-rows then extend, as the Hochster sweep does from K|ω to K|(ω ∪ v).  The
-kernel branches on the field:
+and generator indices, and :func:`rank` is the single elimination kernel,
+one elimination over ℤ for every field:
 
-* GF(p): sparse dict rows, each pivot row normalised to a unit pivot;
-* the rationals: sparse integer rows.  Given a residual list, only ±1 leads
-  become pivots and the rows with other leads are set aside; adding the
-  residual's rank over F gives the rank over any field F (Dumas–Heckenbach–
-  Saunders–Welker, 2003).  Else any lead is a pivot, scaling the rows it meets.
+* rows are reduced one after another against the pivot rows found so far,
+  each keyed on its largest column index (the "low" of Chen–Kerber,
+  "Persistent homology computation with a twist", 2011).  Only a ±1 lead
+  makes a pivot; a row with another lead is set aside, reduced at every
+  pivot column.  A map may carry the pivots and rows set aside of an
+  earlier elimination, which its rows extend, as the Hochster sweep does
+  from K|ω to K|(ω ∪ v);
+* the field is read only to count: ±1 pivots stay independent over every
+  field, so the rank over GF(p) is their number plus the number of entries
+  of a diagonal form of the rows set aside that p does not divide, and over
+  ℚ plus every entry (Dumas–Heckenbach–Saunders–Welker, 2003).
 
 All arithmetic is exact; floating point is never used.
 """
@@ -23,7 +24,6 @@ All arithmetic is exact; floating point is never used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple
 
 
@@ -92,36 +92,14 @@ class SparseMap(NamedTuple):
 def rank(M: SparseMap, f: FieldSpec) -> int:
     """Exact rank of M over the field f.
 
-    If M carries an elimination state over f (``M.pivots``), its rows are
-    reduced against it, those that do not vanish join it, and their number
-    is returned.  Rows in the state are never changed, so extending a
-    shallow copy leaves the original intact.  Over ℚ, a list ``M.residual``
-    keeps the rows whose lead is not ±1 instead, for the caller to rank."""
-    p = f.p
-    pivots = {} if M.pivots is None else M.pivots
-    before = len(pivots)
-    if p:
-        for row in M.data:
-            r = {c: a % p for c, a in row if a % p}
-            while r:
-                col = max(r)
-                pivot = pivots.get(col)
-                if pivot is None:
-                    inv = pow(r[col], -1, p)
-                    pivots[col] = {c: a * inv % p for c, a in r.items()}
-                    break
-                t = r[col]
-                for c, a in pivot.items():
-                    x = (r.get(c, 0) - t * a) % p
-                    if x:
-                        r[c] = x
-                    else:
-                        del r[c]
-        return len(pivots) - before
-
-    # ℚ: with M.residual, the ℤ phase, each row set aside being reduced at
-    # every pivot column; a pivot s ≠ ±1 scales the row, its content gcd divided out
-    residual, rows, n = M.residual, M.data, before
+    If M carries an elimination state, ``M.pivots`` and the list ``M.residual``
+    of rows set aside, its rows extend it and the number of new pivots, the
+    same over every field, is returned; the caller ranks the residual over f.
+    Rows in the state are never changed, so extending copies leaves it intact."""
+    if (M.pivots is None) != (M.residual is None):
+        raise ValueError("an elimination state needs both pivots and a residual list")
+    pivots, residual = ({}, []) if M.pivots is None else (M.pivots, M.residual)
+    rows, before, n = M.data, len(pivots), len(pivots)
     while True:
         for row in rows:
             r = dict(row)
@@ -129,7 +107,7 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                 col = max(r)
                 pivot = pivots.get(col)
                 if pivot is None:
-                    if residual is None or (t := r[col]) == 1 or t == -1:
+                    if (t := r[col]) == 1 or t == -1:
                         pivots[col] = r
                         break
                     col = max((c for c in r if c in pivots), default=None)
@@ -137,21 +115,42 @@ def rank(M: SparseMap, f: FieldSpec) -> int:
                         residual.append([*r.items()])
                         break
                     pivot = pivots[col]
-                s, t = pivot[col], r[col]
-                if s == 1 or s == -1:
-                    t *= s  # r - (t/s)·pivot, as 1/s == s
-                else:
-                    r = {c: s * a for c, a in r.items()}
+                t = r[col] * pivot[col]  # r - (r[col]/s)·pivot, as s = ±1 = 1/s
                 for c, a in pivot.items():
                     x = r.get(c, 0) - t * a
                     if x:
                         r[c] = x
                     else:
                         del r[c]
-                if s != 1 and s != -1 and r:
-                    g = gcd(*r.values())
-                    r = {c: a // g for c, a in r.items()}
         if not residual or len(pivots) == n:
-            return len(pivots) - before
+            break
         # a later unit pivot may have taken a column of a row set aside before it
         rows, residual[:], n = residual[:], [], len(pivots)
+    if M.pivots is not None:
+        return len(pivots) - before
+    return len(pivots) + sum(1 for d in _diagonal(residual) if not f.p or d % f.p)
+
+
+def _diagonal(rows: list[list[tuple[int, int]]]) -> list[int]:
+    """The entries of a diagonal form of the integer rows, reached by unimodular
+    row and column operations, each step pivoting on an entry of least |value|."""
+    rows, out = [dict(r) for r in rows if r], []
+    while rows:
+        _, i, col = min((abs(a), i, c) for i, r in enumerate(rows) for c, a in r.items())
+        pivot, s = rows[i], rows[i][col]
+        for r in rows:  # row operations leave a remainder mod s in the pivot's column
+            if r is not pivot and col in r:
+                t = r[col] // s
+                for c, a in pivot.items():
+                    if x := r.get(c, 0) - t * a:
+                        r[c] = x
+                    else:
+                        del r[c]
+        if not any(col in r for r in rows if r is not pivot):  # column operations then
+            if rest := {c: a % s for c, a in pivot.items() if a % s}:  # change the pivot row only
+                rows[i] = {**rest, col: s}
+            else:
+                out.append(s)
+                rows[i] = {}
+        rows = [r for r in rows if r]
+    return out

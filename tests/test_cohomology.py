@@ -36,7 +36,7 @@ from srbetti.complexes import (
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
 from srbetti.errors import NotAComplex
 from srbetti.linalg import GF2, GF3, QQ, SparseMap, rank
-from test_complexes import complexes, relabel_complex
+from test_complexes import complexes, moore_space_mod_3, relabel_complex
 
 
 def test_empty_complex_chain():
@@ -162,20 +162,6 @@ def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
     finally:
         srbetti.cohomology._walker.cache_clear()
         reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
-
-
-def moore_space_mod_3():
-    """A triangulated mod-3 Moore space: a disk whose boundary 9-gon, labelled
-    1 2 3 1 2 3 1 2 3, wraps three times around the circle 1 2 3.  An inner
-    pentagon 4..8 fills it; its vertex 4 + i spans the boundary positions
-    2i..2i + 2 (8..9 for the last, position 9 being 0).  H̃ is zero over ℚ
-    and GF(2), and H̃^1 = H̃^2 = 1 over GF(3)."""
-    label = [1 + j % 3 for j in range(10)]
-    triangles = [(4, 5, 6), (4, 6, 7), (4, 7, 8)]
-    for i, (start, end) in enumerate([(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]):
-        triangles += [(label[j], label[j + 1], 4 + i) for j in range(start, end)]
-        triangles.append((label[end], 4 + i, 4 + (i + 1) % 5))
-    return from_facets(8, [mask_of(t) for t in triangles])
 
 
 SWEPT = [

@@ -55,6 +55,20 @@ def four_cycle():
     return from_facets(4, [mask_of(e) for e in [(1, 2), (2, 3), (3, 4), (1, 4)]])
 
 
+def moore_space_mod_3():
+    """A triangulated mod-3 Moore space: a disk whose boundary 9-gon, labelled
+    1 2 3 1 2 3 1 2 3, wraps three times around the circle 1 2 3.  An inner
+    pentagon 4..8 fills it; its vertex 4 + i spans the boundary positions
+    2i..2i + 2 (8..9 for the last, position 9 being 0).  H̃ is zero over ℚ
+    and GF(2), and H̃^1 = H̃^2 = 1 over GF(3)."""
+    label = [1 + j % 3 for j in range(10)]
+    triangles = [(4, 5, 6), (4, 6, 7), (4, 7, 8)]
+    for i, (start, end) in enumerate([(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]):
+        triangles += [(label[j], label[j + 1], 4 + i) for j in range(start, end)]
+        triangles.append((label[end], 4 + i, 4 + (i + 1) % 5))
+    return from_facets(8, [mask_of(t) for t in triangles])
+
+
 def test_mask_helpers():
     assert mask_of((1, 3)) == 0b101
     assert vertices_of(0b1010) == (2, 4)

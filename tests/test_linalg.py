@@ -2,8 +2,10 @@
 
 Expected values for the projective-plane boundary matrices were frozen from
 an independent sympy DomainMatrix computation; the suite re-derives them with
-sympy at run time as a second opinion.  The plain Fraction elimination below
-is the second independent oracle for the rational branch of ``rank``.
+sympy at run time as a second opinion.  ``rank`` eliminates over ℤ once for
+every field and counts a diagonal form of the rows it sets aside; the plain
+Fraction elimination and the GF(p) elimination below are its independent
+oracles over ℚ and over the prime fields.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srbetti.corpus import rp2_complex
-from srbetti.linalg import GF2, GF3, QQ, FieldSpec, SparseMap, rank
+from srbetti.linalg import GF2, GF3, QQ, FieldSpec, SparseMap, _diagonal, rank
 
 
 def sparse(rows_list) -> SparseMap:
@@ -72,6 +74,29 @@ def rank_naive_rationals(rows_list) -> int:
         if pr == nrows:
             break
     return pr
+
+
+def rank_mod_p(M: SparseMap, p: int) -> int:
+    """Rank over GF(p) by elimination of sparse dict rows, each pivot row
+    normalised to a unit pivot (test-local oracle, independent of the ℤ elimination)."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in M.data:
+        r = {c: a % p for c, a in row if a % p}
+        while r:
+            col = max(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(r[col], -1, p)
+                pivots[col] = {c: a * inv % p for c, a in r.items()}
+                break
+            t = r[col]
+            for c, a in pivot.items():
+                x = (r.get(c, 0) - t * a) % p
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 def boundary_matrix(K, card):
@@ -206,8 +231,8 @@ def test_rank_invariant_under_permutation(rows, rng):
         assert rank(sparse(rows), f) == rank(sparse([list(c) for c in cols]), f)
 
 
-# The rational branch of ``rank`` replaced a dense Bareiss elimination; the
-# test names are kept, the oracle is the Fraction elimination above.
+# ``rank``'s ℤ elimination replaced a dense Bareiss elimination; the test
+# names are kept, the oracle is the Fraction elimination above.
 @settings(max_examples=80, deadline=None)
 @given(small_int_matrices)
 def test_bareiss_agrees_with_naive_rational(rows):
@@ -229,8 +254,8 @@ def test_rational_rank_dominates_prime_rank(rows, p):
     assert rank(m, QQ) >= rank(m, FieldSpec(p))
 
 
-# Entries up to ±9 with many zeros: pivots are mostly not ±1, so the rational
-# branch has to scale by the pivot and divide out row contents.
+# Entries up to ±9 with many zeros: leads are mostly not ±1, so most rows are
+# set aside and ranked through their diagonal form.
 sparse_int_matrices = st.integers(1, 9).flatmap(
     lambda r: st.integers(1, 9).flatmap(
         lambda c: st.lists(
@@ -256,8 +281,37 @@ def test_sparse_kernel_matches_sympy_domain_matrix(rows):
         assert rank(m, f) == dm.rank(), (str(f), rows)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrices, st.sampled_from([2, 3, 5, 65521]))
+def test_rank_matches_the_elimination_over_each_prime_field(rows, p):
+    m = sparse(rows)
+    assert rank(m, FieldSpec(p)) == rank_mod_p(m, p), (p, rows)
+    assert rank(m, QQ) == rank_naive_rationals(rows), rows
+
+
+def test_the_rows_set_aside_need_column_operations():
+    # [[2, 1], [0, 2]] is in echelon form with both leads 2, yet has rank 1
+    # over GF(2): column operations reach the diagonal form (1, 4) up to units
+    d = _diagonal([[(0, 2), (1, 1)], [(1, 2)]])
+    assert sorted(map(abs, d)) == [1, 4]
+    # the same matrix with its columns reversed: keyed by its largest column,
+    # each row has lead 2, so rank sets both aside
+    m = sparse([[1, 2], [2, 0]])
+    assert (rank(m, GF2), rank(m, QQ), rank(m, GF3)) == (1, 2, 2)
+    assert rank_mod_p(m, 2) == 1
+    # a least entry that does not divide its row: (3, 2) is set aside, and its
+    # diagonal form is (1), not (2), by one column operation
+    assert [rank(sparse([[3, 2]]), f) for f in (QQ, GF2, GF3)] == [1, 1, 1]
+
+
+def test_a_diagonal_entry_6_is_dropped_over_gf2_and_gf3():
+    # (2, 6) is reduced at the unit pivot (1, 0) to (0, 6) and set aside
+    m = sparse([[1, 0], [2, 6]])
+    assert [rank(m, f) for f in (QQ, GF2, GF3, FieldSpec(5))] == [2, 1, 1, 2]
+
+
 def test_rational_branch_scales_non_unit_pivots():
-    # every pivot is 2 or 3; the rank over ℚ is full although GF(2) and GF(3)
+    # every lead is 2 or 3; the rank over ℚ is full although GF(2) and GF(3)
     # each lose one row
     rows = [[2, 4, 6], [3, 3, 0], [2, 1, 1]]
     assert rank(sparse(rows), QQ) == rank_naive_rationals(rows) == 3
@@ -286,22 +340,17 @@ def test_a_copied_state_is_extended_without_touching_the_original():
     assert (rank(rows, QQ), rank(rows, FieldSpec(5))) == (2, 1)
 
 
-def test_a_state_without_a_residual_list_takes_every_row_over_the_rationals():
-    # with no list to keep them, rows whose lead is not ±1 join the state
-    # too, so a state counts every row it takes, and takes each row once
-    state: dict = {}
-    assert rank(SparseMap(1, 1, [[(0, 2)]], state), QQ) == 1
-    assert state == {0: {0: 2}}
-    assert rank(SparseMap(1, 1, [[(0, 2)]], state), QQ) == 0
-    rows = [[(0, 1), (1, 2)], [(0, 3), (1, 1)]]  # the lead 2 scales (3, 1), which vanishes
-    assert rank(SparseMap(2, 2, rows, state), QQ) == 1
-    assert rank(SparseMap(2, 2, rows, state), QQ) == 0
-    assert len(state) == 2
+def test_a_state_without_a_residual_list_is_refused():
+    # a state is its pivots and its rows set aside: half of one would drop
+    # the rows whose lead is not ±1, or rank them against nothing
+    for state in (({}, None), (None, [])):
+        with pytest.raises(ValueError, match="both pivots and a residual list"):
+            rank(SparseMap(1, 1, [[(0, 2)]], *state), QQ)
 
 
 @pytest.mark.parametrize("f", [QQ, GF2, GF3])
 def test_every_field_keys_a_pivot_by_its_largest_column(f):
     # one key convention for every field: a state's keys are column indices
-    state: dict = {}
-    assert rank(SparseMap(1, 3, [[(0, 1), (2, 1)]], state), f) == 1
-    assert list(state) == [2]
+    state, aside = {}, []
+    assert rank(SparseMap(1, 3, [[(0, 1), (2, 1)]], state, aside), f) == 1
+    assert (list(state), aside) == ([2], [])

@@ -271,6 +271,55 @@ def test_the_dead_definition_scan_sees_every_form():
     assert [name for _, name in _definitions(defs) if name not in used] == ["dead"]
 
 
+def _characteristic_reads(tree: ast.Module):
+    """(line, the top-level function or class around it, or "", whether in its
+    last statement) of every ``.p`` attribute and ``getattr(..., "p")``."""
+    for top in tree.body:
+        named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        last = set(ast.walk(top.body[-1])) if named else set()
+        for node in ast.walk(top):
+            call = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+            if (isinstance(node, ast.Attribute) and node.attr == "p") or (
+                call and len(node.args) > 1 and getattr(node.args[1], "value", None) == "p"
+            ):
+                yield node.lineno, top.name if named else "", node in last
+
+
+def test_the_characteristic_is_read_only_to_count():
+    # one elimination over ℤ serves every field: outside FieldSpec only the
+    # final count of rank reads p, so no per-field elimination can come back
+    reads = {
+        path.name: sorted(_characteristic_reads(ast.parse(path.read_text(), str(path))))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    found = [
+        f"{name}:{line}: {scope or 'module'}"
+        for name, found_in in reads.items()
+        for line, scope, last in found_in
+        if name != "linalg.py" or not (scope == "FieldSpec" or (scope == "rank" and last))
+    ]
+    assert found == []
+    assert {(scope, last) for _, scope, last in reads["linalg.py"]} >= {("rank", True)}
+
+
+def test_the_characteristic_scan_sees_every_form():
+    tree = ast.parse(
+        "class FieldSpec:\n    def name(self):\n        return self.p\n"
+        "def rank(M, f):\n    p = f.p\n    return getattr(f, 'p')\n"
+        "key = lambda f: f.field.p\n"
+        "def other(f):\n    def inner():\n        return f.p % 2\n    return inner\n"
+        "x.p = 3\nFieldSpec.parse('q').pp\ngetattr(f, 'q')\n"
+    )
+    assert sorted(_characteristic_reads(tree)) == [
+        (3, "FieldSpec", True),
+        (5, "rank", False),
+        (6, "rank", True),
+        (7, "", False),
+        (10, "other", False),
+        (12, "", False),
+    ]
+
+
 # caches that hold no rank result: the combinatorics of (K, α) and the CLI parser
 _RANK_FREE_CACHES = {"tor._context", "cli._parser"}
 

@@ -55,6 +55,7 @@ from srbetti.tor import (
     x_cell_dim,
     x_coboundary,
 )
+from test_complexes import moore_space_mod_3
 
 
 def square_with_coloring():
@@ -1091,6 +1092,26 @@ def test_a_second_field_ranks_only_the_residual_rows(monkeypatch, fresh_blocks):
         table = betti_table(K, f)
         assert entries == {(q, L): table.get(q, omega_L(alpha, L)) for q, L in entries}
         assert sum(entries.values()) == table.total()
+
+
+def test_the_mod_3_moore_space_reaches_gf3_through_its_e0_residual(fresh_blocks):
+    # under the greedy coloring only L = [r], whose ω_L is all of [m], leaves
+    # an e = 0 row that no ±1 pivot reduces, the space's ℤ/3: GF(3) reads it
+    # through _e0_dims and gains Tor_{3,[r]} and Tor_{4,[r]}, as RP² over GF(2)
+    K = moore_space_mod_3()
+    alpha = greedy_coloring(K)
+    full = alpha.full_color_mask
+    report = verify_tor_threeway(K, alpha, GF3)
+    assert report.ok
+    sweep = srbetti.tor._e0_sweep(K, alpha, srbetti.tor._PIECE)
+    assert [L for L, _units, rows in sweep if rows] == [full]
+    over_q, over_3 = tor_dims(K, alpha, QQ).entries, report.table.entries
+    assert {k for k in over_q.keys() | over_3.keys() if over_q.get(k) != over_3.get(k)} == {
+        (3, full), (4, full)
+    }
+    for f in (QQ, GF3):
+        assert quotient_cohomology_dims(K, alpha, f) == sum_of_quotient_blocks(K, alpha, f)
+    assert quotient_cohomology_dims(K, alpha, QQ) != quotient_cohomology_dims(K, alpha, GF3)
 
 
 def test_cache_clear_discards_the_colored_blocks(monkeypatch, fresh_blocks):
