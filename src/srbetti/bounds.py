@@ -12,7 +12,9 @@ from math import comb
 
 from .betti import betti_table, subcomplex_cohomology, zk_cohomology_dims
 from .coloring import Partition, omega_L, require_nondegenerate
-from .complexes import SimplicialComplex, boundary_simplex, by_size, join, submasks, vertices_of
+from .complexes import (
+    SimplicialComplex, _check_cap, boundary_simplex, by_size, join, submasks, vertices_of
+)
 from .errors import InvalidDimension
 from .linalg import FieldSpec
 
@@ -140,9 +142,10 @@ def sharpness_suite(dims: list[int], f: FieldSpec, *, max_vertices=None) -> Boun
     must hold with equality (slack exactly 0)."""
     if not dims or any(n < 1 for n in dims):
         raise InvalidDimension(f"sharpness needs dimensions >= 1, got {dims}")
+    _check_cap(sum(n + 1 for n in dims), max_vertices)  # the join's m, before a face is built
     K = boundary_simplex(dims[0], max_vertices=max_vertices)
     for n in dims[1:]:
-        K = join(K, boundary_simplex(n), max_vertices=max_vertices)
+        K = join(K, boundary_simplex(n, max_vertices=max_vertices), max_vertices=max_vertices)
     caolu = check_caolu(K, f)
     usti = check_ustinovskii(K, f)
     total_row = BoundRow(0, caolu.rows[0].lhs, caolu.rows[0].rhs)

@@ -128,40 +128,29 @@ def _resolve_partition(args, K: SimplicialComplex) -> tuple[str, Partition]:
 _ESCAPE = json.encoder.encode_basestring_ascii
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
 _SCALARS = {str: _ESCAPE, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
-_ITEM = object()  # the key of every list item; its head is empty
 
 
 def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, in one pass: json indents in pure Python."""
-    out: list[str] = []
-    put = out.append
-    heads = {_ITEM: ""}  # str key -> '"key": '
+    """``json.dumps(obj, indent=2)``, byte for byte: json indents in pure Python."""
+    return _text(obj, "\n")
 
-    def enc(o, nl: str) -> None:
-        t = type(o)
-        if (t is dict or t is list) and o:
-            inner = nl + "  "
-            sep, comma = ("{" if t is dict else "[") + inner, "," + inner
-            for k, v in o.items() if t is dict else zip([_ITEM] * len(o), o):
-                head = heads.get(k)
-                if head is None:  # json escapes the key, or coerces one that is no str
-                    head = json.dumps({k: 0})[1:-2]
-                    if type(k) is str:
-                        heads[k] = head
-                scalar = _SCALARS.get(type(v))
-                if scalar is not None:
-                    put(sep + head + scalar(v))
-                else:
-                    put(sep + head)
-                    enc(v, inner)
-                sep = comma
-            put(nl + ("}" if t is dict else "]"))
-        else:  # an empty container, or a type no payload holds (float, tuple, ...)
-            put(json.dumps(o, indent=2).replace("\n", nl))
 
-    enc(obj, "\n")
-    del enc  # enc refers to itself: a cycle that would keep every fragment until a gc pass
-    return "".join(out)
+def _text(o, nl: str) -> str:
+    """o's JSON, each line after the first opened by ``nl``: one join per container."""
+    t = type(o)
+    if not ((t is dict or t is list) and o):  # a scalar, {}, [], or a type no payload holds
+        scalar = _SCALARS.get(t)
+        return scalar(o) if scalar else json.dumps(o, indent=2).replace("\n", nl)
+    inner = nl + "  "
+    if t is list:
+        items = [s(v) if (s := _SCALARS.get(type(v))) else _text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    items = [  # json escapes a key, or coerces one that is no str
+        f"{_ESCAPE(k) if type(k) is str else json.dumps({k: 0})[1:-4]}: "
+        f"{s(v) if (s := _SCALARS.get(type(v))) else _text(v, inner)}"
+        for k, v in o.items()
+    ]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
 # Each handler returns (payload, text, exit code): ``text`` renders the text

@@ -218,7 +218,7 @@ class _Walker:
     Each ω is walked once, for every field, and kept in one byte: 0 until it is
     walked, else the index of a distinct residual-free result in ``values``
     (1–254), or 255 for one in ``rare``, with a residual or past the 254th.
-    ω's byte sits in a block of 2^16 ω, allocated when first written."""
+    ω's byte sits in a block of ``_BLOCK`` ω, allocated when first written."""
 
     def __init__(self, K: SimplicialComplex):
         order = sorted(range(K.m), key=lambda v: (sum(g >> v & 1 for g in K.faces), v))  # π⁻¹
@@ -238,7 +238,7 @@ class _Walker:
         self.chain = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)]
         self.lock = Lock()
         self.rows_reduced = self.rows_cleared = self.rows_residual = self.hits = 0
-        self.blocks, self.block = {}, min(1 << K.m, 1 << 16)  # ω >> 16 ↦ the bytes of its block
+        self.blocks, self.block = {}, min(1 << K.m, _BLOCK)  # ω // _BLOCK ↦ the bytes of its block
         self.values, self.index, self.rare = [None], {}, {}
         _walkers.add(self)
 
@@ -271,13 +271,14 @@ class _Walker:
 
     def result(self, omega: int) -> tuple[Mapping[int, int], dict[int, SparseMap] | None]:
         """ω's unit dimensions and residual (see :func:`field_dims`), walked once, then read back."""
-        block = self.blocks.get(omega >> 16)
-        if block is not None and (b := block[omega & 0xFFFF]):
+        hi, lo = divmod(omega, _BLOCK)
+        block = self.blocks.get(hi)
+        if block is not None and (b := block[lo]):
             self.hits += 1  # a count only: racing threads may lose one, never an answer
             return self.values[b] if b < 255 else self.rare[omega]
         with self.lock:
-            block = block or self.blocks.setdefault(omega >> 16, bytearray(self.block))
-            if not (b := block[omega & 0xFFFF]):  # else another thread walked ω meanwhile
+            block = block or self.blocks.setdefault(hi, bytearray(self.block))
+            if not (b := block[lo]):  # else another thread walked ω meanwhile
                 chain, image = self.chain, _relabel(self.image, omega)
                 # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
                 while (top := chain[-1][0]) != image & -(top & -top):
@@ -297,7 +298,7 @@ class _Walker:
                     cols = self.cols  # the rows of the faces of size k are those of d_{k-2}
                     rows = {k - 2: SparseMap(len(r), cols[k - 1], r) for k, r in enumerate(residual) if r}
                     self.rare[omega] = _dims(faces, ranks), rows or None
-                block[omega & 0xFFFF] = b
+                block[lo] = b
         return self.values[b] if b < 255 else self.rare[omega]
 
 
@@ -365,7 +366,8 @@ def rank_cache(maxsize: int) -> Callable:
 
 
 _walkers: WeakSet = WeakSet()  # the live walkers, whose stores make cache_info
-_SLOTS = 8  # so the stores hold at most 8 × 2^VERTEX_CAP bytes, 128 MiB
+_SLOTS = 8  # so the stores hold at most 8 × 2^VERTEX_CAP bytes, 128 MiB, up to the vertex cap
+_BLOCK = 1 << 10  # ω per block of a walker's store: above the vertex cap, 1 KiB per ω asked
 _walker = rank_cache(_SLOTS)(_Walker)  # one walker per K, for every field
 
 
@@ -386,7 +388,7 @@ def reduced_cohomology_dims(
     d∘d-checked once per K by K's walker, which stores ω's result for every
     field; only its residual rows, rare, are ranked over f.  ``cache_info``
     counts ω read back (hits) and walked (misses) in the live walkers' stores;
-    ``cache_clear`` clears every :func:`rank_cache`: walkers and ``tor``'s blocks.
+    ``cache_clear`` clears every :func:`rank_cache`: walkers, ``tor``'s blocks and contexts.
     """
     om = K.full_mask if omega is None else _within(K, omega)
     return field_dims(*_walker(K).result(om), f)

@@ -61,10 +61,14 @@ class FieldSpec:
         if t in ("q", "qq", "0"):
             return cls(0)
         if t.startswith("fp:"):
-            return cls(int(t[3:]))
-        if t.startswith("f") and t[1:].isdigit():
-            return cls(int(t[1:]))
-        raise ValueError(f"unknown field selector: {text!r}")
+            p = int(t[3:])
+        elif t.startswith("f") and t[1:].isdigit():
+            p = int(t[1:])
+        else:
+            raise ValueError(f"unknown field selector: {text!r}")
+        if p == 0:  # a prime field's selector names a prime: ℚ is only q, qq or 0
+            raise ValueError(f"not a prime below 2^16: {p}")
+        return cls(p)
 
     def __str__(self):
         return "q" if self.p == 0 else f"f{self.p}"

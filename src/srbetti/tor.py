@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 from .betti import subcomplex_cohomology
 from .cohomology import _SLOTS, CochainComplex, assemble, field_dims, integral_elimination, rank_cache
@@ -60,7 +60,7 @@ from .coloring import (
     require_nondegenerate,
 )
 from .complexes import SimplicialComplex, by_size, submasks, vertices_of
-from .errors import MismatchFound, NotAComplex, NotAMember, StabilizationNotReached
+from .errors import MismatchFound, NotAComplex, StabilizationNotReached
 from .linalg import FieldSpec
 
 # A Koszul generator t_I v^(σ,h) and equally a fattened cell: h is a weight
@@ -92,17 +92,11 @@ class _Ctx:
         self.faces_by_colorset = by_cset
         self.certified: int | None = None  # set by the first tor_dims at a bound >= 2
 
-    def sigma_vertex(self, sigma: int, i: int) -> int:
-        """The unique vertex of σ in block i (nondegeneracy); NotAMember if none."""
-        inter = sigma & self.alpha.blocks[i - 1]
-        if not inter:
-            raise NotAMember(f"the face {vertices_of(sigma)} has no vertex of color {i}")
-        return inter.bit_length()
-
 
 # as many (K, α) as walkers: each slot keeps K and its coface table, and every
-# caller (a CLI run, corpus, the benchmark) finishes one (K, α) before the next
-@lru_cache(maxsize=_SLOTS)
+# caller (a CLI run, corpus, the benchmark) finishes one (K, α) before the next;
+# a rank cache, so that cache_clear drops the certificate's count with the ranks
+@rank_cache(_SLOTS)
 def _context(K: SimplicialComplex, alpha: Partition) -> _Ctx:
     require_nondegenerate(K, alpha)
     return _Ctx(K, alpha)
@@ -165,10 +159,9 @@ def x_coboundary(ctx: _Ctx, gen: Gen) -> list[tuple[int, Gen]]:
     sigma, h, imask = gen
     cset = ctx.colorsets[sigma]
     out = []
-    for i in vertices_of(imask & cset):
-        v = ctx.sigma_vertex(sigma, i)
+    for i in vertices_of(imask & cset):  # σ's one vertex of color i (nondegeneracy)
         new_h = list(h)
-        new_h[v - 1] += 1
+        new_h[(sigma & ctx.alpha.blocks[i - 1]).bit_length() - 1] += 1
         out.append((kappa(i, imask), (sigma, tuple(new_h), imask & ~(1 << (i - 1)))))
     for i in vertices_of(imask & ~cset):
         sign = kappa(i, imask)

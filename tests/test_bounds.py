@@ -1,6 +1,7 @@
 """Lower-bound theorem checks and sharpness witnesses."""
 
 import pytest
+import srbetti.bounds
 from hypothesis import given, settings, strategies as st
 
 from srbetti.bounds import (
@@ -17,7 +18,7 @@ from srbetti.betti import betti_number
 from srbetti.coloring import greedy_coloring, omega_L, parse_blocks, trivial_partition
 from srbetti.complexes import boundary_simplex, from_facets, full_simplex, mask_of, submasks
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
-from srbetti.errors import DegeneratePartition, InvalidDimension
+from srbetti.errors import DegeneratePartition, InvalidDimension, VertexBudgetExceeded
 from srbetti.linalg import GF2, GF3, QQ
 
 
@@ -129,6 +130,21 @@ def test_sharpness_suite_examples():
         sharpness_suite([0], QQ)
     with pytest.raises(InvalidDimension):
         sharpness_suite([], QQ)
+
+
+@pytest.mark.parametrize("dims", [[24, 1], [1, 24]])
+def test_sharpness_suite_applies_its_cap_to_every_simplex(dims, monkeypatch):
+    # the cap given reaches each simplex and the join alike, so the order of
+    # the dimensions does not matter: both orders are refused at the join's
+    # m = 27 against the cap 25, before a face is built (the 24-simplex's
+    # boundary alone has 2^25 faces) or a sweep starts
+    def no_build(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    for name in ("boundary_simplex", "join", "check_caolu", "check_ustinovskii"):
+        monkeypatch.setattr(srbetti.bounds, name, no_build)
+    with pytest.raises(VertexBudgetExceeded, match="^m=27 exceeds the vertex cap 25$"):
+        sharpness_suite(dims, QQ, max_vertices=25)
 
 
 def test_merging_blocks_never_raises_rhs():

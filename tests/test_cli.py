@@ -8,10 +8,12 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import srbetti
 import srbetti.betti
@@ -179,6 +181,9 @@ def test_missing_file(capsys):
 def test_bad_field(capsys):
     code, _, err = run(capsys, "betti", "--facets", "1 2", "--field", "f6")
     assert code == 2
+    for zero in ("f0", "fp:0", "f00", "fp:-0"):  # not ℚ: a prime field's selector names a prime
+        code, out, err = run(capsys, "betti", "--facets", "1 2", "--field", zero)
+        assert (code, out, err) == (2, "", "error: ValueError: not a prime below 2^16: 0\n")
 
 
 @pytest.mark.parametrize(
@@ -243,11 +248,11 @@ def test_a_failed_contraction_certificate_exits_1(square_file, capsys, monkeypat
         return [] if (sigma, imask) == (mask_of([1]), 0b10) else good(i, sigma, imask)
 
     monkeypatch.setattr(srbetti.tor, "_homotopy", lossy)
-    srbetti.tor._context.cache_clear()  # the count of an earlier run is kept there
+    srbetti.reduced_cohomology_dims.cache_clear()  # the count of an earlier run is kept
     try:
         code, out, err = run(capsys, "tor", "--in", square_file, "--blocks", "1 3 | 2 4")
     finally:
-        srbetti.tor._context.cache_clear()
+        srbetti.reduced_cohomology_dims.cache_clear()
     assert (code, out) == (1, "")
     assert err.startswith("error: NotAComplex: contraction certificate fails at ")
     assert err.endswith("; piece w=(2, 1)\n")
@@ -492,6 +497,36 @@ def test_consecutive_main_calls_match_fresh_runs(capsys):
 )
 def test_dumps_writes_what_json_dumps_indent_2_writes(obj):
     assert srbetti.cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+_PAYLOADS = st.recursive(
+    st.text() | st.integers() | st.booleans() | st.none() | st.floats(),
+    lambda items: st.lists(items) | st.lists(items).map(tuple) | st.dictionaries(_KEYS, items),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+def test_dumps_writes_every_shape_as_json_dumps_does(obj):
+    assert srbetti.cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_peaks_below_5_times_its_output():
+    # each container's text is one join of its items' texts, so the writer
+    # keeps no str per output line until the end: a Betti-shaped payload of
+    # 50,000 rows peaks at about 3.4 times the output's length, where one
+    # list of lines for the whole payload reached 6.7
+    rows = [{"i": i % 9, "omega": [1, 3, 4, 7, 9], "beta": i % 5 + 1} for i in range(50_000)]
+    payload = {"complex": {"m": 9, "facets": [[1, 2]]}, "field": "f2", "entries": rows, "total": 7}
+    tracemalloc.start()
+    try:
+        size = len(srbetti.cli._dumps(payload))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * size
 
 
 def test_dumps_leaves_no_garbage_for_the_cycle_collector():

@@ -33,6 +33,8 @@ from srbetti.complexes import (
     join,
     mask_of,
 )
+from srbetti.bounds import check_colored_binomial
+from srbetti.coloring import greedy_coloring
 from srbetti.corpus import cycle_complex, random_complex, rp2_complex
 from srbetti.errors import NotAComplex
 from srbetti.linalg import GF2, GF3, QQ, SparseMap, rank
@@ -471,8 +473,9 @@ def test_three_tables_walk_each_omega_once_and_read_it_back_twice():
 
 
 def test_a_single_query_on_a_large_complex_allocates_one_block():
-    # the store's bytes come in blocks of 2^16 ω, allocated when first
-    # written, so one ω of a 30-vertex complex does not cost 2^30 bytes
+    # the store's bytes come in blocks of 2^10 ω, allocated when first
+    # written, so one ω of a 30-vertex complex does not cost 2^30 bytes; the
+    # walk's own rows and states take about 38 KiB of the peak
     m = 30
     with pytest.warns(UserWarning, match="2\\^30 subset"):
         K = from_facets(m, [mask_of((v, v % m + 1)) for v in range(1, m + 1)], max_vertices=m)
@@ -485,8 +488,28 @@ def test_a_single_query_on_a_large_complex_allocates_one_block():
     finally:
         tracemalloc.stop()
         reduced_cohomology_dims.cache_clear()
-    assert [len(block) for block in walker.blocks.values()] == [1 << 16]
-    assert peak < 2 << 16
+    assert [len(block) for block in walker.blocks.values()] == [1 << 10]
+    assert peak < 1 << 16
+
+
+def test_a_colored_query_above_the_vertex_cap_stores_about_1_kib_per_omega():
+    # each ω_L of a coloring falls in a block of its own: at m = 40 and r = 7
+    # the colored bound asks 128 ω, and the store must not grow by 64 KiB each
+    m, rng = 40, random.Random(1)
+    triangles = [mask_of(rng.sample(range(1, m + 1), 3)) for _ in range(80)]
+    with pytest.warns(UserWarning, match="2\\^40 subset"):
+        K = from_facets(m, triangles + [1 << v for v in range(m)], max_vertices=m)
+    alpha = greedy_coloring(K)
+    assert alpha.r == 7
+    reduced_cohomology_dims.cache_clear()
+    try:
+        check_colored_binomial(K, alpha, QQ)
+        blocks = list(srbetti.cohomology._walker(K).blocks.values())
+    finally:
+        reduced_cohomology_dims.cache_clear()
+    stored = sum(len(block) - block.count(0) for block in blocks)
+    assert stored == 1 << alpha.r
+    assert sum(map(len, blocks)) <= stored << 10  # 64 KiB per ω in blocks of 2^16
 
 
 @pytest.mark.parametrize(

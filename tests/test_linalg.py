@@ -120,6 +120,10 @@ def test_field_spec_parse():
     assert str(GF3) == "f3"
     with pytest.raises(ValueError):
         FieldSpec.parse("f4")  # not prime
+    assert FieldSpec.parse("qq") == FieldSpec.parse(" 0 ") == QQ
+    for zero in ("f0", "fp:0", "f00", "fp:-0"):  # a prime field's selector names a prime
+        with pytest.raises(ValueError, match="^not a prime below 2\\^16: 0$"):
+            FieldSpec.parse(zero)
     with pytest.raises(ValueError):
         FieldSpec(1 << 17)
 

@@ -320,8 +320,8 @@ def test_the_characteristic_scan_sees_every_form():
     ]
 
 
-# caches that hold no rank result: the combinatorics of (K, α) and the CLI parser
-_RANK_FREE_CACHES = {"tor._context", "cli._parser"}
+# caches that hold no rank result: the CLI parser
+_RANK_FREE_CACHES = {"cli._parser"}
 
 
 def _functools_caches():

@@ -31,7 +31,6 @@ from srbetti.errors import (
     DegeneratePartition,
     MismatchFound,
     NotAComplex,
-    NotAMember,
     StabilizationNotReached,
 )
 from srbetti.linalg import GF2, GF3, QQ
@@ -429,9 +428,9 @@ def test_stabilization_flags_match_the_shell_by_shell_rule():
 def fresh_certificates():
     # the certificate count is kept on the coloring's cached context: a
     # mutation must not see, or leave behind, a count reached with the other rule
-    _context.cache_clear()
+    reduced_cohomology_dims.cache_clear()
     yield
-    _context.cache_clear()
+    reduced_cohomology_dims.cache_clear()
 
 
 def _high_patterns(K, alpha):
@@ -688,16 +687,6 @@ def test_a_homotopy_failure_above_the_least_color_is_caught(
         tor_dims(K, alpha, QQ)
     exc = err.value
     assert (exc.label, exc.weight, exc.q) == (label, weight, -1)
-
-
-def test_sigma_vertex_refuses_a_face_without_the_color():
-    # a face with no vertex of color i has no weight to raise or lower there:
-    # reading bit_length() = 0 would index h[-1], the last vertex
-    K, alpha = square_with_coloring()
-    ctx = _context(K, alpha)
-    assert ctx.sigma_vertex(mask_of((1, 2)), 2) == 2
-    with pytest.raises(NotAMember, match=re.escape("the face (1,) has no vertex of color 2")):
-        ctx.sigma_vertex(mask_of([1]), 2)
 
 
 def test_tor_dims_stabilization_flag_low_bound():
@@ -1132,8 +1121,8 @@ def test_cache_clear_discards_the_colored_blocks(monkeypatch, fresh_blocks):
 
 
 def test_the_contexts_kept_stay_at_one_per_walker_slot(fresh_certificates):
-    # each kept context holds K and its coface table, which cache_clear does not
-    # free: 500 distinct (K, α) once held 14.8 MiB; callers finish one at a time
+    # each kept context holds K and its coface table until cache_clear: 500
+    # distinct (K, α) once held 14.8 MiB; callers finish one at a time
     complexes = {random_complex(5, 0.5, seed) for seed in range(40)}
     assert len(complexes) > 2 * _SLOTS
     for K in complexes:
