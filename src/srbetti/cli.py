@@ -104,11 +104,11 @@ def _load_complex(args) -> SimplicialComplex:
             return parse_complex(fh.read(), **kwargs)
     facets = []
     for part in args.facets.replace(";", ",").split(","):
-        vs = [int(v) for v in part.split()]
-        facets.append(mask_of(vs))
-    m = args.m
-    if m is None:
-        m = max((max(vertices_of(f)) for f in facets if f), default=0)
+        try:
+            facets.append(mask_of([int(v) for v in part.split()]))
+        except ValueError:
+            raise ValueError(f"--facets: malformed facet {part.strip()!r}") from None
+    m = max((f.bit_length() for f in facets), default=0) if args.m is None else args.m
     return from_facets(m, facets, **kwargs)
 
 

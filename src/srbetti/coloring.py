@@ -233,10 +233,12 @@ def parse_blocks(text: str, m: int) -> Partition:
         body = body[len("blocks"):]
     blocks = []
     for part in body.split("|"):
-        vs = part.split()
-        if not vs:
+        if not (vs := part.split()):
             raise PartitionMismatch(f"empty block in {text!r}")
-        blocks.append(mask_of(int(v) for v in vs))
+        try:
+            blocks.append(mask_of(int(v) for v in vs))
+        except ValueError:
+            raise ValueError(f"malformed block {part.strip()!r} in {text!r}") from None
     return Partition(m, tuple(blocks))
 
 

@@ -60,12 +60,11 @@ class FieldSpec:
         t = text.strip().lower()
         if t in ("q", "qq", "0"):
             return cls(0)
-        if t.startswith("fp:"):
-            p = int(t[3:])
-        elif t.startswith("f") and t[1:].isdigit():
-            p = int(t[1:])
-        else:
-            raise ValueError(f"unknown field selector: {text!r}")
+        tail = t[3:] if t.startswith("fp:") else t[1:] if t[:1] == "f" and t[1:].isdigit() else ""
+        try:
+            p = int(tail)
+        except ValueError:  # a tail that is no integer, or neither fp:P nor fN
+            raise ValueError(f"unknown field selector: {text!r}") from None
         if p == 0:  # a prime field's selector names a prime: ℚ is only q, qq or 0
             raise ValueError(f"not a prime below 2^16: {p}")
         return cls(p)

@@ -73,7 +73,7 @@ class _Ctx:
     cofaces of a face come from ``K.coface_vertices``, masked by a block."""
 
     __slots__ = (
-        "K", "alpha", "r", "m", "block_verts", "colorsets", "faces_by_colorset", "certified"
+        "K", "alpha", "r", "m", "block_verts", "colorsets", "faces_by_colorset", "certified", "sweeps"
     )
 
     def __init__(self, K: SimplicialComplex, alpha: Partition):
@@ -91,11 +91,12 @@ class _Ctx:
             by_cset.setdefault(self.colorsets[f], []).append((f, pairs))
         self.faces_by_colorset = by_cset
         self.certified: int | None = None  # set by the first tor_dims at a bound >= 2
+        self.sweeps: dict[int, tuple] = {}  # routes -> _e0_entries, filled by the first field
 
 
-# as many (K, α) as walkers: each slot keeps K and its coface table, and every
-# caller (a CLI run, corpus, the benchmark) finishes one (K, α) before the next;
-# a rank cache, so that cache_clear drops the certificate's count with the ranks
+# as many (K, α) as walkers: each slot keeps K, its coface table and its e = 0
+# sweeps, and every caller (a CLI run, corpus, the benchmark) finishes one (K, α)
+# before the next; a rank cache: cache_clear drops the count and sweeps with the ranks
 @rank_cache(_SLOTS)
 def _context(K: SimplicialComplex, alpha: Partition) -> _Ctx:
     require_nondegenerate(K, alpha)
@@ -225,7 +226,6 @@ def quotient_cochain_complex(
 
 
 _PIECE, _BLOCK = 1, 2  # the e = 0 routes: the Koszul piece 1_L and the quotient L-block
-_SWEPT_COLORS = 11  # a sweep keeps 2^r entries of a few hundred bytes: 2048 at most
 
 
 def _e0_entries(K: SimplicialComplex, alpha: Partition, routes: int):
@@ -246,17 +246,14 @@ def _e0_entries(K: SimplicialComplex, alpha: Partition, routes: int):
         yield lmask, units, residual or None
 
 
-@rank_cache(4)  # the fields of one (K, α) follow each other
-def _e0_sweep(K: SimplicialComplex, alpha: Partition, routes: int) -> tuple:
-    return tuple(_e0_entries(K, alpha, routes))
-
-
 def _e0_dims(K: SimplicialComplex, alpha: Partition, f: FieldSpec, routes: int):
     """Per L in (|L|, L) order: L and the dims over f of :func:`_e0_entries`, whose
-    tuple is kept per (K, α, routes) while 2^r <= 2048, so that a later field ranks
-    only the residual rows (field_dims); above that, each field streams its own."""
-    swept = alpha.r <= _SWEPT_COLORS
-    for lmask, units, residual in (_e0_sweep if swept else _e0_entries)(K, alpha, routes):
+    tuple the first field keeps on the (K, α) context per ``routes``, so that a
+    later field ranks only the residual rows (field_dims)."""
+    sweeps = _context(K, alpha).sweeps
+    if routes not in sweeps:
+        sweeps[routes] = tuple(_e0_entries(K, alpha, routes))
+    for lmask, units, residual in sweeps[routes]:
         yield lmask, field_dims(units, residual, f)
 
 

@@ -26,6 +26,8 @@ def test_betti_number_base_cases():
     assert betti_number(K, 1, mask_of((1, 2)), QQ) == 0
     with pytest.raises(VertexOutOfRange):
         betti_number(K, 0, mask_of((5,)), QQ)
+    with pytest.raises(ValueError, match="^homological index must be nonnegative, got -1$"):
+        betti_number(K, -1, K.full_mask, QQ)
 
 
 def test_subcomplex_cohomology_rejects_omega_outside_m():

@@ -147,6 +147,21 @@ def test_sharpness_suite_applies_its_cap_to_every_simplex(dims, monkeypatch):
         sharpness_suite(dims, QQ, max_vertices=25)
 
 
+def test_a_failed_ustinovskii_row_poisons_the_sharpness_report(monkeypatch):
+    # the per-index rows are summed into one total row: a failing row whose
+    # sum still matches must leave its own mark, the row (2, -1, 0)
+    def one_row_short(K, f):
+        report = check_ustinovskii(K, f)
+        report.rows[0].rhs += 1
+        return report
+
+    assert [row.slack for row in sharpness_suite([2, 1], QQ).rows] == [0, 0]
+    monkeypatch.setattr(srbetti.bounds, "check_ustinovskii", one_row_short)
+    report = sharpness_suite([2, 1], QQ)
+    assert [(row.index, row.lhs, row.rhs) for row in report.rows[1:]] == [(1, 4, 4), (2, -1, 0)]
+    assert not report.verdict
+
+
 def test_merging_blocks_never_raises_rhs():
     """Coarsening: merging two blocks (keeping nondegeneracy) cannot raise
     the binomial right-hand side."""

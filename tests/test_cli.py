@@ -184,6 +184,20 @@ def test_bad_field(capsys):
     for zero in ("f0", "fp:0", "f00", "fp:-0"):  # not ℚ: a prime field's selector names a prime
         code, out, err = run(capsys, "betti", "--facets", "1 2", "--field", zero)
         assert (code, out, err) == (2, "", "error: ValueError: not a prime below 2^16: 0\n")
+    for tail in ("abc", "", "2.0"):  # not Python's int() message
+        code, out, err = run(capsys, "betti", "--facets", "1 2", "--field", f"fp:{tail}")
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: unknown field selector: 'fp:{tail}'\n"
+
+
+def test_a_malformed_integer_names_its_flag_and_text(square_file, tmp_path, capsys):
+    code, out, err = run(capsys, "betti", "--facets", "1 2, 1 a")
+    assert (code, out, err) == (2, "", "error: ValueError: --facets: malformed facet '1 a'\n")
+    blocks = tmp_path / "blocks"
+    blocks.write_text("1 | x")
+    for flag, spec in (("--blocks", "1 | x"), ("--blocks-file", str(blocks))):
+        code, out, err = run(capsys, "color", "--in", square_file, flag, spec)
+        assert (code, out, err) == (2, "", "error: ValueError: malformed block 'x' in '1 | x'\n")
 
 
 @pytest.mark.parametrize(

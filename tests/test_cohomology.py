@@ -19,6 +19,7 @@ from srbetti.betti import betti_number, betti_table
 from srbetti.cohomology import (
     CochainComplex,
     assemble,
+    coboundary_map,
     cohomology_dims,
     reduced_cochain_complex,
     reduced_cohomology_dims,
@@ -669,6 +670,16 @@ def test_assemble_sorts_each_basis_and_fills_a_degree_gap():
     assert C.sizes == {-1: 2, 0: 2, 1: 0, 2: 1}
     assert C.differential(-1).data == [[(0, 1)], [(0, 1), (1, -1)]]
     assert cohomology_dims(C, QQ) == {2: 1}
+
+
+@pytest.mark.parametrize("signs, row", [((1, 1), [(0, 2)]), ((1, -1), []), ((1, 1, -1), [(0, 1)])])
+def test_coboundary_map_merges_a_repeated_target(signs, row):
+    # terms on one target add up; a sum of 0 leaves no entry in the sparse row
+    def rule(x):
+        return [(c, "t") for c in signs] if x == "x" else [(1, "t")]
+
+    d = coboundary_map(rule, ["x", "y"], ["t"], 0)
+    assert d.data == [row + [(1, 1)]]
 
 
 def test_assemble_with_no_basis_is_the_zero_complex():

@@ -17,13 +17,21 @@ from srbetti.coloring import (
     partition_to_json,
     trivial_partition,
 )
-from srbetti.complexes import boundary_simplex, from_facets, full_simplex, mask_of, vertices_of
+from srbetti.complexes import (
+    boundary_simplex,
+    empty_complex,
+    from_facets,
+    full_simplex,
+    mask_of,
+    vertices_of,
+)
 from srbetti.corpus import cycle_complex
 from srbetti.errors import (
     ColorOutOfRange,
     NotAMember,
     PartitionMismatch,
     VertexBudgetExceeded,
+    VertexOutOfRange,
 )
 
 
@@ -87,6 +95,7 @@ def test_minimum_coloring_examples():
     assert minimum_coloring(cycle_complex(5)).r == 3
     with pytest.raises(VertexBudgetExceeded):
         minimum_coloring(from_facets(17, [(1 << 17) - 1], max_vertices=24))
+    assert minimum_coloring(empty_complex()) == Partition(0, ())
 
 
 def test_minimum_coloring_lex_smallest():
@@ -142,6 +151,8 @@ def test_colors_of():
     assert colors_of(alpha, 0) == 0
     degenerate = parse_blocks("1 2 | 3", 3)
     assert colors_of(degenerate, mask_of((1, 2))) == mask_of((1,))
+    with pytest.raises(VertexOutOfRange, match=r"^vertices \(2, 6\) outside \[5\]$"):
+        colors_of(alpha, mask_of((2, 6)))
 
 
 def test_kappa_values():
@@ -191,3 +202,18 @@ def test_blocks_roundtrip():
     alpha = parse_blocks("blocks 1 | 2 4 | 3 5", 5)
     assert format_blocks(alpha) == "blocks 1 | 2 4 | 3 5"
     assert partition_from_json(partition_to_json(alpha), 5) == alpha
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1 | | 2", PartitionMismatch, "empty block in '1 | | 2'"),
+        ("blocks 1 2 |", PartitionMismatch, "empty block in 'blocks 1 2 |'"),
+        ("1 | 2 x", ValueError, "malformed block '2 x' in '1 | 2 x'"),
+        ("1 | 2.0", ValueError, "malformed block '2.0' in '1 | 2.0'"),
+    ],
+)
+def test_parse_blocks_names_the_block_it_cannot_read(text, error, message):
+    with pytest.raises(error) as err:
+        parse_blocks(text, 2)
+    assert str(err.value) == message

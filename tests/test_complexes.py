@@ -74,6 +74,8 @@ def test_mask_helpers():
     assert vertices_of(0b1010) == (2, 4)
     assert sorted(submasks(0b101)) == [0, 1, 4, 5]
     assert sorted([0b110, 0b1, 0b11, 0, 0b100], key=by_size) == [0, 0b1, 0b100, 0b11, 0b110]
+    with pytest.raises(VertexOutOfRange, match="^vertex 0 is not positive$"):
+        mask_of((1, 0))
 
 
 def test_vertices_of_keeps_only_masks_below_2_16():
@@ -116,6 +118,9 @@ def test_from_facets_validation():
         from_facets(2, [mask_of((1, 3))])
     with pytest.raises(VertexBudgetExceeded):
         from_facets(30, [(1 << 30) - 1])
+    with pytest.raises(VertexOutOfRange, match="^m=-1 is negative$"):
+        from_facets(-1, [])
+    assert from_facets(0, []) == empty_complex()
 
 
 def test_redundant_facets_pruned():
@@ -209,6 +214,8 @@ def test_boundary_simplex():
     assert len(K3.faces) == 15  # 2^4 - 2 proper faces plus the empty face
     with pytest.raises(InvalidDimension):
         boundary_simplex(0)
+    with pytest.raises(InvalidDimension, match="^full_simplex needs n >= 0, got -1$"):
+        full_simplex(-1)
 
 
 def test_join_two_boundaries_is_square():
@@ -237,6 +244,9 @@ def test_join_face_count_multiplicative():
 def test_join_budget():
     with pytest.raises(VertexBudgetExceeded):
         join(full_simplex(12), full_simplex(12))
+    points = from_facets(11, [1 << j for j in range(11)])  # 12 faces, below the warning
+    with pytest.warns(UserWarning, match="^m=22 implies 2\\^22 subset enumerations$"):
+        assert len(join(points, points).faces) == 12 * 12
 
 
 def test_dimension_and_faces_by_dim():
@@ -266,6 +276,14 @@ def test_parse_errors():
         parse_complex("facet 1 2\n")  # missing header
     with pytest.raises(ValueError):
         parse_complex("m 3\nwedge 1 2\n")
+    for text, message in [
+        ("m three\nfacet 1 2\n", "line 1: malformed header 'm three'"),
+        ("m 3 4\nfacet 1 2\n", "line 1: malformed header 'm 3 4'"),
+        ("# c\nm 2\nfacet 1 b  # x\n", "line 3: malformed facet 'facet 1 b  # x'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_complex(text)
+        assert str(err.value) == message
 
 
 def test_json_roundtrip():

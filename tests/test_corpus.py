@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from srbetti.complexes import from_facets, submasks, vertices_of
+from srbetti.errors import VertexOutOfRange
 from srbetti.corpus import (
     acceptance_corpus,
     cycle_complex,
@@ -21,6 +22,22 @@ def test_cycles():
     assert (K4.m, K4.dim, len(K4.faces)) == (4, 1, 9)
     K5 = cycle_complex(5)
     assert (K5.m, K5.dim, len(K5.faces)) == (5, 1, 11)
+    with pytest.raises(VertexOutOfRange, match="^cycle needs n >= 3, got 2$"):
+        cycle_complex(2)
+
+
+@pytest.mark.parametrize(
+    "m, density, error, message",
+    [
+        (1, 0.5, VertexOutOfRange, "random_complex needs m >= 2, got 1"),
+        (4, -0.1, ValueError, "density must lie in [0, 1], got -0.1"),
+        (4, 1.5, ValueError, "density must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_random_complex_refuses_its_bad_arguments(m, density, error, message):
+    with pytest.raises(error) as err:
+        random_complex(m, density, 0)
+    assert str(err.value) == message
 
 
 def test_rp2_is_a_closed_surface_with_euler_characteristic_one():

@@ -8,6 +8,7 @@ Fraction elimination and the GF(p) elimination below are its independent
 oracles over ℚ and over the prime fields.
 """
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -124,6 +125,12 @@ def test_field_spec_parse():
     for zero in ("f0", "fp:0", "f00", "fp:-0"):  # a prime field's selector names a prime
         with pytest.raises(ValueError, match="^not a prime below 2\\^16: 0$"):
             FieldSpec.parse(zero)
+    for composite in ("f9", "fp:15", "fp:65535"):  # odd: trial division finds the factor
+        with pytest.raises(ValueError, match="^not a prime below 2\\^16: "):
+            FieldSpec.parse(composite)
+    for selector in ("x", "g2", "f", "f-3", "fp:abc", "fp:", "fp:2.0", "F p:7"):
+        with pytest.raises(ValueError, match=f"^unknown field selector: {re.escape(repr(selector))}$"):
+            FieldSpec.parse(selector)
     with pytest.raises(ValueError):
         FieldSpec(1 << 17)
 

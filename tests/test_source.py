@@ -342,6 +342,17 @@ def _functools_caches():
     return found
 
 
+def test_the_package_keeps_four_functools_caches():
+    # each kept result lives with the walker of K or the context of (K, α):
+    # a further cache is one more thing that cache_clear must reach
+    assert set(_functools_caches()) == {
+        "cli._parser",
+        "cohomology._walker",
+        "cohomology.reduced_cohomology_dims",
+        "tor._context",
+    }
+
+
 def test_cache_clear_empties_every_cache_of_rank_results():
     # reduced_cohomology_dims.cache_clear() must drop every rank-derived
     # result: a cache of ranks that skips rank_cache would keep a wrong rank
@@ -354,7 +365,7 @@ def test_cache_clear_empties_every_cache_of_rank_results():
     caches = _functools_caches()
     assert _RANK_FREE_CACHES <= set(caches)
     filled = {name for name, cache in caches.items() if cache.cache_info().currsize}
-    assert {"tor._e0_sweep", "cohomology.reduced_cohomology_dims"} <= filled
+    assert {"tor._context", "cohomology.reduced_cohomology_dims"} <= filled
     reduced_cohomology_dims.cache_clear()
     kept = {name for name, cache in caches.items() if cache.cache_info().currsize}
     assert kept - _RANK_FREE_CACHES == set()

@@ -166,6 +166,13 @@ def test_koszul_piece_w11_nine_generators():
     assert cohomology_dims(C, QQ) == {0: 1}
 
 
+@pytest.mark.parametrize("w", [(1,), (1, 1, 0), (1, -1)])
+def test_koszul_piece_refuses_a_weight_outside_n_to_the_r(w):
+    K, alpha = square_with_coloring()
+    with pytest.raises(ValueError, match=re.escape(f"weight vector must be in N^2, got {w}")):
+        koszul_piece(K, alpha, w)
+
+
 def test_koszul_piece_with_no_generator_is_the_zero_complex():
     # two points colored apart: weight (2, 2) needs the nonface {1, 2}
     K = from_facets(2, [mask_of([1]), mask_of([2])])
@@ -804,6 +811,46 @@ def test_the_piece_walk_yields_every_generator_once(K, alpha, bound):
     assert psi_iota_checks(K, alpha, weight_bound=bound).generators_checked == len(reference)
 
 
+def _no_shift(ctx, gen):
+    q, colors = generator_multidegree(ctx, gen)
+    return q + 1, colors
+
+
+def _colors_of_sigma(ctx, gen):
+    q, _colors = generator_multidegree(ctx, gen)
+    return q, ctx.colorsets[gen[0]]
+
+
+def _doubled_bumps(ctx, gen):
+    # only the terms that keep σ, whose weight h - 1_σ != 0 the quotient drops
+    return [(2 * c if t[0] == gen[0] else c, t) for c, t in x_coboundary(ctx, gen)]
+
+
+def _no_empty_cell(ctx, gen):
+    return None if gen[0] == 0 else iota_star(ctx, gen)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, flags, failure",
+    [
+        ("generator_multidegree", _no_shift, (False, True, True), "degree shift violated at"),
+        ("generator_multidegree", _colors_of_sigma, (False, True, True), "multidegree support"),
+        ("x_coboundary", _doubled_bumps, (True, False, True), "differentials disagree at"),
+        ("iota_star", _no_empty_cell, (True, True, False), "restriction square fails at"),
+    ],
+    ids=["degree", "multidegree", "differential", "restriction"],
+)
+def test_psi_iota_checks_raise_the_one_flag_a_mutation_breaks(
+    monkeypatch, name, mutant, flags, failure
+):
+    K, alpha = square_with_coloring()
+    monkeypatch.setattr(srbetti.tor, name, mutant)
+    report = psi_iota_checks(K, alpha, weight_bound=2)
+    assert (report.bijection_ok, report.chain_map_ok, report.iota_chain_map_ok) == flags
+    assert report.failures and all(msg.startswith(failure) for msg in report.failures)
+    assert not report.ok
+
+
 def test_psi_iota_checks_catch_a_piece_walk_that_ignores_J(monkeypatch):
     # mutation check: h(v) = w_i on every σ-vertex, whether or not i ∈ J, puts
     # generators of weight w + 1_J into the piece w; only the weight check sees it
@@ -1037,17 +1084,6 @@ def test_entry_points_in_any_order_agree_and_build_their_own_route(monkeypatch, 
         assert quotient == by_cell_degree
 
 
-def test_no_sweep_is_kept_above_its_colors(monkeypatch, fresh_blocks):
-    # 2^r results per sweep: above the bound every field streams its own
-    K, alpha = square_with_coloring()
-    monkeypatch.setattr(srbetti.tor, "_SWEPT_COLORS", alpha.r - 1)
-    builds = _count_builds(monkeypatch)
-    for f in (QQ, GF2):
-        assert verify_tor_threeway(K, alpha, f).ok
-    assert sorted(builds["piece"]) == sorted(builds["block"]) == [0, 0, 1, 1, 2, 2, 3, 3]
-    assert srbetti.tor._e0_sweep.cache_info().currsize == 0
-
-
 def sum_of_quotient_blocks(K, alpha, f):
     """Σ_L of the quotient L-block's dims, each block built and ranked over f."""
     out = {}
@@ -1071,7 +1107,7 @@ def test_a_second_field_ranks_only_the_residual_rows(monkeypatch, fresh_blocks):
     monkeypatch.setattr(srbetti.tor, "quotient_cochain_complex", no_build)
     over_2 = tor_dims(K, alpha, GF2).entries
     full = alpha.full_color_mask
-    sweep = srbetti.tor._e0_sweep(K, alpha, srbetti.tor._PIECE)  # kept: builds nothing
+    sweep = _context(K, alpha).sweeps[srbetti.tor._PIECE]  # kept by the ℚ run
     residual = {L: rows for L, _units, rows in sweep}
     assert [L for L, rows in residual.items() if rows] == [full]
     assert [M.rows for M in residual[full].values()] == [1]
@@ -1092,7 +1128,7 @@ def test_the_mod_3_moore_space_reaches_gf3_through_its_e0_residual(fresh_blocks)
     full = alpha.full_color_mask
     report = verify_tor_threeway(K, alpha, GF3)
     assert report.ok
-    sweep = srbetti.tor._e0_sweep(K, alpha, srbetti.tor._PIECE)
+    sweep = _context(K, alpha).sweeps[srbetti.tor._PIECE | srbetti.tor._BLOCK]
     assert [L for L, _units, rows in sweep if rows] == [full]
     over_q, over_3 = tor_dims(K, alpha, QQ).entries, report.table.entries
     assert {k for k in over_q.keys() | over_3.keys() if over_q.get(k) != over_3.get(k)} == {
@@ -1105,24 +1141,29 @@ def test_the_mod_3_moore_space_reaches_gf3_through_its_e0_residual(fresh_blocks)
 
 def test_cache_clear_discards_the_colored_blocks(monkeypatch, fresh_blocks):
     # a wrong rank met while the blocks of (K, α) were eliminated must not
-    # outlive cache_clear, which drops the kept sweeps with the walker's results
+    # outlive cache_clear, which drops each context with its kept sweeps
     K = random_complex(6, 0.5, 2024)  # no other test builds its blocks
     alpha = greedy_coloring(K)
+    both = srbetti.tor._PIECE | srbetti.tor._BLOCK
     rank = srbetti.cohomology.rank
     with monkeypatch.context() as patch:
         patch.setattr(srbetti.cohomology, "rank", lambda M, f: rank(M, f) + 1)
         wrong = verify_tor_threeway(K, alpha, QQ)
-    assert srbetti.tor._e0_sweep.cache_info().currsize == 1
+    kept = _context(K, alpha)
+    assert list(kept.sweeps) == [both]
     reduced_cohomology_dims.cache_clear()
-    assert srbetti.tor._e0_sweep.cache_info().currsize == 0
+    assert _context.cache_info().currsize == 0
     report = verify_tor_threeway(K, alpha, QQ)
     assert report.ok and report.table.entries != wrong.table.entries
-    assert srbetti.tor._e0_sweep.cache_info().currsize == 1
+    fresh = _context(K, alpha)
+    assert fresh is not kept and list(fresh.sweeps) == [both]
+    assert fresh.sweeps[both] != kept.sweeps[both]
 
 
 def test_the_contexts_kept_stay_at_one_per_walker_slot(fresh_certificates):
-    # each kept context holds K and its coface table until cache_clear: 500
-    # distinct (K, α) once held 14.8 MiB; callers finish one at a time
+    # each kept context holds K, its coface table and its e = 0 sweeps until
+    # cache_clear: 500 distinct (K, α) once held 14.8 MiB; callers finish one
+    # at a time
     complexes = {random_complex(5, 0.5, seed) for seed in range(40)}
     assert len(complexes) > 2 * _SLOTS
     for K in complexes:
