@@ -6,9 +6,9 @@ the reduced cohomology of the full subcomplex K|ω in degree |ω|-i-1.  The
 2^m sweep never re-indexes or rebuilds K|ω:
 :func:`~srbetti.cohomology.reduced_cohomology_dims` reads its cochain complex
 off K's own, which is built and d∘d-checked once per K and shared by every ω
-and every field.  The sweeps visit ω in the walker's order (busiest vertices
-last, :func:`~srbetti.cohomology.sweep_order`), which keeps ω's parent on its
-chain, so each ω reduces only the rows through one vertex.  The moment-angle
+and every field.  A sweep (:func:`~srbetti.cohomology.sweep_order`) has K's
+walker store every ω in one depth-first walk, each ω reducing only the rows
+through one vertex, and then reads each ω back from the store.  The moment-angle
 dimensions are computed twice, once directly from subcomplex cohomology and
 once through the Betti table, and the two routes must agree.
 """
@@ -77,13 +77,13 @@ def betti_table(K: SimplicialComplex, f: FieldSpec) -> BettiTable:
 
 
 def zk_cohomology_dims_two_routes(
-    K: SimplicialComplex, f: FieldSpec
+    K: SimplicialComplex, f: FieldSpec, table: BettiTable | None = None
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Moment-angle cohomology dims by both evaluation routes.
 
     Route one sums subcomplex cohomology directly:
-    dim H^q = Σ_ω dim H̃^{q-|ω|-1}(K|ω).  Route two reads the Betti table:
-    dim H^q = Σ_ω β_{2|ω|-q, ω}.
+    dim H^q = Σ_ω dim H̃^{q-|ω|-1}(K|ω).  Route two reads K's Betti table over f
+    (``table`` if given): dim H^q = Σ_ω β_{2|ω|-q, ω}.
     """
     direct: dict[int, int] = {}
     for om in sweep_order(K):
@@ -92,17 +92,17 @@ def zk_cohomology_dims_two_routes(
             q = deg + shift
             direct[q] = direct.get(q, 0) + d
     via_betti: dict[int, int] = {}
-    for (i, om), b in betti_table(K, f).entries.items():
+    for (i, om), b in (betti_table(K, f) if table is None else table).entries.items():
         q = 2 * om.bit_count() - i
         via_betti[q] = via_betti.get(q, 0) + b
     return direct, via_betti
 
 
-def zk_cohomology_dims(K: SimplicialComplex, f: FieldSpec) -> dict[int, int]:
+def zk_cohomology_dims(
+    K: SimplicialComplex, f: FieldSpec, table: BettiTable | None = None
+) -> dict[int, int]:
     """Moment-angle cohomology dimensions; both routes computed and compared."""
-    direct, via_betti = zk_cohomology_dims_two_routes(K, f)
+    direct, via_betti = zk_cohomology_dims_two_routes(K, f, table)
     if direct != via_betti:
-        raise MismatchFound(
-            f"moment-angle routes disagree: direct={direct} betti={via_betti}"
-        )
+        raise MismatchFound(f"moment-angle routes disagree: direct={direct} betti={via_betti}")
     return direct

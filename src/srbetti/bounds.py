@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .betti import betti_table, subcomplex_cohomology, zk_cohomology_dims
+from .betti import BettiTable, betti_table, subcomplex_cohomology, zk_cohomology_dims
 from .coloring import Partition, omega_L, require_nondegenerate
 from .complexes import (
     SimplicialComplex, _check_cap, boundary_simplex, by_size, join, submasks, vertices_of
@@ -120,7 +120,10 @@ def _colored_total(K: SimplicialComplex, alpha: Partition, main: BoundReport) ->
 
 def check_ustinovskii(K: SimplicialComplex, f: FieldSpec) -> BoundReport:
     """For each i: Σ_ω β_{i,ω} >= C(m - dim K - 1, i)."""
-    table = betti_table(K, f)
+    return _ustinovskii(K, betti_table(K, f))
+
+
+def _ustinovskii(K: SimplicialComplex, table: BettiTable) -> BoundReport:
     n = K.m - K.dim - 1
     terms: list[dict[int, int]] = [{} for _ in range(K.m + 1)]
     for (i, om), b in table.entries.items():  # one pass: each (i, ω) occurs once
@@ -131,7 +134,10 @@ def check_ustinovskii(K: SimplicialComplex, f: FieldSpec) -> BoundReport:
 
 def check_caolu(K: SimplicialComplex, f: FieldSpec) -> BoundReport:
     """Σ_q dim H^q of the moment-angle complex >= 2^(m - dim K - 1)."""
-    dims = zk_cohomology_dims(K, f)
+    return _caolu(K, zk_cohomology_dims(K, f))
+
+
+def _caolu(K: SimplicialComplex, dims: dict[int, int]) -> BoundReport:
     lhs = sum(dims.values())
     rhs = 2 ** (K.m - K.dim - 1)
     return BoundReport("moment-angle-total", [BoundRow(0, lhs, rhs)])
@@ -146,8 +152,8 @@ def sharpness_suite(dims: list[int], f: FieldSpec, *, max_vertices=None) -> Boun
     K = boundary_simplex(dims[0], max_vertices=max_vertices)
     for n in dims[1:]:
         K = join(K, boundary_simplex(n, max_vertices=max_vertices), max_vertices=max_vertices)
-    caolu = check_caolu(K, f)
-    usti = check_ustinovskii(K, f)
+    table = betti_table(K, f)
+    caolu, usti = _caolu(K, zk_cohomology_dims(K, f, table)), _ustinovskii(K, table)
     total_row = BoundRow(0, caolu.rows[0].lhs, caolu.rows[0].rhs)
     betti_total_row = BoundRow(1, sum(r.lhs for r in usti.rows), caolu.rows[0].rhs)
     report = BoundReport("sharpness", [total_row, betti_total_row], require_equality=True)
@@ -160,10 +166,10 @@ def all_bound_checks(
     K: SimplicialComplex, alpha: Partition, f: FieldSpec
 ) -> dict[str, BoundReport]:
     """The four theorem checks in one sweep (used by the CLI verify command)."""
-    main = check_colored_binomial(K, alpha, f)
+    main, table = check_colored_binomial(K, alpha, f), betti_table(K, f)
     return {
         "main": main,
         "colored_total": _colored_total(K, alpha, main),
-        "ustinovskii": check_ustinovskii(K, f),
-        "caolu": check_caolu(K, f),
+        "ustinovskii": _ustinovskii(K, table),
+        "caolu": _caolu(K, zk_cohomology_dims(K, f, table)),
     }

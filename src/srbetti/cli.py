@@ -36,7 +36,7 @@ from .complexes import (
     vertices_of,
 )
 from .corpus import random_complex
-from .errors import MismatchFound, NotAComplex, SRBettiError
+from .errors import MismatchFound, NotAComplex, SRBettiError, ascii_ints
 from .linalg import QQ, GF2, GF3, FieldSpec
 from .tor import _unstabilized, quotient_cohomology_dims, tor_dims, verify_tor_threeway
 
@@ -104,10 +104,7 @@ def _load_complex(args) -> SimplicialComplex:
             return parse_complex(fh.read(), **kwargs)
     facets = []
     for part in args.facets.replace(";", ",").split(","):
-        try:
-            facets.append(mask_of([int(v) for v in part.split()]))
-        except ValueError:
-            raise ValueError(f"--facets: malformed facet {part.strip()!r}") from None
+        facets.append(mask_of(ascii_ints(part.split(), f"--facets: malformed facet {part.strip()!r}")))
     m = max((f.bit_length() for f in facets), default=0) if args.m is None else args.m
     return from_facets(m, facets, **kwargs)
 
@@ -325,7 +322,11 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             payload, text, code = args.handler(args)
-            print(_dumps(payload) if args.fmt == "json" else text())
+            try:
+                print(_dumps(payload) if args.fmt == "json" else text(), flush=True)
+            except BrokenPipeError:  # the reader left: stop, and send what print kept to
+                if sys.stdout is sys.__stdout__:  # os.devnull, or the flush at exit reports it again
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return code
     except (SRBettiError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -16,11 +16,11 @@ of a full subcomplex K|ω is read off it, C^*(K|ω) being C^*(K) cut down to
 the rows of the faces inside ω (:func:`reduced_cohomology_dims`).  Those rows
 are reduced incrementally, as in persistent homology (Edelsbrunner–Letscher–
 Zomorodian 2002): K|ω is K|(ω ∖ v) plus the faces through v, the least vertex
-of ω with busy vertices last (:func:`sweep_order`), so the walker extends the
-elimination over ℤ, for every field, of a prefix of ω, from the largest faces
-down, clearing each face that a row one size up has as its unit pivot: by
-d∘d = 0 its row adds no rank (Chen–Kerber, 2011).  The walker keeps each
-ω's result, walked once for every field, in one byte per ω (:class:`_Walker`).
+of ω with busy vertices last, so one push step extends the elimination over ℤ,
+for every field, from ω ∖ v to ω, from the largest faces down, clearing each
+face that a row one size up has as its unit pivot: by d∘d = 0 its row adds no
+rank (Chen–Kerber, 2011).  A sweep (:func:`sweep_order`) steps depth first to
+every ω, a single query along a chain of prefixes of ω (:class:`_Walker`).
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -186,39 +186,40 @@ def reduced_cochain_complex(K: SimplicialComplex) -> CochainComplex:
 
 
 class _Walker:
-    """K's coboundary rows, eliminated over ℤ along a chain of full
-    subcomplexes ∅ = ω_0 ⊂ … ⊂ ω_j, each adding a vertex below the last.
+    """K's coboundary rows, eliminated over ℤ one vertex at a time, and the
+    result of each full subcomplex K|ω, kept in one byte.
 
     It works on π(K), π ranking K's vertices by their number of faces, fewest
     first, ties by label (``image``, ``preimage``): a sweep pushes each face
     σ's row 2^(m − min σ − |σ| + 1) times.  K's reduced complex is built and
     d∘d-checked once, here, in K's labels; its rows, re-indexed for π(K), are
-    kept in one table.  Level j holds, per face size k, the number of faces of
-    K|ω_j, the number of unit pivots among their rows (of d_{k-2}) and that
-    elimination's state and residual (:func:`~srbetti.linalg.rank`).  A query
-    pops back to the longest prefix of π(ω)'s chain and pushes the rest, so a
-    sweep in :func:`sweep_order` pops and pushes once per ω.  Pushing v reduces
-    only the rows of the faces {v} ∪ σ, σ ⊆ ω_j, into copies of the parent's
-    states, so a pop just drops a level and a failed push leaves none.
+    kept in one table.  The level of ω holds, per face size k, the number of
+    faces of K|ω, the number of unit pivots among their rows (of d_{k-2}) and
+    that elimination's state and residual (:func:`~srbetti.linalg.rank`).
+    :meth:`_step` makes the level of ω ∪ {v}, v below min π(ω), by reducing
+    only the rows of the faces {v} ∪ σ, σ ⊆ ω, into copies of ω's states, so a
+    failed step changes no level.  A sweep (:meth:`fill`) steps depth first to
+    every ω, its byte after its children's; a single query pops the ``chain``
+    ∅ = ω_0 ⊂ … ⊂ ω_j back to a prefix of π(ω) and steps the rest.
 
     Columns number π(K)'s faces in descending mask order, so a pivot's key,
     its largest column, is the face without the row's top vertex: for a row
     {v} ∪ σ, σ ≠ ∅, one through v, which no parent pivot holds.  Ascending
     numbers, or growing faces by their least new vertex first, ran up to 1.5× slower.
 
-    A push reduces its new faces from the largest size down and clears (skips)
+    A step reduces its new faces from the largest size down and clears (skips)
     a size-k face whose key (``keys``) is a unit pivot of the size-(k+1) state
     it has just extended.  That pivot's row is a cycle with lead ±1, so
-    d∘d = 0 makes the face's row a ℤ-combination of rows of K|ω_{j+1} with
+    d∘d = 0 makes the face's row a ℤ-combination of rows of K|(ω ∪ {v}) with
     smaller keys, each kept, in the parent's state or itself cleared: the span
-    over every field, so the ranks and the pivot keys, are unchanged.  Pushes
+    over every field, so the ranks and the pivot keys, are unchanged.  Steps
     count the rows they reduce and clear, and the growth of the residual,
     which shrinks where a row set aside meets a later unit pivot (``rows_*``).
 
-    Each ω is walked once, for every field, and kept in one byte: 0 until it is
-    walked, else the index of a distinct residual-free result in ``values``
+    Each ω's result is kept once, for every field, in one byte: 0 until it is
+    stored, else the index of a distinct residual-free result in ``values``
     (1–254), or 255 for one in ``rare``, with a residual or past the 254th.
-    ω's byte sits in a block of ``_BLOCK`` ω, allocated when first written."""
+    ω's byte sits in a block of ``_BLOCK`` ω, allocated before it is written."""
 
     def __init__(self, K: SimplicialComplex):
         order = sorted(range(K.m), key=lambda v: (sum(g >> v & 1 for g in K.faces), v))  # π⁻¹
@@ -227,7 +228,8 @@ class _Walker:
         d, lower = reduced_cochain_complex(K).d, K.faces_by_card  # checked in K's labels
         pi = {g: _relabel(self.image, g) for g in K.faces}
         P = SimplicialComplex(K.m, frozenset(pi.values()))
-        self.cofaces, by_card = P.coface_vertices, P.faces_by_card
+        by_card, up = P.faces_by_card, P.coface_vertices  # above[g]: up[g]'s vertices above max g
+        self.above = {g: up[g] >> g.bit_length() << g.bit_length() for g in up}
         self.cols = cols = [len(level) for level in by_card]
         self.keys = keys = {g: cols[k] - 1 - i for k, lv in enumerate(by_card) for i, g in enumerate(lv)}
         self.rows = {  # K's rows, re-indexed: each column is the key of its face in π(K)
@@ -236,38 +238,65 @@ class _Walker:
         }
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
         self.chain = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)]
-        self.lock = Lock()
+        self.lock, self.full, self.bits = Lock(), False, [1 << v for v in order]  # π vertex u ↦ K's bit
         self.rows_reduced = self.rows_cleared = self.rows_residual = self.hits = 0
         self.blocks, self.block = {}, min(1 << K.m, _BLOCK)  # ω // _BLOCK ↦ the bytes of its block
         self.values, self.index, self.rare = [None], {}, {}
         _walkers.add(self)
 
-    def _push(self, v: int) -> None:
-        om, faces, ranks, pivots, residual = self.chain[-1]
+    def _step(self, state: tuple, v: int) -> tuple:  # ω's level ``state`` ↦ that of ω ∪ {v}
+        om, faces, ranks, pivots, residual = state
         faces, ranks, pivots, residual = faces[:], ranks[:], pivots[:], residual[:]
-        cofaces, rows_of, keys, cols = self.cofaces, self.rows, self.keys, self.cols
-        levels, new = [], [v] if v in cofaces else []
+        above, rows_of, keys, cols = self.above, self.rows, self.keys, self.cols
+        levels, new = [], [v] if v in above else []
         while new:
             levels.append(new)
             grown = []
             for g in new:  # the vertices of ω above max g, largest first: each face once
-                ext = cofaces[g] & om >> g.bit_length() << g.bit_length()
+                ext = above[g] & om
                 while ext:
                     u = 1 << ext.bit_length() - 1
                     grown.append(g | u)
                     ext ^= u
             new = grown
-        for k in range(len(levels), 0, -1):  # top down, so pivots[k + 1] is this push's
+        for k in range(len(levels), 0, -1):  # top down, so pivots[k + 1] is this step's
             new, cleared = levels[k - 1], pivots[k + 1]
             faces[k] += len(new)
             rows = [rows_of[g] for g in new if keys[g] not in cleared]
             self.rows_reduced += len(rows)
             self.rows_cleared += len(new) - len(rows)
             if rows:  # else the states stay as they are
-                pivots[k], inherited, residual[k] = pivots[k].copy(), residual[k], residual[k][:]
+                pivots[k], inherited = pivots[k].copy(), residual[k]
+                residual[k] = inherited[:] if inherited else []
                 ranks[k] += rank(SparseMap(len(rows), cols[k - 1], rows, pivots[k], residual[k]), QQ)
                 self.rows_residual += len(residual[k]) - len(inherited)
-        self.chain.append((om | v, faces, ranks, pivots, residual))
+        return om | v, faces, ranks, pivots, residual
+
+    def _byte(self, omega: int, state: tuple) -> int:
+        """ω's byte for its level ``state``, storing its result if new or rare."""
+        _, faces, ranks, _, residual = state
+        units = tuple([n - r - s for n, r, s in zip(faces, ranks, ranks[1:])])  # as in _dims
+        b = 255 if any(residual) else self.index.setdefault(units, len(self.values))
+        if b == len(self.values) < 255:  # a new value
+            self.values.append((_dims(faces, ranks), None))
+        elif b == 255:  # the rows of the faces of size k are those of d_{k-2}
+            rows = {k - 2: SparseMap(len(r), self.cols[k - 1], r) for k, r in enumerate(residual) if r}
+            self.rare[omega] = _dims(faces, ranks), rows or None
+        return b
+
+    def fill(self) -> None:
+        """Store every ω by one walk, unless the store is full already."""
+        with self.lock:
+            if not self.full:
+                for hi in range((1 << len(self.bits)) // self.block):
+                    self.blocks.setdefault(hi, bytearray(self.block))
+                self._walk(self.chain[0], 0, len(self.bits))
+                self.full = True
+
+    def _walk(self, state: tuple, omega: int, below: int) -> None:  # ω's level ``state``
+        for u in range(below - 1, -1, -1):  # the children ω ∪ {u}, u below min π(ω), then ω
+            self._walk(self._step(state, 1 << u), omega | self.bits[u], u)
+        self.blocks[omega // _BLOCK][omega % _BLOCK] = self._byte(omega, state)
 
     def result(self, omega: int) -> tuple[Mapping[int, int], dict[int, SparseMap] | None]:
         """ω's unit dimensions and residual (see :func:`field_dims`), walked once, then read back."""
@@ -286,19 +315,9 @@ class _Walker:
                 rest = image ^ top
                 while rest:
                     v = 1 << rest.bit_length() - 1
-                    self._push(v)
+                    chain.append(self._step(chain[-1], v))
                     rest ^= v
-                _, faces, ranks, _, residual = chain[-1]
-                units = tuple([n - r - s for n, r, s in zip(faces, ranks, ranks[1:])])  # as in _dims
-                b = 255 if any(residual) else self.index.get(units, len(self.values))
-                if b == len(self.values) < 255:  # a new value
-                    self.values.append((_dims(faces, ranks), None))
-                    self.index[units] = b
-                elif b == 255:
-                    cols = self.cols  # the rows of the faces of size k are those of d_{k-2}
-                    rows = {k - 2: SparseMap(len(r), cols[k - 1], r) for k, r in enumerate(residual) if r}
-                    self.rare[omega] = _dims(faces, ranks), rows or None
-                block[lo] = b
+                b = block[lo] = self._byte(omega, chain[-1])
         return self.values[b] if b < 255 else self.rare[omega]
 
 
@@ -372,8 +391,9 @@ _walker = rank_cache(_SLOTS)(_Walker)  # one walker per K, for every field
 
 
 def sweep_order(K: SimplicialComplex) -> Iterator[int]:
-    """Every ω ⊆ [m] in K's labels, descending in π(ω): each ω's parent is on the walker's chain."""
-    tables = _walker(K).preimage
+    """Every ω ⊆ [m] in K's labels, descending in π(ω), once K's walker has stored them all."""
+    (walker := _walker(K)).fill()
+    tables = walker.preimage
     for top in range(K.full_mask >> 8, -1, -1):  # π(ω)'s high bytes, then its low byte
         yield from map(_relabel(tables, top << 8).__or__, reversed(tables[0]))
 
@@ -387,7 +407,7 @@ def reduced_cohomology_dims(
     C^*(K|ω) is not built: its rows are read off K's own complex, built and
     d∘d-checked once per K by K's walker, which stores ω's result for every
     field; only its residual rows, rare, are ranked over f.  ``cache_info``
-    counts ω read back (hits) and walked (misses) in the live walkers' stores;
+    counts reads of a stored ω (hits) and ω stored (misses) in the live walkers;
     ``cache_clear`` clears every :func:`rank_cache`: walkers, ``tor``'s blocks and contexts.
     """
     om = K.full_mask if omega is None else _within(K, omega)

@@ -19,6 +19,7 @@ from .errors import (
     PartitionMismatch,
     VertexBudgetExceeded,
     VertexOutOfRange,
+    ascii_ints,
 )
 
 MIN_COLORING_CAP = 16
@@ -235,10 +236,7 @@ def parse_blocks(text: str, m: int) -> Partition:
     for part in body.split("|"):
         if not (vs := part.split()):
             raise PartitionMismatch(f"empty block in {text!r}")
-        try:
-            blocks.append(mask_of(int(v) for v in vs))
-        except ValueError:
-            raise ValueError(f"malformed block {part.strip()!r} in {text!r}") from None
+        blocks.append(mask_of(ascii_ints(vs, f"malformed block {part.strip()!r} in {text!r}")))
     return Partition(m, tuple(blocks))
 
 

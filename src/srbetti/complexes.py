@@ -25,6 +25,7 @@ from .errors import (
     IsolatedVertexMissing,
     VertexBudgetExceeded,
     VertexOutOfRange,
+    ascii_ints,
 )
 
 VERTEX_CAP = 24
@@ -281,14 +282,12 @@ def parse_complex(
             continue
         parts = line.split()
         if parts[0] == "m":
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
-                raise ValueError(f"line {lineno}: malformed header {raw!r}")
-            m = int(parts[1])
-        elif parts[0] == "facet":
-            try:
-                facets.append(mask_of(int(p) for p in parts[1:]))
+            try:  # exactly one integer
+                (m,) = ascii_ints(parts[1:], raw)
             except ValueError:
-                raise ValueError(f"line {lineno}: malformed facet {raw!r}") from None
+                raise ValueError(f"line {lineno}: malformed header {raw!r}") from None
+        elif parts[0] == "facet":
+            facets.append(mask_of(ascii_ints(parts[1:], f"line {lineno}: malformed facet {raw!r}")))
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if m is None:

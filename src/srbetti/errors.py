@@ -1,9 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one reader of integers.
 
 Every public operation raises one of these named errors so that callers (and
 the CLI, which prints the class name) can tell validation problems apart from
 genuine check failures.
 """
+
+
+def ascii_ints(words: list[str], error: str) -> list[int]:
+    """``words`` as integers in ASCII digits, each after an optional '-', else ValueError(error)."""
+    if all((digits := w.removeprefix("-")).isascii() and digits.isdigit() for w in words):
+        return [int(w) for w in words]
+    raise ValueError(error)
 
 
 class SRBettiError(Exception):

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import ascii_ints
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -61,10 +63,7 @@ class FieldSpec:
         if t in ("q", "qq", "0"):
             return cls(0)
         tail = t[3:] if t.startswith("fp:") else t[1:] if t[:1] == "f" and t[1:].isdigit() else ""
-        try:
-            p = int(tail)
-        except ValueError:  # a tail that is no integer, or neither fp:P nor fN
-            raise ValueError(f"unknown field selector: {text!r}") from None
+        (p,) = ascii_ints([tail], f"unknown field selector: {text!r}")  # "" unless fp:P or fN
         if p == 0:  # a prime field's selector names a prime: ℚ is only q, qq or 0
             raise ValueError(f"not a prime below 2^16: {p}")
         return cls(p)

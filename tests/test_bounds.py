@@ -141,7 +141,7 @@ def test_sharpness_suite_applies_its_cap_to_every_simplex(dims, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a complex was built")
 
-    for name in ("boundary_simplex", "join", "check_caolu", "check_ustinovskii"):
+    for name in ("boundary_simplex", "join", "betti_table", "_caolu", "_ustinovskii"):
         monkeypatch.setattr(srbetti.bounds, name, no_build)
     with pytest.raises(VertexBudgetExceeded, match="^m=27 exceeds the vertex cap 25$"):
         sharpness_suite(dims, QQ, max_vertices=25)
@@ -150,13 +150,15 @@ def test_sharpness_suite_applies_its_cap_to_every_simplex(dims, monkeypatch):
 def test_a_failed_ustinovskii_row_poisons_the_sharpness_report(monkeypatch):
     # the per-index rows are summed into one total row: a failing row whose
     # sum still matches must leave its own mark, the row (2, -1, 0)
-    def one_row_short(K, f):
-        report = check_ustinovskii(K, f)
+    ustinovskii = srbetti.bounds._ustinovskii
+
+    def one_row_short(K, table):
+        report = ustinovskii(K, table)
         report.rows[0].rhs += 1
         return report
 
     assert [row.slack for row in sharpness_suite([2, 1], QQ).rows] == [0, 0]
-    monkeypatch.setattr(srbetti.bounds, "check_ustinovskii", one_row_short)
+    monkeypatch.setattr(srbetti.bounds, "_ustinovskii", one_row_short)
     report = sharpness_suite([2, 1], QQ)
     assert [(row.index, row.lhs, row.rhs) for row in report.rows[1:]] == [(1, 4, 4), (2, -1, 0)]
     assert not report.verdict
@@ -181,6 +183,28 @@ def test_all_bounds_hold_on_random_complexes(seed, f):
     alpha = greedy_coloring(K)
     for name, report in all_bound_checks(K, alpha, f).items():
         assert report.verdict, (name, seed)
+
+
+def test_the_bound_checks_build_one_betti_table_per_complex_and_field(monkeypatch):
+    # the Ustinovskii bound and zk's Betti route read one table, which
+    # all_bound_checks and sharpness_suite build once; their reports are
+    # those of the public checks, each of which builds its own
+    built = []
+    build = srbetti.bounds.betti_table
+
+    def counting(K, f):
+        built.append((K, f))
+        return build(K, f)
+
+    monkeypatch.setattr(srbetti.bounds, "betti_table", counting)
+    K = rp2_complex()
+    checks = all_bound_checks(K, greedy_coloring(K), GF2)
+    assert built == [(K, GF2)]
+    assert checks["ustinovskii"] == check_ustinovskii(K, GF2)
+    assert checks["caolu"] == check_caolu(K, GF2)
+    built.clear()
+    assert sharpness_suite([2, 1], QQ).verdict
+    assert len(built) == 1
 
 
 def test_report_serialization():

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import gc
+import io
 import json
 import os
 import re
@@ -198,6 +199,28 @@ def test_a_malformed_integer_names_its_flag_and_text(square_file, tmp_path, caps
     for flag, spec in (("--blocks", "1 | x"), ("--blocks-file", str(blocks))):
         code, out, err = run(capsys, "color", "--in", square_file, flag, spec)
         assert (code, out, err) == (2, "", "error: ValueError: malformed block 'x' in '1 | x'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["betti", "--facets", "1 2", "--field", "fp:6_5521"], "unknown field selector: 'fp:6_5521'"),
+        (["betti", "--facets", "1 2", "--field", "f\u0663"], "unknown field selector: 'f\u0663'"),
+        (["betti", "--facets", "1 2_0"], "--facets: malformed facet '1 2_0'"),
+        (["color", "--facets", "1 2, 2 3", "--blocks", "1 | +2 | 3"], "malformed block '+2' in '1 | +2 | 3'"),
+        (["betti", "--in", "m 3\nfacet 1 2_0\n"], "line 2: malformed facet 'facet 1 2_0'"),
+        (["betti", "--in", "m +3\nfacet 1 2\n"], "line 1: malformed header 'm +3'"),
+    ],
+    ids=["field-underscore", "field-arabic-indic-digit", "facets", "blocks", "in-facet", "in-header"],
+)
+def test_an_integer_spelled_in_anything_but_ascii_digits_is_refused(argv, error, tmp_path, capsys):
+    # int() would read 6_5521 as 65521, the Arabic-Indic ٣ as 3, 2_0 as 20
+    # and +2 as 2; each flag refuses them as it refuses any other non-digit
+    if argv[1] == "--in":
+        path = tmp_path / "complex.cplx"
+        path.write_text(argv[2], encoding="utf-8")
+        argv = [argv[0], "--in", str(path)]
+    assert run(capsys, *argv) == (2, "", f"error: ValueError: {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -414,6 +437,45 @@ def test_corpus_lists_the_unstabilized_L_per_field(capsys):
         for entry in member["fields"].values():
             assert entry["stabilized"] is True
             assert entry["unstabilized"] == []
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has left."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["betti", "--facets", "1 2, 2 3, 3 4, 4 1"], 0),
+        (["color", "--facets", "1 2, 2 3", "--blocks", "1 2 | 3"], 1),  # a degenerate coloring
+    ],
+    ids=["betti", "color-fails"],
+)
+def test_a_closed_stdout_ends_the_output_and_keeps_the_commands_status(monkeypatch, capsys, argv, code):
+    # `srbetti betti ... | head -c 10`: the broken pipe is no usage error
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_a_process_whose_stdout_is_closed_exits_quietly():
+    # the pipe's reader is gone before the first byte: the process reports
+    # nothing, not even at exit, where Python flushes what print kept
+    src = str(Path(srbetti.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "srbetti.cli", "betti", "--facets", "1 2, 2 3, 3 4, 4 1"],
+            stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_warnings_print_without_a_source_location():

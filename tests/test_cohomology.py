@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from functools import lru_cache
 from types import MappingProxyType
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import srbetti.betti
 import srbetti.cohomology
 import srbetti.linalg
-from srbetti.betti import betti_number, betti_table
+from srbetti.betti import betti_number, betti_table, zk_cohomology_dims
 from srbetti.cohomology import (
     CochainComplex,
     assemble,
@@ -151,22 +152,6 @@ def test_walker_answers_queries_in_any_order(K, data, f):
         assert reduced_cohomology_dims(K, f, omega) == rebuilt_dims(K, omega, f)
 
 
-def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
-    # mutation check: a push that reduces into its parent's pivot state
-    # instead of a copy leaves the child's pivots behind when it is popped
-    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._push))
-    assert source.count("pivots[k].copy()") == 1
-    mutant: dict = {}
-    exec(source.replace("pivots[k].copy()", "pivots[k]"), vars(srbetti.cohomology), mutant)
-    monkeypatch.setattr(srbetti.cohomology._Walker, "_push", mutant["_push"])
-    try:
-        with pytest.raises(AssertionError):
-            test_walker_answers_queries_in_any_order()
-    finally:
-        srbetti.cohomology._walker.cache_clear()
-        reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
-
-
 SWEPT = [
     rp2_complex(),
     *(random_complex(7, d, s) for d in (0.5, 0.9) for s in (0, 1)),
@@ -176,26 +161,86 @@ SWEPT = [
 
 
 def sweep(K, f):
-    """A fresh walker for K and its answers to every ω over f, asked in the
-    package's sweep order from empty caches, which are emptied again after
-    (``srbetti.cohomology.reduced_cohomology_dims``, which a test may patch)."""
+    """A fresh walker for K and its answers to every ω over f, read off the
+    full sweep of ``betti_table`` from empty caches, emptied again after."""
     reduced_cohomology_dims.cache_clear()
     try:
-        dims = srbetti.cohomology.reduced_cohomology_dims
-        answers = {omega: dims(K, f, omega) for omega in sweep_order(K)}
+        answers = {omega: {} for omega in range(K.full_mask + 1)}
+        for (i, omega), b in betti_table(K, f).entries.items():
+            answers[omega][omega.bit_count() - i - 1] = b
         return srbetti.cohomology._walker(K), answers
     finally:
         reduced_cohomology_dims.cache_clear()
 
 
-def test_walker_answers_a_descending_full_sweep():
-    # the betti_table order: every ω is pushed once, onto ω minus its least
-    # vertex under the walker's order, so every row that clearing skips is
-    # skipped here, which scattered queries miss
+def shuffled(K, f, seed=0):
+    """A fresh walker for K and its answers to every ω over f, each asked
+    alone, in a shuffled order, from empty caches, emptied again after: the
+    chain pops to every kind of prefix and steps from it."""
+    omegas = list(range(K.full_mask + 1))
+    random.Random(seed).shuffle(omegas)
+    reduced_cohomology_dims.cache_clear()
+    try:
+        answers = {omega: reduced_cohomology_dims(K, f, omega) for omega in omegas}
+        return srbetti.cohomology._walker(K), answers
+    finally:
+        reduced_cohomology_dims.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def reference_dims(K, omega, f):
+    return rebuilt_dims(K, omega, f)
+
+
+def check_answers(ask):
     for K in SWEPT:
         for f in (QQ, GF2, GF3):
-            for omega, dims in sweep(K, f)[1].items():
-                assert dims == rebuilt_dims(K, omega, f), (K, f, omega)
+            for omega, dims in ask(K, f)[1].items():
+                assert dims == reference_dims(K, omega, f), (K, f, omega)
+
+
+def test_walker_answers_a_descending_full_sweep():
+    # the betti_table order: one depth-first walk steps every ω once, from
+    # ω minus its least vertex under the walker's order, so every row that
+    # clearing skips is skipped here, which scattered queries miss
+    check_answers(sweep)
+
+
+def test_walker_answers_every_omega_asked_alone_in_a_shuffled_order():
+    # the chain's route: single queries step from the longest prefix of
+    # their chain, which the walk never does
+    check_answers(shuffled)
+
+
+def mutate_step(monkeypatch, code, mutant):
+    """Patch the walker's one push step with ``code`` in its source replaced by ``mutant``."""
+    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._step))
+    assert source.count(code) == 1
+    namespace: dict = {}
+    exec(source.replace(code, mutant), vars(srbetti.cohomology), namespace)
+    monkeypatch.setattr(srbetti.cohomology._Walker, "_step", namespace["_step"])
+
+
+def fails_through_sweeps_and_queries(*errors):
+    """Both routes into the patched step give a wrong answer or raise one of ``errors``."""
+    try:
+        for check in (
+            test_walker_answers_a_descending_full_sweep,
+            test_walker_answers_every_omega_asked_alone_in_a_shuffled_order,
+        ):
+            with pytest.raises((AssertionError, *errors)):
+                check()
+    finally:
+        srbetti.cohomology._walker.cache_clear()
+        reduced_cohomology_dims.cache_clear()  # holds the mutant's answers
+
+
+def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
+    # mutation check: a step that reduces into its parent's pivot state
+    # instead of a copy leaves the child's pivots behind, in the state its
+    # siblings extend (the walk) or in the level a query pops back to (the chain)
+    mutate_step(monkeypatch, "pivots[k].copy()", "pivots[k]")
+    fails_through_sweeps_and_queries()
 
 
 @pytest.mark.parametrize(
@@ -210,14 +255,9 @@ def test_walker_answers_a_descending_full_sweep():
 )
 def test_a_push_that_clears_the_wrong_rows_is_caught(monkeypatch, code, mutant):
     # mutation check: clearing by a neighbouring key, by the state of the
-    # wrong size, or reducing one row too few fails the descending sweep
-    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._push))
-    assert source.count(code) == 1
-    namespace: dict = {}
-    exec(source.replace(code, mutant), vars(srbetti.cohomology), namespace)
-    monkeypatch.setattr(srbetti.cohomology._Walker, "_push", namespace["_push"])
-    with pytest.raises((AssertionError, IndexError)):
-        test_walker_answers_a_descending_full_sweep()
+    # wrong size, or reducing one row too few fails the sweep and the queries
+    mutate_step(monkeypatch, code, mutant)
+    fails_through_sweeps_and_queries(IndexError)
 
 
 def busy_last(K):
@@ -291,17 +331,24 @@ def test_a_sweep_clears_by_unit_pivots_only():
     assert (walker.rows_reduced, walker.rows_cleared) == (8066, 7734)
 
 
+def test_queries_asked_alone_clear_by_unit_pivots_only():
+    # the same complex asked ω by ω in a shuffled order, where the chain's
+    # steps reduce and clear other rows than the walk's: again only the
+    # counts tell a step that clears by a residual row's lead
+    walker, _ = shuffled(double_suspension_of_rp2(), QQ)
+    assert (walker.rows_reduced, walker.rows_cleared) == (18568, 16541)
+
+
 def test_a_push_that_clears_by_a_residual_key_is_caught(monkeypatch):
     # mutation check: a residual row is no cycle with a unit lead
-    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._push))
     code = "cleared = levels[k - 1], pivots[k + 1]"
-    mutant = "cleared = levels[k - 1], pivots[k + 1].keys() | {max(r)[0] for r in residual[k + 1]}"
-    assert source.count(code) == 1
-    namespace: dict = {}
-    exec(source.replace(code, mutant), vars(srbetti.cohomology), namespace)
-    monkeypatch.setattr(srbetti.cohomology._Walker, "_push", namespace["_push"])
-    with pytest.raises(AssertionError):
-        test_a_sweep_clears_by_unit_pivots_only()
+    mutate_step(monkeypatch, code, f"{code}.keys() | {{max(r)[0] for r in residual[k + 1]}}")
+    for check in (
+        test_a_sweep_clears_by_unit_pivots_only,
+        test_queries_asked_alone_clear_by_unit_pivots_only,
+    ):
+        with pytest.raises(AssertionError):
+            check()
 
 
 def check_residual_sweeps(fields):
@@ -366,9 +413,11 @@ def test_cache_clear_discards_every_rank_derived_state(monkeypatch):
 def test_a_wrong_rank_reaches_the_tables_of_every_field(monkeypatch, fields):
     # every elimination goes through linalg.rank: a two-argument stand-in,
     # bound wherever the package binds rank, changes the table of the field
-    # that walks and of the one that reads its per-ω results
+    # that walks and of the one that reads its per-ω results, and the answers
+    # of both to ω asked alone in a shuffled order, on the chain
     K = random_complex(7, 0.5, 0)
     right = {f: betti_table(K, f).entries for f in fields}
+    alone = {f: shuffled(K, f)[1] for f in fields}
     rank = srbetti.linalg.rank
 
     def off_by_one(M, f):
@@ -383,6 +432,10 @@ def test_a_wrong_rank_reaches_the_tables_of_every_field(monkeypatch, fields):
     try:
         for f in fields:
             assert betti_table(K, f).entries != right[f], f
+        reduced_cohomology_dims.cache_clear()
+        omegas = list(alone[fields[0]])
+        for f in fields:
+            assert {omega: reduced_cohomology_dims(K, f, omega) for omega in omegas} != alone[f], f
     finally:
         reduced_cohomology_dims.cache_clear()  # holds wrong answers now
 
@@ -420,14 +473,30 @@ def test_one_walker_keeps_the_fields_apart():
         assert reduced_cohomology_dims(K, f, omega) == rebuilt_dims(K, omega, f), (omega, f)
 
 
+def stored(walker):
+    """ω ↦ its byte, for every ω the walker has stored."""
+    size = srbetti.cohomology._BLOCK
+    return {hi * size + lo: b for hi, block in walker.blocks.items() for lo, b in enumerate(block) if b}
+
+
+def entries(dims_by_omega):
+    """The Betti table entries of per-ω dims."""
+    return {
+        (omega.bit_count() - q - 1, omega): d
+        for omega, dims in dims_by_omega.items()
+        for q, d in dims.items()
+    }
+
+
 @pytest.mark.parametrize("f", [QQ, GF2])
 def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
-    # rank raises on its k-th call inside betti_table; the walker keeps its
-    # chain, and the next queries, starting with the ω that failed, are right:
-    # the caches are cleared and the walker kept, so each query reaches it
+    # rank raises on its k-th call, in a sweep's walk or in a step of the
+    # chain for an ω asked alone: every ω stored so far reads back right, and
+    # on the same walker the next sweep, or the next queries, starting with
+    # the ω that failed, are right
     K = rp2_complex()
     reference = {omega: rebuilt_dims(K, omega, f) for omega in range(K.full_mask + 1)}
-    rank, sweep = srbetti.cohomology.rank, srbetti.betti.subcomplex_cohomology
+    rank = srbetti.cohomology.rank
     for k in (1, 2, 5, 17, 40, 90):
         calls, asked = [], []
 
@@ -437,40 +506,89 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
                 raise RuntimeError("injected")
             return rank(M, field)
 
-        def recording(K, omega, field):
-            asked.append(omega)
-            return sweep(K, omega, field)
+        for route in ("walk", "chain"):
+            calls.clear()
+            reduced_cohomology_dims.cache_clear()
+            walker = srbetti.cohomology._walker(K)
+            omegas = list(reference)
+            random.Random(k).shuffle(omegas)
+            with monkeypatch.context() as patch:
+                patch.setattr(srbetti.cohomology, "rank", failing)
+                with pytest.raises(RuntimeError, match="injected"):
+                    if route == "walk":
+                        betti_table(K, f)
+                    for omega in omegas:
+                        asked.append(omega)
+                        reduced_cohomology_dims(K, f, omega)
+            assert not walker.full
+            for omega in stored(walker):
+                assert reduced_cohomology_dims(K, f, omega) == reference[omega], (k, route, omega)
+            if route == "walk":
+                assert betti_table(K, f).entries == entries(reference), k
+            else:
+                rest = omegas[omegas.index(asked[-1]):]
+                for omega in rest:
+                    assert reduced_cohomology_dims(K, f, omega) == reference[omega], (k, omega)
 
+
+def test_a_sweep_after_single_queries_keeps_their_bytes():
+    # ω asked alone are stored on the chain first; the walk then steps every
+    # ω again and leaves each stored byte as it was, every byte right
+    K = SWEPT[-1]
+    reduced_cohomology_dims.cache_clear()
+    walker = srbetti.cohomology._walker(K)
+    try:
+        for omega in random.Random(5).sample(range(K.full_mask + 1), 40):
+            assert reduced_cohomology_dims(K, GF2, omega) == reference_dims(K, omega, GF2)
+        before = stored(walker)
+        assert len(before) == 40
+        table = betti_table(K, QQ).entries
+        after = stored(walker)
+        assert walker.full and len(after) == 1 << K.m
+        assert {omega: after[omega] for omega in before} == before
+        assert table == entries({omega: reference_dims(K, omega, QQ) for omega in after})
+    finally:
         reduced_cohomology_dims.cache_clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(srbetti.cohomology, "rank", failing)
-            patch.setattr(srbetti.betti, "subcomplex_cohomology", recording)
-            with pytest.raises(RuntimeError, match="injected"):
-                betti_table(K, f)
-        walker = srbetti.cohomology._walker(K)
-        walker.blocks.clear()  # forget the ω it stored, so that every query walks
-        reduced_cohomology_dims.cache_clear()
-        rest = [omega for omega in reference if omega != asked[-1]]
-        random.Random(k).shuffle(rest)
-        with monkeypatch.context() as patch:
-            patch.setattr(srbetti.cohomology, "_walker", lambda K: walker)
-            for omega in [asked[-1], *rest]:
-                assert reduced_cohomology_dims(K, f, omega) == reference[omega], (k, omega)
 
 
-def test_three_tables_walk_each_omega_once_and_read_it_back_twice():
+def test_three_tables_walk_each_omega_once_and_read_it_back_three_times():
     # cache_info counts the walkers' stores as lru_cache counts: a miss is an
-    # ω walked, a hit an ω read back, and currsize the ω stored
+    # ω walked, a hit an ω read back, and currsize the ω stored; the first
+    # sweep walks every ω before it reads one, so every read is a hit, and
+    # the later fields' sweeps walk nothing
     K = moore_space_mod_3()
     reduced_cohomology_dims.cache_clear()
     gc.collect()  # walkers kept alive by an earlier traceback count as live
-    tables = {f: betti_table(K, f).entries for f in (QQ, GF2, GF3)}
+
+    def walked():
+        walker = srbetti.cohomology._walker(K)
+        return walker.rows_reduced, walker.rows_cleared
+
+    tables = {QQ: betti_table(K, QQ).entries}
+    first = walked()
+    tables.update({f: betti_table(K, f).entries for f in (GF2, GF3)})
+    assert walked() == first
     n = 1 << K.m
     info = reduced_cohomology_dims.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (n, 2 * n, n)
+    assert (info.misses, info.hits, info.currsize) == (n, 3 * n, n)
     assert tables[QQ] == tables[GF2] != tables[GF3]
     reduced_cohomology_dims.cache_clear()
     assert reduced_cohomology_dims.cache_info().currsize == 0
+
+
+def test_zks_second_sweep_walks_nothing():
+    # zk sweeps twice, the direct route and the Betti table's: the first
+    # fills the store, the second only reads it
+    K = random_complex(8, 0.5, 3)
+    reduced_cohomology_dims.cache_clear()
+    gc.collect()
+    try:
+        zk_cohomology_dims(K, GF2)
+        n = 1 << K.m
+        info = reduced_cohomology_dims.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (n, 2 * n, n)
+    finally:
+        reduced_cohomology_dims.cache_clear()
 
 
 def test_a_single_query_on_a_large_complex_allocates_one_block():
@@ -550,17 +668,24 @@ def test_rp2s_residual_reaches_every_field_through_byte_255():
     assert list(walker.rare) == [K.full_mask]  # the only ω with a residual
 
 
-def ask_in_threads(K, reference, seeds):
+def ask_in_threads(K, reference, seeds, sweeping=()):
     """Each seed's thread asks every (ω, f) of ``reference`` in its own order,
-    the threads starting together and switching often; the queries answered
-    wrong, and the seeds of the threads that finished."""
+    or, for a seed in ``sweeping``, sweeps the Betti table of each field of
+    ``reference``, the threads starting together and switching often; the
+    queries and tables answered wrong, and the seeds of the threads that finished."""
     wrong, done, start = [], [], threading.Barrier(len(seeds))
 
     def ask(seed):
         queries = list(reference)
         random.Random(seed).shuffle(queries)
         start.wait(timeout=60)
-        wrong.extend(q for q in queries if reduced_cohomology_dims(K, q[1], q[0]) != reference[q])
+        if seed in sweeping:
+            for f in {f for _, f in queries}:
+                right = entries({omega: dims for (omega, g), dims in reference.items() if g == f})
+                if betti_table(K, f).entries != right:
+                    wrong.append(f)
+        else:
+            wrong.extend(q for q in queries if reduced_cohomology_dims(K, q[1], q[0]) != reference[q])
         done.append(seed)  # not reached if a query raised
 
     interval = sys.getswitchinterval()
@@ -589,6 +714,21 @@ def test_threads_sharing_one_walker_get_right_answers():
         seeds = [4 * round + k for k in range(4)]
         assert ask_in_threads(K, reference, seeds) == ([], seeds)
         assert reduced_cohomology_dims.cache_info().misses == 1 << K.m
+    reduced_cohomology_dims.cache_clear()
+
+
+def test_threads_sweeping_and_asking_one_walker_get_right_answers():
+    # two threads sweep, so one walks every ω under the lock while the other
+    # waits for it, and two ask ω alone on the chain meanwhile: every table and
+    # every answer is right, and every ω is stored once
+    K = SWEPT[-1]
+    reference = {(omega, f): reference_dims(K, omega, f) for omega in range(1 << K.m) for f in (QQ, GF2)}
+    for round in range(3):
+        reduced_cohomology_dims.cache_clear()
+        gc.collect()  # walkers kept alive by an earlier traceback count as live
+        seeds = [4 * round + k for k in range(4)]
+        assert ask_in_threads(K, reference, seeds, sweeping=seeds[:2]) == ([], seeds)
+        assert reduced_cohomology_dims.cache_info().currsize == 1 << K.m
     reduced_cohomology_dims.cache_clear()
 
 
