@@ -41,17 +41,25 @@ from .linalg import QQ, GF2, GF3, FieldSpec
 from .tor import _unstabilized, quotient_cohomology_dims, tor_dims, verify_tor_threeway
 
 
+def _int(word: str) -> int:
+    """An integer flag's value in ASCII digits: argparse's ``int`` reads '٣' as 3 and '1_0' as 10."""
+    try:
+        return ascii_ints([word], word)[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {word!r}") from None
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--in", dest="infile", metavar="PATH", help="complex file (text format)")
     g.add_argument("--facets", metavar="SPEC", help='inline facets, e.g. "1 2, 2 3, 3 4, 1 4"')
-    p.add_argument("--m", type=int, default=None, help="vertex count (default: max vertex in --facets)")
+    p.add_argument("--m", type=_int, default=None, help="vertex count (default: max vertex in --facets)")
     p.add_argument("--allow-isolated", action="store_true", help="add uncovered vertices as 0-faces")
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-    p.add_argument("--max-m", type=int, default=None, help="override the vertex cap")
+    p.add_argument("--max-m", type=_int, default=None, help="override the vertex cap")
 
 
 def _add_partition_args(p: argparse.ArgumentParser) -> None:
@@ -68,19 +76,19 @@ def _add_field_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_weight_bound_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight-bound", type=int, default=None)
+    p.add_argument("--weight-bound", type=_int, default=None)
 
 
 def _add_dims_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dims", type=int, nargs="+", required=True, metavar="N")
+    p.add_argument("--dims", type=_int, nargs="+", required=True, metavar="N")
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--corpus-max-m", type=int, default=6)
+    p.add_argument("--seed", type=_int, required=True)
+    p.add_argument("--count", type=_int, default=20)
+    p.add_argument("--corpus-max-m", type=_int, default=6)
     p.add_argument("--density", type=float, default=0.4)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

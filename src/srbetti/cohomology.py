@@ -21,6 +21,8 @@ for every field, from ω ∖ v to ω, from the largest faces down, clearing each
 face that a row one size up has as its unit pivot: by d∘d = 0 its row adds no
 rank (Chen–Kerber, 2011).  A sweep (:func:`sweep_order`) steps depth first to
 every ω, a single query along a chain of prefixes of ω (:class:`_Walker`).
+A sweep's leaf ω ∪ {v}, v its first vertex, whose link part lk(v)|ω is
+ℤ-acyclic takes K|ω's result unstepped: by Mayer–Vietoris H̃(K|ω ∪ {v}) ≅ H̃(K|ω).
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -202,6 +204,14 @@ class _Walker:
     every ω, its byte after its children's; a single query pops the ``chain``
     ∅ = ω_0 ⊂ … ⊂ ω_j back to a prefix of π(ω) and steps the rest.
 
+    A sweep's leaves are the ω ∪ {v}, v = π-vertex 0.  If lk(v) has 0 < d ≤ m − 3
+    vertices (its 2^d ω are ≤ 1/4 of the leaves), :meth:`fill` first sweeps it,
+    relabelled onto [d], with a walker of its own, and marks each s ⊆ V(lk) with
+    lk|s ℤ-acyclic: no unit dimension, no residual.  K|(ω ∪ {v}) is K|ω and the
+    cone v ∗ lk|s, s = ω ∩ V(lk), meeting in lk|s, so for a marked s Mayer–Vietoris
+    gives H̃(K|(ω ∪ {v}); ℤ) ≅ H̃(K|ω; ℤ): the leaf takes ω's byte and ``rare``
+    entry unstepped (``omega_by_link`` counts it).  lk|∅ = {∅} has H̃^{-1} ≠ 0.
+
     Columns number π(K)'s faces in descending mask order, so a pivot's key,
     its largest column, is the face without the row's top vertex: for a row
     {v} ∪ σ, σ ≠ ∅, one through v, which no parent pivot holds.  Ascending
@@ -239,7 +249,7 @@ class _Walker:
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
         self.chain = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)]
         self.lock, self.full, self.bits = Lock(), False, [1 << v for v in order]  # π vertex u ↦ K's bit
-        self.rows_reduced = self.rows_cleared = self.rows_residual = self.hits = 0
+        self.rows_reduced = self.rows_cleared = self.rows_residual = self.hits = self.omega_by_link = 0
         self.blocks, self.block = {}, min(1 << K.m, _BLOCK)  # ω // _BLOCK ↦ the bytes of its block
         self.values, self.index, self.rare = [None], {}, {}
         _walkers.add(self)
@@ -290,13 +300,30 @@ class _Walker:
             if not self.full:
                 for hi in range((1 << len(self.bits)) // self.block):
                     self.blocks.setdefault(hi, bytearray(self.block))
-                self._walk(self.chain[0], 0, len(self.bits))
+                link = self.above.get(1, 0)  # the vertices of lk(π-vertex 0)
+                verts = [u for u in range(link.bit_length()) if link >> u & 1]
+                acyclic: set[int] = set()  # the s ⊆ V(lk) with H̃(lk|s; ℤ) = 0, as π masks
+                if 0 < len(verts) <= len(self.bits) - 3:  # its sweep is ≤ 1/4 of the leaves
+                    faces = frozenset(sum(1 << i for i, u in enumerate(verts) if g >> u & 1) for g in self.keys if g & 1)
+                    (lk := _Walker(SimplicialComplex(len(verts), faces))).fill()
+                    tables = _byte_tables(verts)
+                    acyclic = {_relabel(tables, s) for s in range(1 << len(verts)) if not any(lk.result(s))}
+                self._walk(self.chain[0], 0, len(self.bits), acyclic, link)
                 self.full = True
 
-    def _walk(self, state: tuple, omega: int, below: int) -> None:  # ω's level ``state``
-        for u in range(below - 1, -1, -1):  # the children ω ∪ {u}, u below min π(ω), then ω
-            self._walk(self._step(state, 1 << u), omega | self.bits[u], u)
-        self.blocks[omega // _BLOCK][omega % _BLOCK] = self._byte(omega, state)
+    def _walk(self, state: tuple, omega: int, below: int, acyclic: set, link: int) -> None:
+        for u in range(below - 1, 0, -1):  # ω's level ``state``; its children ω ∪ {u}, 0 < u < min π(ω)
+            self._walk(self._step(state, 1 << u), omega | self.bits[u], u, acyclic, link)
+        b = self.blocks[omega // _BLOCK][omega % _BLOCK] = self._byte(omega, state)
+        if below:  # the leaf ω ∪ {v}, v = π-vertex 0
+            leaf = omega | self.bits[0]
+            if state[0] & link in acyclic:  # H̃(K|ω ∪ {v}) ≅ H̃(K|ω) over ℤ
+                self.omega_by_link += 1
+                if b == 255:
+                    self.rare[leaf] = self.rare[omega]
+            else:
+                b = self._byte(leaf, self._step(state, 1))
+            self.blocks[leaf // _BLOCK][leaf % _BLOCK] = b
 
     def result(self, omega: int) -> tuple[Mapping[int, int], dict[int, SparseMap] | None]:
         """ω's unit dimensions and residual (see :func:`field_dims`), walked once, then read back."""

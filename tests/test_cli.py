@@ -225,6 +225,28 @@ def test_an_integer_spelled_in_anything_but_ascii_digits_is_refused(argv, error,
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["zk", "--facets", "1 2, 2 3", "--m", "٣"],
+        ["betti", "--facets", "1 2", "--max-m", "1_2"],
+        ["tor", "--facets", "1 2", "--weight-bound", "٣"],
+        ["sharp", "--dims", "1_0"],
+        ["corpus", "--seed", "+1"],
+        ["corpus", "--seed", "1", "--count", "٢"],
+        ["corpus", "--seed", "1", "--corpus-max-m", "6_0"],
+        ["corpus", "--seed", "1", "--count", "1", "--jobs", "٢"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_an_integer_flag_takes_ascii_digits_only(argv, capsys):
+    # argparse's int would read ٣ as 3, 1_2 as 12 and +1 as 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["color", "--facets", "1 2, 2 3"], ["corpus", "--seed", "1", "--count", "1"]],
 )
 def test_field_is_refused_where_it_is_never_read(argv):

@@ -27,6 +27,7 @@ from srbetti.cohomology import (
     sweep_order,
 )
 from srbetti.complexes import (
+    SimplicialComplex,
     boundary_simplex,
     empty_complex,
     from_facets,
@@ -34,6 +35,7 @@ from srbetti.complexes import (
     full_subcomplex,
     join,
     mask_of,
+    submasks,
 )
 from srbetti.bounds import check_colored_binomial
 from srbetti.coloring import greedy_coloring
@@ -41,6 +43,7 @@ from srbetti.corpus import cycle_complex, random_complex, rp2_complex
 from srbetti.errors import NotAComplex
 from srbetti.linalg import GF2, GF3, QQ, SparseMap, rank
 from test_complexes import complexes, moore_space_mod_3, relabel_complex
+from test_linalg import dense
 
 
 def test_empty_complex_chain():
@@ -212,13 +215,14 @@ def test_walker_answers_every_omega_asked_alone_in_a_shuffled_order():
     check_answers(shuffled)
 
 
-def mutate_step(monkeypatch, code, mutant):
-    """Patch the walker's one push step with ``code`` in its source replaced by ``mutant``."""
-    source = textwrap.dedent(inspect.getsource(srbetti.cohomology._Walker._step))
+def mutate_step(monkeypatch, code, mutant, method="_step"):
+    """Patch the walker's ``method``, by default its one push step, with
+    ``code`` in its source replaced by ``mutant``."""
+    source = textwrap.dedent(inspect.getsource(getattr(srbetti.cohomology._Walker, method)))
     assert source.count(code) == 1
     namespace: dict = {}
     exec(source.replace(code, mutant), vars(srbetti.cohomology), namespace)
-    monkeypatch.setattr(srbetti.cohomology._Walker, "_step", namespace["_step"])
+    monkeypatch.setattr(srbetti.cohomology._Walker, method, namespace[method])
 
 
 def fails_through_sweeps_and_queries(*errors):
@@ -295,18 +299,136 @@ def pushed_rows(K, place):
     )
 
 
+def diagonal_entries(rows):
+    """The nonzero entries of a diagonal form of an integer matrix given as
+    dense rows, by unimodular row and column steps on an entry of least
+    absolute value: their product is that of its invariant factors."""
+    A, out = [row[:] for row in rows], []
+    while any(map(any, A)):
+        i, j = min(((i, j) for i, row in enumerate(A) for j, a in enumerate(row) if a), key=lambda ij: abs(A[ij[0]][ij[1]]))
+        p = A[i][j]
+        for k, row in enumerate(A):
+            if k != i:
+                A[k] = [a - row[j] // p * b for a, b in zip(row, A[i])]
+        quotients = [a // p for a in A[i]]
+        for row in A:
+            row[:] = [a if l == j else a - quotients[l] * row[j] for l, a in enumerate(row)]
+        if not any(A[i][:j] + A[i][j + 1:]) and not any(row[j] for row in A[:i] + A[i + 1:]):
+            out.append(p)
+            del A[i]
+            for row in A:
+                del row[j]
+    return out
+
+
+def integrally_acyclic(X):
+    """H̃(X; ℤ) = 0: each coboundary's diagonal form has only entries ±1, as
+    many as leave no cohomology; {∅} has H̃^{-1} ≠ 0."""
+    C = reduced_cochain_complex(X)
+    diagonals = {q: diagonal_entries(dense(C.differential(q))) for q in range(C.lo, C.hi + 1)}
+    return all(abs(a) == 1 for entries in diagonals.values() for a in entries) and all(
+        C.size(q) == len(diagonals[q]) + len(diagonals.get(q - 1, ())) for q in range(C.lo, C.hi + 1)
+    )
+
+
+def resolved_rows(K, place):
+    """The rows a sweep does not push when lk(v), v the first vertex under
+    ``place``, has 0 < d ≤ m − 3 vertices: for each s ⊆ V(lk) with lk|s
+    ℤ-acyclic, the faces {v} ∪ σ, σ ∈ lk|s, of its 2^(m − 1 − d) leaves ω ∪ {v}."""
+    v = min(range(K.m), key=place.get)
+    link = [g ^ 1 << v for g in K.faces if g >> v & 1]
+    verts = 0
+    for g in link:
+        verts |= g
+    d = verts.bit_count()
+    if not 0 < d <= K.m - 3:
+        return 0
+    parts = ([g for g in link if not g & ~s] for s in submasks(verts))
+    return sum(len(part) << K.m - 1 - d for part in parts if integrally_acyclic(SimplicialComplex(K.m, frozenset(part))))
+
+
 def test_a_sweep_pushes_each_face_once_per_omega_it_leads_and_busy_vertices_last():
     # the sweep order lists every ω once, descending in the walker's labels;
-    # the rows it pushes are those of the formula under that order, and no
-    # more than under K's own labels
-    for K in SWEPT:
+    # the rows it pushes are those of the formula under that order, less the
+    # rows of the leaves it resolves through the link of its first vertex,
+    # and no more than under K's own labels
+    resolving = []
+    for K in SWEPT + [torsion_link()]:
         place = busy_last(K)
         relabeled = [sum(1 << place[v] for v in range(K.m) if om >> v & 1) for om in sweep_order(K)]
         assert relabeled == list(range(K.full_mask, -1, -1))
         walker, _ = sweep(K, QQ)
-        pushed = walker.rows_reduced + walker.rows_cleared
-        assert pushed == pushed_rows(K, place), K
+        pushed, resolved = walker.rows_reduced + walker.rows_cleared, resolved_rows(K, place)
+        assert pushed == pushed_rows(K, place) - resolved, K
         assert pushed <= pushed_rows(K, {v: v for v in range(K.m)}), K
+        resolving += [K] * bool(resolved)
+    # the two random complexes on 7 vertices with seed 1, the Moore space and the torsion link
+    assert resolving == [SWEPT[2], SWEPT[4], SWEPT[5], torsion_link()]
+
+
+def torsion_link():
+    """RP² on 1..6 coned from 7, and the facets {i, 8, 9, 10, 11}, i = 1..6:
+    vertex 7, in 32 faces, goes first, and its link, RP² on d = 6 of m = 11
+    vertices, is acyclic over ℚ but not over ℤ."""
+    triangles = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]
+    cone = [mask_of((*t, 7)) for t in triangles]
+    return from_facets(11, cone + [mask_of((i, 8, 9, 10, 11)) for i in range(1, 7)])
+
+
+def wrong_answers(K, f):
+    """The ω of K whose answer over f, read off a full sweep, is wrong."""
+    return [omega for omega, dims in sweep(K, f)[1].items() if dims != reference_dims(K, omega, f)]
+
+
+@pytest.mark.parametrize(
+    "K, first, resolved", [(moore_space_mod_3(), 8, 96), (torsion_link(), 7, 496)], ids=["moore3", "torsion-link"]
+)
+def test_a_sweep_resolves_leaves_through_the_link_of_its_first_vertex(K, first, resolved):
+    # a leaf ω ∪ {v} whose link part lk(v)|ω is ℤ-acyclic takes ω's byte, by
+    # Mayer–Vietoris; the answers stay right over every field
+    assert busy_last(K)[first - 1] == 0
+    for f in (QQ, GF2, GF3):
+        assert wrong_answers(K, f) == [], f
+    assert sweep(K, QQ)[0].omega_by_link == resolved
+
+
+def test_a_link_judged_acyclic_over_q_alone_is_caught(monkeypatch):
+    # mutation check: RP², the torsion link, is ℚ-acyclic, so the leaves
+    # ω ∪ {7} with ω ⊇ {1..6} would take ω's byte and be wrong over GF(2)
+    mutate_step(monkeypatch, "not any(lk.result(s))", "not field_dims(*lk.result(s), QQ)", "fill")
+    try:
+        assert len(wrong_answers(torsion_link(), GF2)) == 16
+    finally:
+        reduced_cohomology_dims.cache_clear()
+
+
+def test_a_link_part_equal_to_the_empty_face_is_stepped(monkeypatch):
+    # mutation check: lk(v)|ω = {∅} has H̃^{-1} ≠ 0, so ω ∪ {v} is not ω: the
+    # leaf {v} alone would read H̃^{-1}(∅) = 1
+    mutate_step(monkeypatch, "if not any(lk.result(s))}", "if not any(lk.result(s))} | {0}", "fill")
+    try:
+        for K in (SWEPT[2], moore_space_mod_3(), torsion_link()):
+            assert wrong_answers(K, QQ), K
+    finally:
+        reduced_cohomology_dims.cache_clear()
+
+
+def test_a_resolved_leaf_shares_its_parents_rare_entry(monkeypatch):
+    # mutation check: with the value table full, every result sits behind
+    # byte 255; a resolved leaf that took ω's byte without its rare entry
+    # has nothing to read
+    K = moore_space_mod_3()
+    mutate_step(monkeypatch, "self.rare[leaf] = self.rare[omega]", "pass", "_walk")
+    reduced_cohomology_dims.cache_clear()
+    srbetti.cohomology._walker(K).values += [(MappingProxyType({7: 1}), None)] * 254
+    try:
+        with pytest.raises(KeyError):
+            betti_table(K, QQ)
+    finally:
+        reduced_cohomology_dims.cache_clear()
 
 
 def double_suspension_of_rp2():
