@@ -49,6 +49,16 @@ def _int(word: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {word!r}") from None
 
 
+def _float(word: str) -> float:
+    """A float flag's value in ASCII, without '_': argparse's ``float`` reads '٠.٤' as 0.4 and '0_4' as 4.0."""
+    try:
+        if word.isascii() and "_" not in word:
+            return float(word)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {word!r}")
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--in", dest="infile", metavar="PATH", help="complex file (text format)")
@@ -87,7 +97,7 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--count", type=_int, default=20)
     p.add_argument("--corpus-max-m", type=_int, default=6)
-    p.add_argument("--density", type=float, default=0.4)
+    p.add_argument("--density", type=_float, default=0.4)
     p.add_argument("--jobs", type=_int, default=1)
 
 

@@ -20,7 +20,7 @@ of ω with busy vertices last, so one push step extends the elimination over ℤ
 for every field, from ω ∖ v to ω, from the largest faces down, clearing each
 face that a row one size up has as its unit pivot: by d∘d = 0 its row adds no
 rank (Chen–Kerber, 2011).  A sweep (:func:`sweep_order`) steps depth first to
-every ω, a single query along a chain of prefixes of ω (:class:`_Walker`).
+every ω, a single query from ∅ through the vertices of ω (:class:`_Walker`).
 A sweep's leaf ω ∪ {v}, v its first vertex, whose link part lk(v)|ω is
 ℤ-acyclic takes K|ω's result unstepped: by Mayer–Vietoris H̃(K|ω ∪ {v}) ≅ H̃(K|ω).
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import _CacheInfo, lru_cache, partial
 from threading import Lock
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 from weakref import WeakSet
 
 from .complexes import VERTEX_CAP, SimplicialComplex, _within
@@ -192,7 +192,7 @@ class _Walker:
     result of each full subcomplex K|ω, kept in one byte.
 
     It works on π(K), π ranking K's vertices by their number of faces, fewest
-    first, ties by label (``image``, ``preimage``): a sweep pushes each face
+    first, ties by label (``image``): a sweep pushes each face
     σ's row 2^(m − min σ − |σ| + 1) times.  K's reduced complex is built and
     d∘d-checked once, here, in K's labels; its rows, re-indexed for π(K), are
     kept in one table.  The level of ω holds, per face size k, the number of
@@ -201,8 +201,8 @@ class _Walker:
     :meth:`_step` makes the level of ω ∪ {v}, v below min π(ω), by reducing
     only the rows of the faces {v} ∪ σ, σ ⊆ ω, into copies of ω's states, so a
     failed step changes no level.  A sweep (:meth:`fill`) steps depth first to
-    every ω, its byte after its children's; a single query pops the ``chain``
-    ∅ = ω_0 ⊂ … ⊂ ω_j back to a prefix of π(ω) and steps the rest.
+    every ω, its byte after its children's; a single query steps from the
+    empty level ``root`` through the vertices of π(ω), largest first.
 
     A sweep's leaves are the ω ∪ {v}, v = π-vertex 0.  If lk(v) has 0 < d ≤ m − 3
     vertices (its 2^d ω are ≤ 1/4 of the leaves), :meth:`fill` first sweeps it,
@@ -233,8 +233,7 @@ class _Walker:
 
     def __init__(self, K: SimplicialComplex):
         order = sorted(range(K.m), key=lambda v: (sum(g >> v & 1 for g in K.faces), v))  # π⁻¹
-        self.image = _byte_tables(sorted(range(K.m), key=order.__getitem__))
-        self.preimage = _byte_tables(order)
+        self.image = sorted(range(K.m), key=order.__getitem__)  # K's vertex ↦ its place in π
         d, lower = reduced_cochain_complex(K).d, K.faces_by_card  # checked in K's labels
         pi = {g: _relabel(self.image, g) for g in K.faces}
         P = SimplicialComplex(K.m, frozenset(pi.values()))
@@ -247,7 +246,7 @@ class _Walker:
             for k in range(1, len(lower)) for i, g in enumerate(lower[k])
         }
         n = len(by_card) + 1  # a size past the top, with no faces and rank 0
-        self.chain = [(0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)]
+        self.root = (0, [1] + [0] * (n - 1), [0] * n, [{}] * n, [[]] * n)
         self.lock, self.full, self.bits = Lock(), False, [1 << v for v in order]  # π vertex u ↦ K's bit
         self.rows_reduced = self.rows_cleared = self.rows_residual = self.hits = self.omega_by_link = 0
         self.blocks, self.block = {}, min(1 << K.m, _BLOCK)  # ω // _BLOCK ↦ the bytes of its block
@@ -306,9 +305,8 @@ class _Walker:
                 if 0 < len(verts) <= len(self.bits) - 3:  # its sweep is ≤ 1/4 of the leaves
                     faces = frozenset(sum(1 << i for i, u in enumerate(verts) if g >> u & 1) for g in self.keys if g & 1)
                     (lk := _Walker(SimplicialComplex(len(verts), faces))).fill()
-                    tables = _byte_tables(verts)
-                    acyclic = {_relabel(tables, s) for s in range(1 << len(verts)) if not any(lk.result(s))}
-                self._walk(self.chain[0], 0, len(self.bits), acyclic, link)
+                    acyclic = {_relabel(verts, s) for s in range(1 << len(verts)) if not any(lk.result(s))}
+                self._walk(self.root, 0, len(self.bits), acyclic, link)
                 self.full = True
 
     def _walk(self, state: tuple, omega: int, below: int, acyclic: set, link: int) -> None:
@@ -335,31 +333,20 @@ class _Walker:
         with self.lock:
             block = block or self.blocks.setdefault(hi, bytearray(self.block))
             if not (b := block[lo]):  # else another thread walked ω meanwhile
-                chain, image = self.chain, _relabel(self.image, omega)
-                # level ω_j is on ω's chain iff ω_j = ω ∩ [min ω_j, m]
-                while (top := chain[-1][0]) != image & -(top & -top):
-                    chain.pop()
-                rest = image ^ top
-                while rest:
+                state, rest = self.root, _relabel(self.image, omega)
+                while rest:  # π(ω)'s vertices, largest first
                     v = 1 << rest.bit_length() - 1
-                    chain.append(self._step(chain[-1], v))
-                    rest ^= v
-                b = block[lo] = self._byte(omega, chain[-1])
+                    state, rest = self._step(state, v), rest ^ v
+                b = block[lo] = self._byte(omega, state)
         return self.values[b] if b < 255 else self.rare[omega]
 
 
-def _byte_tables(target: list[int]) -> list[list[int]]:
-    """Per byte i of a mask, the table of its images under bit j ↦ bit target[j]."""
-    tables = [[0] for _ in range(0, max(len(target), 1), 8)]
-    for j, t in enumerate(target):
-        tables[j >> 3] += [x | 1 << t for x in tables[j >> 3]]
-    return tables
-
-
-def _relabel(tables: list[list[int]], mask: int) -> int:
+def _relabel(target: list[int], mask: int) -> int:
+    """mask's image under bit j ↦ bit target[j]."""
     out = 0
-    for table in tables:
-        out, mask = out | table[mask & 255], mask >> 8
+    while mask:
+        low = mask & -mask
+        out, mask = out | 1 << target[low.bit_length() - 1], mask ^ low
     return out
 
 
@@ -417,12 +404,10 @@ _BLOCK = 1 << 10  # ω per block of a walker's store: above the vertex cap, 1 Ki
 _walker = rank_cache(_SLOTS)(_Walker)  # one walker per K, for every field
 
 
-def sweep_order(K: SimplicialComplex) -> Iterator[int]:
-    """Every ω ⊆ [m] in K's labels, descending in π(ω), once K's walker has stored them all."""
-    (walker := _walker(K)).fill()
-    tables = walker.preimage
-    for top in range(K.full_mask >> 8, -1, -1):  # π(ω)'s high bytes, then its low byte
-        yield from map(_relabel(tables, top << 8).__or__, reversed(tables[0]))
+def sweep_order(K: SimplicialComplex) -> range:
+    """Every ω ⊆ [m] in mask order, once K's walker has stored them all."""
+    _walker(K).fill()
+    return range(K.full_mask + 1)
 
 
 def reduced_cohomology_dims(

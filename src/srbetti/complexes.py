@@ -282,6 +282,8 @@ def parse_complex(
             continue
         parts = line.split()
         if parts[0] == "m":
+            if m is not None:  # else the last header would silently win
+                raise ValueError(f"line {lineno}: second header {raw!r}")
             try:  # exactly one integer
                 (m,) = ascii_ints(parts[1:], raw)
             except ValueError:

@@ -245,6 +245,15 @@ def test_an_integer_flag_takes_ascii_digits_only(argv, capsys):
     assert capsys.readouterr().err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
 
 
+@pytest.mark.parametrize("value", ["٠.٤", "0_4"])
+def test_density_takes_ascii_without_underscores(value, capsys):
+    # argparse's float would read the Arabic-Indic ٠.٤ as 0.4 and 0_4 as 4.0
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--seed", "1", "--count", "1", "--corpus-max-m", "4", "--density", value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --density: invalid float value: {value!r}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["color", "--facets", "1 2, 2 3"], ["corpus", "--seed", "1", "--count", "1"]],

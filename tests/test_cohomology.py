@@ -145,8 +145,8 @@ def rebuilt_dims(K, omega, f):
 @settings(max_examples=60, deadline=None)
 @given(complexes(max_m=7), st.data(), st.sampled_from([QQ, GF2, GF3]))
 def test_walker_answers_queries_in_any_order(K, data, f):
-    # queries in arbitrary order make the walker pop to every kind of prefix
-    # and push from it; a fresh walker and result cache keep each example
+    # queries in arbitrary order, each stepped from ∅ unless an earlier one
+    # stored its ω; a fresh walker and result cache keep each example
     # reproducible
     omegas = data.draw(st.lists(st.integers(0, K.full_mask), min_size=1, max_size=12))
     srbetti.cohomology._walker.cache_clear()
@@ -159,7 +159,7 @@ SWEPT = [
     rp2_complex(),
     *(random_complex(7, d, s) for d in (0.5, 0.9) for s in (0, 1)),
     moore_space_mod_3(),
-    random_complex(9, 0.5, 0),  # the walker's order moves vertex 9 out of its mask's second byte
+    random_complex(9, 0.5, 0),  # the walker's order moves vertex 9 from the top to place 5
 ]
 
 
@@ -178,8 +178,8 @@ def sweep(K, f):
 
 def shuffled(K, f, seed=0):
     """A fresh walker for K and its answers to every ω over f, each asked
-    alone, in a shuffled order, from empty caches, emptied again after: the
-    chain pops to every kind of prefix and steps from it."""
+    alone, in a shuffled order, from empty caches, emptied again after: each
+    query steps from ∅ through every vertex of its ω."""
     omegas = list(range(K.full_mask + 1))
     random.Random(seed).shuffle(omegas)
     reduced_cohomology_dims.cache_clear()
@@ -210,8 +210,8 @@ def test_walker_answers_a_descending_full_sweep():
 
 
 def test_walker_answers_every_omega_asked_alone_in_a_shuffled_order():
-    # the chain's route: single queries step from the longest prefix of
-    # their chain, which the walk never does
+    # the single-query route: each ω is stepped from ∅, its vertices added
+    # largest first, and never read off a parent the walk stored
     check_answers(shuffled)
 
 
@@ -242,7 +242,7 @@ def fails_through_sweeps_and_queries(*errors):
 def test_a_push_that_shares_its_parents_pivots_is_caught(monkeypatch):
     # mutation check: a step that reduces into its parent's pivot state
     # instead of a copy leaves the child's pivots behind, in the state its
-    # siblings extend (the walk) or in the level a query pops back to (the chain)
+    # siblings extend (the walk) or in the empty level every query starts from
     mutate_step(monkeypatch, "pivots[k].copy()", "pivots[k]")
     fails_through_sweeps_and_queries()
 
@@ -348,15 +348,14 @@ def resolved_rows(K, place):
 
 
 def test_a_sweep_pushes_each_face_once_per_omega_it_leads_and_busy_vertices_last():
-    # the sweep order lists every ω once, descending in the walker's labels;
-    # the rows it pushes are those of the formula under that order, less the
-    # rows of the leaves it resolves through the link of its first vertex,
-    # and no more than under K's own labels
+    # the sweep order lists every ω once; the rows the walk pushes are those
+    # of the formula under the walker's vertex order, less the rows of the
+    # leaves it resolves through the link of its first vertex, and no more
+    # than under K's own labels
     resolving = []
     for K in SWEPT + [torsion_link()]:
         place = busy_last(K)
-        relabeled = [sum(1 << place[v] for v in range(K.m) if om >> v & 1) for om in sweep_order(K)]
-        assert relabeled == list(range(K.full_mask, -1, -1))
+        assert sorted(sweep_order(K)) == list(range(K.full_mask + 1))
         walker, _ = sweep(K, QQ)
         pushed, resolved = walker.rows_reduced + walker.rows_cleared, resolved_rows(K, place)
         assert pushed == pushed_rows(K, place) - resolved, K
@@ -454,11 +453,15 @@ def test_a_sweep_clears_by_unit_pivots_only():
 
 
 def test_queries_asked_alone_clear_by_unit_pivots_only():
-    # the same complex asked ω by ω in a shuffled order, where the chain's
-    # steps reduce and clear other rows than the walk's: again only the
-    # counts tell a step that clears by a residual row's lead
-    walker, _ = shuffled(double_suspension_of_rp2(), QQ)
-    assert (walker.rows_reduced, walker.rows_cleared) == (18568, 16541)
+    # the same complex asked ω by ω in a shuffled order: each query steps
+    # from ∅ through every vertex of ω, so the row of each face σ ≠ ∅ is
+    # pushed once per ω ⊇ σ, 2^(m − |σ|) times in all, whatever the order,
+    # and again only the split tells a step that clears by a residual row's lead
+    K = double_suspension_of_rp2()
+    walker, _ = shuffled(K, QQ)
+    pushed = sum(2 ** (K.m - g.bit_count()) for g in K.faces if g)
+    assert walker.rows_reduced + walker.rows_cleared == pushed == 35840
+    assert (walker.rows_reduced, walker.rows_cleared) == (19112, 16728)
 
 
 def test_a_push_that_clears_by_a_residual_key_is_caught(monkeypatch):
@@ -499,7 +502,7 @@ def test_the_residual_decides_the_field(fields):
 def test_a_walker_that_takes_the_residual_for_zero_is_caught(monkeypatch):
     # mutation check: ranking every residual as 0, in the helper that turns
     # the walker's unit dims into a field's, fails the residual sweeps in
-    # both field orders and the walker's descending sweep
+    # both field orders and the walker's full sweep
     source = textwrap.dedent(inspect.getsource(srbetti.cohomology.field_dims))
     code = "rank(rows, f)"
     assert source.count(code) == 1
@@ -519,8 +522,8 @@ def test_a_walker_that_takes_the_residual_for_zero_is_caught(monkeypatch):
 
 
 def test_cache_clear_discards_every_rank_derived_state(monkeypatch):
-    # answers found with a wrong rank must not outlive cache_clear, in the
-    # walker's chain or in the per-ω results, even for a single query
+    # answers found with a wrong rank must not outlive cache_clear in the
+    # walker's per-ω results, even for a single query
     K, omega = rp2_complex(), 0b011111  # a Möbius band
     rank = srbetti.cohomology.rank
     reduced_cohomology_dims.cache_clear()
@@ -536,7 +539,7 @@ def test_a_wrong_rank_reaches_the_tables_of_every_field(monkeypatch, fields):
     # every elimination goes through linalg.rank: a two-argument stand-in,
     # bound wherever the package binds rank, changes the table of the field
     # that walks and of the one that reads its per-ω results, and the answers
-    # of both to ω asked alone in a shuffled order, on the chain
+    # of both to ω asked alone in a shuffled order, each stepped from ∅
     K = random_complex(7, 0.5, 0)
     right = {f: betti_table(K, f).entries for f in fields}
     alone = {f: shuffled(K, f)[1] for f in fields}
@@ -585,7 +588,7 @@ def test_one_walker_and_one_reduced_complex_per_complex(monkeypatch):
 
 def test_one_walker_keeps_the_fields_apart():
     # RP² differs over GF(2) and ℚ: queries that alternate between fields in
-    # random order must each read their own field's chain
+    # random order must each read their own field's dims
     K = rp2_complex()
     srbetti.cohomology._walker.cache_clear()
     reduced_cohomology_dims.cache_clear()
@@ -612,8 +615,8 @@ def entries(dims_by_omega):
 
 @pytest.mark.parametrize("f", [QQ, GF2])
 def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
-    # rank raises on its k-th call, in a sweep's walk or in a step of the
-    # chain for an ω asked alone: every ω stored so far reads back right, and
+    # rank raises on its k-th call, in a sweep's walk or in a step for an
+    # ω asked alone: every ω stored so far reads back right, and
     # on the same walker the next sweep, or the next queries, starting with
     # the ω that failed, are right
     K = rp2_complex()
@@ -628,7 +631,7 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
                 raise RuntimeError("injected")
             return rank(M, field)
 
-        for route in ("walk", "chain"):
+        for route in ("walk", "alone"):
             calls.clear()
             reduced_cohomology_dims.cache_clear()
             walker = srbetti.cohomology._walker(K)
@@ -654,8 +657,8 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
 
 
 def test_a_sweep_after_single_queries_keeps_their_bytes():
-    # ω asked alone are stored on the chain first; the walk then steps every
-    # ω again and leaves each stored byte as it was, every byte right
+    # ω asked alone are stepped from ∅ and stored first; the walk then steps
+    # every ω again and leaves each stored byte as it was, every byte right
     K = SWEPT[-1]
     reduced_cohomology_dims.cache_clear()
     walker = srbetti.cohomology._walker(K)
@@ -841,8 +844,8 @@ def test_threads_sharing_one_walker_get_right_answers():
 
 def test_threads_sweeping_and_asking_one_walker_get_right_answers():
     # two threads sweep, so one walks every ω under the lock while the other
-    # waits for it, and two ask ω alone on the chain meanwhile: every table and
-    # every answer is right, and every ω is stored once
+    # waits for it, and two ask ω alone meanwhile: every table and every
+    # answer is right, and every ω is stored once
     K = SWEPT[-1]
     reference = {(omega, f): reference_dims(K, omega, f) for omega in range(1 << K.m) for f in (QQ, GF2)}
     for round in range(3):

@@ -280,6 +280,9 @@ def test_parse_errors():
         ("m three\nfacet 1 2\n", "line 1: malformed header 'm three'"),
         ("m 3 4\nfacet 1 2\n", "line 1: malformed header 'm 3 4'"),
         ("# c\nm 2\nfacet 1 b  # x\n", "line 3: malformed facet 'facet 1 b  # x'"),
+        # the last header used to win: m 3 … m 5 parsed as a complex on 5 vertices
+        ("m 3\nfacet 1 2\nm 5\n", "line 3: second header 'm 5'"),
+        ("# c\nm 3\nm 3\nfacet 1 2 3\n", "line 3: second header 'm 3'"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_complex(text)
