@@ -21,8 +21,10 @@ for every field, from ω ∖ v to ω, from the largest faces down, clearing each
 face that a row one size up has as its unit pivot: by d∘d = 0 its row adds no
 rank (Chen–Kerber, 2011).  A sweep (:func:`sweep_order`) steps depth first to
 every ω, a single query from ∅ through the vertices of ω (:class:`_Walker`).
-A sweep's leaf ω ∪ {v}, v its first vertex, whose link part lk(v)|ω is
-ℤ-acyclic takes K|ω's result unstepped: by Mayer–Vietoris H̃(K|ω ∪ {v}) ≅ H̃(K|ω).
+A sweep's leaf ω ∪ {v}, v its first vertex, is K|ω ∪ v ∗ lk|s, s = ω ∩ V(lk(v)):
+unless a part has rows set aside, or a degree has unit dimension on both, its
+result is K|ω's plus lk|s's one degree up, unstepped, by reduced Mayer–Vietoris
+and universal coefficients (Hatcher, *Algebraic Topology*, §2.2 and §3.1).
 
 Orientation convention: the vertices of each face are ordered ascending, the
 coboundary of σ runs over its cofaces σ∪{v} (``K.coface_vertices``) and the
@@ -204,13 +206,17 @@ class _Walker:
     every ω, its byte after its children's; a single query steps from the
     empty level ``root`` through the vertices of π(ω), largest first.
 
-    A sweep's leaves are the ω ∪ {v}, v = π-vertex 0.  If lk(v) has 0 < d ≤ m − 3
-    vertices (its 2^d ω are ≤ 1/4 of the leaves), :meth:`fill` first sweeps it,
-    relabelled onto [d], with a walker of its own, and marks each s ⊆ V(lk) with
-    lk|s ℤ-acyclic: no unit dimension, no residual.  K|(ω ∪ {v}) is K|ω and the
-    cone v ∗ lk|s, s = ω ∩ V(lk), meeting in lk|s, so for a marked s Mayer–Vietoris
-    gives H̃(K|(ω ∪ {v}); ℤ) ≅ H̃(K|ω; ℤ): the leaf takes ω's byte and ``rare``
-    entry unstepped (``omega_by_link`` counts it).  lk|∅ = {∅} has H̃^{-1} ≠ 0.
+    A sweep's leaves are the ω ∪ {v}, v = π-vertex 0.  :meth:`fill` first sweeps
+    lk(v), relabelled onto its d vertices, with a walker that lives for the fill.
+    K|(ω ∪ {v}) is K|ω and the cone v ∗ lk|s, s = ω ∩ V(lk), meeting in lk|s, so
+    the reduced Mayer–Vietoris sequence joins them by restrictions
+    H̃^j(K|ω) → H̃^j(lk|s).  If neither result has rows set aside (byte 255) and
+    no degree j has unit dimension in both, each restriction is zero over every
+    field, whose dimensions the unit ones bound (universal coefficients): the
+    leaf's result is then K|ω's plus lk|s's one degree up, stored unstepped
+    through a memo (ω's byte, lk|s's byte) ↦ the leaf's byte (``omega_by_link``
+    counts it).  Rows set aside, a result past the 254th, or ω = s = ∅ (both
+    H̃^{-1} ≠ 0) step the leaf.
 
     Columns number π(K)'s faces in descending mask order, so a pivot's key,
     its largest column, is the face without the row's top vertex: for a row
@@ -285,12 +291,17 @@ class _Walker:
         """ω's byte for its level ``state``, storing its result if new or rare."""
         _, faces, ranks, _, residual = state
         units = tuple([n - r - s for n, r, s in zip(faces, ranks, ranks[1:])])  # as in _dims
-        b = 255 if any(residual) else self.index.setdefault(units, len(self.values))
-        if b == len(self.values) < 255:  # a new value
-            self.values.append((_dims(faces, ranks), None))
-        elif b == 255:  # the rows of the faces of size k are those of d_{k-2}
-            rows = {k - 2: SparseMap(len(r), self.cols[k - 1], r) for k, r in enumerate(residual) if r}
-            self.rare[omega] = _dims(faces, ranks), rows or None
+        if not any(residual) and (b := self._value(units)) < 255:
+            return b
+        rows = {k - 2: SparseMap(len(r), self.cols[k - 1], r) for k, r in enumerate(residual) if r}
+        self.rare[omega] = _dims(faces, ranks), rows or None  # the rows of the faces of size k are d_{k-2}'s
+        return 255
+
+    def _value(self, units: tuple) -> int:
+        """The byte of a result without rows set aside, dimension units[k] in degree k − 1."""
+        b = self.index.setdefault(units, len(self.values))  # 255 once 254 values are stored
+        if b == len(self.values) < 255:
+            self.values.append((MappingProxyType({k - 1: h for k, h in enumerate(units) if h}), None))
         return b
 
     def fill(self) -> None:
@@ -299,29 +310,39 @@ class _Walker:
             if not self.full:
                 for hi in range((1 << len(self.bits)) // self.block):
                     self.blocks.setdefault(hi, bytearray(self.block))
-                link = self.above.get(1, 0)  # the vertices of lk(π-vertex 0)
-                verts = [u for u in range(link.bit_length()) if link >> u & 1]
-                acyclic: set[int] = set()  # the s ⊆ V(lk) with H̃(lk|s; ℤ) = 0, as π masks
-                if 0 < len(verts) <= len(self.bits) - 3:  # its sweep is ≤ 1/4 of the leaves
-                    faces = frozenset(sum(1 << i for i, u in enumerate(verts) if g >> u & 1) for g in self.keys if g & 1)
-                    (lk := _Walker(SimplicialComplex(len(verts), faces))).fill()
-                    acyclic = {_relabel(verts, s) for s in range(1 << len(verts)) if not any(lk.result(s))}
-                self._walk(self.root, 0, len(self.bits), acyclic, link)
+                link = self.above.get(1, 0)  # the vertices of lk(π-vertex 0), numbered 0..d-1 in lk
+                place = {u: i for i, u in enumerate(u for u in range(link.bit_length()) if link >> u & 1)}
+                lk = None  # m = 0: ∅ is no leaf's ω
+                if self.bits:  # lk's faces: ∅ and each face through π-vertex 0, less it
+                    faces = frozenset({0, *(_relabel(place, g ^ 1) for g in self.keys if g & 1)})
+                    (lk := _Walker(SimplicialComplex(len(place), faces))).fill()
+                sbit = [1 << place[u] if u in place else 0 for u in range(len(self.bits))]  # π vertex ↦ its bit in lk
+                self._walk(self.root, 0, 0, len(self.bits), (lk, sbit, {}))
                 self.full = True
 
-    def _walk(self, state: tuple, omega: int, below: int, acyclic: set, link: int) -> None:
+    def _walk(self, state: tuple, omega: int, s: int, below: int, link: tuple) -> None:
+        lk, sbit, memo = link  # s: ω ∩ V(lk) in lk's labels; memo: (ω's byte, lk|s's) ↦ the leaf's
         for u in range(below - 1, 0, -1):  # ω's level ``state``; its children ω ∪ {u}, 0 < u < min π(ω)
-            self._walk(self._step(state, 1 << u), omega | self.bits[u], u, acyclic, link)
+            self._walk(self._step(state, 1 << u), omega | self.bits[u], s | sbit[u], u, link)
         b = self.blocks[omega // _BLOCK][omega % _BLOCK] = self._byte(omega, state)
         if below:  # the leaf ω ∪ {v}, v = π-vertex 0
-            leaf = omega | self.bits[0]
-            if state[0] & link in acyclic:  # H̃(K|ω ∪ {v}) ≅ H̃(K|ω) over ℤ
-                self.omega_by_link += 1
-                if b == 255:
-                    self.rare[leaf] = self.rare[omega]
-            else:
+            leaf, key = omega | self.bits[0], (b, lk.blocks[s // _BLOCK][s % _BLOCK])
+            if (b := memo.get(key)) is None:
+                b = memo[key] = self._join(*key, lk.result(s)[0])
+            if b == 255:
                 b = self._byte(leaf, self._step(state, 1))
+            else:
+                self.omega_by_link += 1
             self.blocks[leaf // _BLOCK][leaf % _BLOCK] = b
+
+    def _join(self, b: int, bl: int, l: Mapping[int, int]) -> int:
+        """A leaf ω ∪ {v}'s byte from ω's byte b, lk|s's bl and its unit dimensions l; 255: step it."""
+        if b == 255 or bl == 255:  # rows set aside, or a result past the 254th
+            return 255
+        a = self.values[b][0]
+        if a.keys() & l.keys():  # the restriction H̃^j(K|ω) → H̃^j(lk|s) may be nonzero
+            return 255
+        return self._value(tuple([a.get(k - 1, 0) + l.get(k - 2, 0) for k in range(len(self.cols))]))
 
     def result(self, omega: int) -> tuple[Mapping[int, int], dict[int, SparseMap] | None]:
         """ω's unit dimensions and residual (see :func:`field_dims`), walked once, then read back."""

@@ -185,8 +185,6 @@ def from_facets(
     if m < 0:
         raise VertexOutOfRange(f"m={m} is negative")
     _check_cap(m, max_vertices)
-    if m > VERTEX_WARN:
-        warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=2)
     masks = [_as_mask(f) for f in facets]
     if m == 0 and not masks:
         return empty_complex()
@@ -209,6 +207,8 @@ def from_facets(
                 f"vertices {missing} occur in no facet"
             )
         masks.extend(1 << (v - 1) for v in missing)
+    if m > VERTEX_WARN:  # only once the input is valid: a refused one costs nothing
+        warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=2)
     faces = {0}
     for f in set(masks):
         faces.update(submasks(f))
@@ -258,9 +258,9 @@ def join(
     """Join: faces are unions of a face of K1 with a shifted face of K2."""
     m = K1.m + K2.m
     _check_cap(m, max_vertices)
-    if m > VERTEX_WARN:
-        warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=2)
     faces = frozenset(f1 | (f2 << K1.m) for f1 in K1.faces for f2 in K2.faces)
+    if m > VERTEX_WARN:  # as in from_facets, once the join is built
+        warnings.warn(f"m={m} implies 2^{m} subset enumerations", stacklevel=2)
     return SimplicialComplex(m, faces)
 
 

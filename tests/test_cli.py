@@ -509,6 +509,16 @@ def test_a_process_whose_stdout_is_closed_exits_quietly():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+def test_a_refused_large_input_prints_no_warning(capsys):
+    # the 2^m warning comes only once the facets are accepted: a refused
+    # input at m = 26 prints its error alone
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "betti", "--facets", "1 2, 3", "--m", "26", "--max-m", "30")
+    assert (code, caught) == (2, [])
+    assert err.startswith("error: IsolatedVertexMissing: vertices (4, 5,")
+
+
 def test_warnings_print_without_a_source_location():
     # stderr names the warning class and its L list, never a file:line whose
     # number changes with each edit of the emitting module

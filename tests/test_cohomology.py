@@ -22,6 +22,7 @@ from srbetti.cohomology import (
     assemble,
     coboundary_map,
     cohomology_dims,
+    field_dims,
     reduced_cochain_complex,
     reduced_cohomology_dims,
     sweep_order,
@@ -271,21 +272,41 @@ def busy_last(K):
     return {v: i for i, v in enumerate(sorted(range(K.m), key=lambda v: (through[v], v)))}
 
 
-def test_a_sweep_clears_rows_and_reduces_the_rest():
+def test_a_sweep_clears_rows_and_reduces_the_rest(monkeypatch):
     # every face a push adds, one through the least vertex of ω under the
     # walker's order, is either reduced or cleared, and clearing does
     # happen: a push that reduced bottom-up would clear nothing and still
-    # answer every query right
+    # answer every query right; a decided leaf pushes nothing
     K = SWEPT[3]
     place = busy_last(K)
     assert place != {v: v for v in range(K.m)}
-    walker, _ = sweep(K, QQ)
+    walker, decided = decided_leaves(K, monkeypatch)
     added = 0
-    for omega in range(1, K.full_mask + 1):
+    for omega in set(range(1, K.full_mask + 1)) - set(decided):
         least = min((v for v in range(K.m) if omega >> v & 1), key=place.get)
         added += sum(1 for g in K.faces if g >> least & 1 and not g & ~omega)
     assert walker.rows_cleared > 0
     assert walker.rows_reduced + walker.rows_cleared == added
+
+
+def decided_leaves(K, monkeypatch):
+    """A fresh walker for K after its full sweep, and the leaves ω ∪ {v}, v its
+    first vertex, that the sweep stored without a step, in K's labels."""
+    reduced_cohomology_dims.cache_clear()
+    walker, stepped, byte = srbetti.cohomology._walker(K), set(), srbetti.cohomology._Walker._byte
+
+    def recording(self, omega, state):
+        if self is walker:
+            stepped.add(omega)
+        return byte(self, omega, state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(srbetti.cohomology._Walker, "_byte", recording)
+        walker.fill()
+    first = walker.bits[0]
+    decided = [omega for omega in range(K.full_mask + 1) if omega & first and omega not in stepped]
+    assert len(decided) == walker.omega_by_link
+    return walker, decided
 
 
 def pushed_rows(K, place):
@@ -321,48 +342,46 @@ def diagonal_entries(rows):
     return out
 
 
-def integrally_acyclic(X):
-    """H̃(X; ℤ) = 0: each coboundary's diagonal form has only entries ±1, as
-    many as leave no cohomology; {∅} has H̃^{-1} ≠ 0."""
+def integral_cohomology(X):
+    """H̃^*(X; ℤ) as its free ranks by degree and whether it has torsion, read
+    off the diagonal forms of X's coboundaries; {∅} has H̃^{-1} = ℤ."""
     C = reduced_cochain_complex(X)
     diagonals = {q: diagonal_entries(dense(C.differential(q))) for q in range(C.lo, C.hi + 1)}
-    return all(abs(a) == 1 for entries in diagonals.values() for a in entries) and all(
-        C.size(q) == len(diagonals[q]) + len(diagonals.get(q - 1, ())) for q in range(C.lo, C.hi + 1)
-    )
+    ranks = {q: C.size(q) - len(diagonals[q]) - len(diagonals.get(q - 1, ())) for q in range(C.lo, C.hi + 1)}
+    return {q: h for q, h in ranks.items() if h}, any(abs(a) != 1 for entries in diagonals.values() for a in entries)
 
 
-def resolved_rows(K, place):
-    """The rows a sweep does not push when lk(v), v the first vertex under
-    ``place``, has 0 < d ≤ m − 3 vertices: for each s ⊆ V(lk) with lk|s
-    ℤ-acyclic, the faces {v} ∪ σ, σ ∈ lk|s, of its 2^(m − 1 − d) leaves ω ∪ {v}."""
+def decided_rows(K, place):
+    """The rows a sweep does not push, v the first vertex under ``place``: the
+    faces {v} ∪ σ, σ ∈ lk(v)|s, of each leaf ω ∪ {v}, s = ω ∩ V(lk(v)), for
+    which neither K|ω nor lk|s has torsion and no degree has free rank in
+    both (Mayer–Vietoris decides those leaves)."""
     v = min(range(K.m), key=place.get)
     link = [g ^ 1 << v for g in K.faces if g >> v & 1]
-    verts = 0
-    for g in link:
-        verts |= g
-    d = verts.bit_count()
-    if not 0 < d <= K.m - 3:
-        return 0
-    parts = ([g for g in link if not g & ~s] for s in submasks(verts))
-    return sum(len(part) << K.m - 1 - d for part in parts if integrally_acyclic(SimplicialComplex(K.m, frozenset(part))))
+    rows = 0
+    for omega in submasks(K.full_mask & ~(1 << v)):
+        part = [g for g in link if not g & ~omega]
+        (a, torsion), (b, link_torsion) = (
+            integral_cohomology(SimplicialComplex(K.m, frozenset(faces)))
+            for faces in ([g for g in K.faces if not g & ~omega], part)
+        )
+        if not (torsion or link_torsion or a.keys() & b.keys()):
+            rows += len(part)
+    return rows
 
 
 def test_a_sweep_pushes_each_face_once_per_omega_it_leads_and_busy_vertices_last():
     # the sweep order lists every ω once; the rows the walk pushes are those
     # of the formula under the walker's vertex order, less the rows of the
-    # leaves it resolves through the link of its first vertex, and no more
+    # leaves it decides through the link of its first vertex, and no more
     # than under K's own labels
-    resolving = []
     for K in SWEPT + [torsion_link()]:
         place = busy_last(K)
         assert sorted(sweep_order(K)) == list(range(K.full_mask + 1))
         walker, _ = sweep(K, QQ)
-        pushed, resolved = walker.rows_reduced + walker.rows_cleared, resolved_rows(K, place)
-        assert pushed == pushed_rows(K, place) - resolved, K
+        pushed, decided = walker.rows_reduced + walker.rows_cleared, decided_rows(K, place)
+        assert 0 < decided and pushed == pushed_rows(K, place) - decided, K
         assert pushed <= pushed_rows(K, {v: v for v in range(K.m)}), K
-        resolving += [K] * bool(resolved)
-    # the two random complexes on 7 vertices with seed 1, the Moore space and the torsion link
-    assert resolving == [SWEPT[2], SWEPT[4], SWEPT[5], torsion_link()]
 
 
 def torsion_link():
@@ -383,31 +402,47 @@ def wrong_answers(K, f):
 
 
 @pytest.mark.parametrize(
-    "K, first, resolved", [(moore_space_mod_3(), 8, 96), (torsion_link(), 7, 496)], ids=["moore3", "torsion-link"]
+    "K, first, decided", [(moore_space_mod_3(), 8, 119), (torsion_link(), 7, 511)], ids=["moore3", "torsion-link"]
 )
-def test_a_sweep_resolves_leaves_through_the_link_of_its_first_vertex(K, first, resolved):
-    # a leaf ω ∪ {v} whose link part lk(v)|ω is ℤ-acyclic takes ω's byte, by
-    # Mayer–Vietoris; the answers stay right over every field
+def test_a_sweep_resolves_leaves_through_the_link_of_its_first_vertex(K, first, decided):
+    # a leaf ω ∪ {v} whose K|ω and link part lk(v)|ω have no rows set aside
+    # and no degree of unit dimension in common takes ω's result plus the
+    # link part's one degree up, by Mayer–Vietoris; the answers stay right
+    # over every field
     assert busy_last(K)[first - 1] == 0
     for f in (QQ, GF2, GF3):
         assert wrong_answers(K, f) == [], f
-    assert sweep(K, QQ)[0].omega_by_link == resolved
+    assert sweep(K, QQ)[0].omega_by_link == decided
+
+
+def mutate(monkeypatch, *mutants):
+    """Patch the walker with each (method, code, mutant) as :func:`mutate_step` does."""
+    for method, code, mutant in mutants:
+        mutate_step(monkeypatch, code, mutant, method)
 
 
 def test_a_link_judged_acyclic_over_q_alone_is_caught(monkeypatch):
-    # mutation check: RP², the torsion link, is ℚ-acyclic, so the leaves
-    # ω ∪ {7} with ω ⊇ {1..6} would take ω's byte and be wrong over GF(2)
-    mutate_step(monkeypatch, "not any(lk.result(s))", "not field_dims(*lk.result(s), QQ)", "fill")
+    # mutation check: a link part with rows set aside, judged by its ℚ
+    # dimensions, decides the leaves of ΣΣRP² whose link part is RP² or ΣRP²
+    # (ℚ-acyclic) and whose ω adds the other suspension vertex, a cone:
+    # those leaves would read no cohomology over GF(2)
+    mutate(
+        monkeypatch,
+        ("_join", "b == 255 or bl == 255", "b == 255"),
+        ("_walk", "lk.result(s)[0]", "field_dims(*lk.result(s), QQ)"),
+    )
     try:
-        assert len(wrong_answers(torsion_link(), GF2)) == 16
+        assert wrong_answers(double_suspension_of_rp2(), QQ) == []
+        assert len(wrong_answers(double_suspension_of_rp2(), GF2)) == 2
     finally:
         reduced_cohomology_dims.cache_clear()
 
 
 def test_a_link_part_equal_to_the_empty_face_is_stepped(monkeypatch):
-    # mutation check: lk(v)|ω = {∅} has H̃^{-1} ≠ 0, so ω ∪ {v} is not ω: the
-    # leaf {v} alone would read H̃^{-1}(∅) = 1
-    mutate_step(monkeypatch, "if not any(lk.result(s))}", "if not any(lk.result(s))} | {0}", "fill")
+    # mutation check: lk(v)|ω = {∅} has H̃^{-1} ≠ 0, and so has K|ω for ω = ∅,
+    # so the restriction between them is not zero: the leaf {v} alone would
+    # read H̃^{-1} = H̃^0 = 1 if degree -1 did not count
+    mutate(monkeypatch, ("_join", "a.keys() & l.keys()", "a.keys() & l.keys() - {-1}"))
     try:
         for K in (SWEPT[2], moore_space_mod_3(), torsion_link()):
             assert wrong_answers(K, QQ), K
@@ -415,24 +450,74 @@ def test_a_link_part_equal_to_the_empty_face_is_stepped(monkeypatch):
         reduced_cohomology_dims.cache_clear()
 
 
-def test_a_resolved_leaf_shares_its_parents_rare_entry(monkeypatch):
-    # mutation check: with the value table full, every result sits behind
-    # byte 255; a resolved leaf that took ω's byte without its rare entry
-    # has nothing to read
+def test_a_leaf_past_the_254th_value_is_stepped(monkeypatch):
+    # with room for one value left in the table, the leaves whose result
+    # would be a new value are stepped and stored behind byte 255 with their
+    # rare entry; a leaf that took byte 255 unstepped, its ω's byte not 255,
+    # has nothing to read (mutation check)
     K = moore_space_mod_3()
-    mutate_step(monkeypatch, "self.rare[leaf] = self.rare[omega]", "pass", "_walk")
-    reduced_cohomology_dims.cache_clear()
-    srbetti.cohomology._walker(K).values += [(MappingProxyType({7: 1}), None)] * 254
-    try:
-        with pytest.raises(KeyError):
-            betti_table(K, QQ)
-    finally:
+    fresh = {f: betti_table(K, f).entries for f in (QQ, GF2, GF3)}
+    for mutant in ((), (("_walk", "if b == 255:", "if b == 255 == key[0]:"),)):
         reduced_cohomology_dims.cache_clear()
+        srbetti.cohomology._walker(K).values += [(MappingProxyType({7: 1}), None)] * 253
+        try:
+            with monkeypatch.context() as patch:
+                mutate(patch, *mutant)
+                if mutant:
+                    with pytest.raises(KeyError):
+                        betti_table(K, QQ)
+                else:
+                    assert {f: betti_table(K, f).entries for f in (QQ, GF2, GF3)} == fresh
+                    assert 0 < srbetti.cohomology._walker(K).omega_by_link < 1 << K.m - 1
+        finally:
+            reduced_cohomology_dims.cache_clear()
 
 
 def double_suspension_of_rp2():
     two_points = from_facets(2, [0b01, 0b10])
     return join(two_points, join(two_points, rp2_complex()))
+
+
+TORSION = [rp2_complex(), moore_space_mod_3(), torsion_link(), double_suspension_of_rp2()]
+
+
+def wrong_decided_leaves(K, monkeypatch):
+    """The (f, ω) of the leaves ω that K's full sweep decided without a step
+    whose answer over f differs from ω's stepped alone from the root of a
+    fresh walker, and the number of those leaves."""
+    walker, decided = decided_leaves(K, monkeypatch)
+    swept = {(f, omega): field_dims(*walker.result(omega), f) for f in (QQ, GF2, GF3) for omega in decided}
+    reduced_cohomology_dims.cache_clear()
+    try:
+        return [key for key, dims in swept.items() if reduced_cohomology_dims(K, *key) != dims], len(decided)
+    finally:
+        reduced_cohomology_dims.cache_clear()
+
+
+@pytest.mark.parametrize("K", TORSION, ids=["rp2", "moore3", "torsion-link", "susp2-rp2"])
+def test_every_decided_leaf_matches_its_stepped_result(K, monkeypatch):
+    # the Mayer–Vietoris rule against the push step, over ℚ, GF(2) and GF(3),
+    # on complexes whose cohomology depends on the field
+    wrong, decided = wrong_decided_leaves(K, monkeypatch)
+    assert decided and wrong == []
+
+
+@pytest.mark.parametrize(
+    "mutants",
+    [
+        [("_join", "l.get(k - 2, 0)", "l.get(k - 1, 0)")],
+        [("_join", "b == 255 or bl == 255", "b == 255")],
+        [("_join", "b == 255 or bl == 255", "b == 255"), ("_walk", "lk.result(s)[0]", "field_dims(*lk.result(s), QQ)")],
+    ],
+    ids=["no-degree-shift", "link-part-set-aside", "support-over-q"],
+)
+def test_a_wrong_leaf_rule_is_caught(monkeypatch, mutants):
+    # mutation check: the link part's result not shifted up a degree; a link
+    # part with rows set aside decided by its unit dimensions; or by its ℚ
+    # dimensions (with none set aside, unit and ℚ dimensions agree)
+    with monkeypatch.context() as patch:
+        mutate(patch, *mutants)
+        assert any(wrong_decided_leaves(K, patch)[0] for K in TORSION)
 
 
 def test_a_sweep_counts_the_rows_it_sets_aside():
@@ -447,9 +532,10 @@ def test_a_sweep_counts_the_rows_it_sets_aside():
 def test_a_sweep_clears_by_unit_pivots_only():
     # ΣΣRP² has a residual row one size up whose lead is the key of a face a
     # push adds: clearing by it too would clear that face and still answer
-    # every ω right, so only the counts tell
+    # every ω right, so only the counts tell; 444 of its 512 leaves are
+    # decided unstepped
     walker, _ = sweep(double_suspension_of_rp2(), QQ)
-    assert (walker.rows_reduced, walker.rows_cleared) == (8066, 7734)
+    assert (walker.rows_reduced, walker.rows_cleared, walker.omega_by_link) == (4338, 4070, 444)
 
 
 def test_queries_asked_alone_clear_by_unit_pivots_only():
@@ -581,7 +667,10 @@ def test_one_walker_and_one_reduced_complex_per_complex(monkeypatch):
     assert K1 == K2 and K1 is not K2
     for K, f in ((K1, QQ), (K2, GF2), (K1, GF3), (K2, QQ)):
         betti_table(K, f)
-    assert len(builds) == 1
+    # K's, then, once, those of the links its sweep walks: its first vertex's
+    # (a 5-cycle), that one's (two points) and theirs ({∅})
+    assert [(X.m, len(X.faces)) for X in builds] == [(6, 32), (5, 11), (2, 3), (0, 1)]
+    assert builds[0] is K1
     assert srbetti.cohomology._walker.cache_info().currsize == 1
     assert not hasattr(K1, "cochains")
 
@@ -615,20 +704,31 @@ def entries(dims_by_omega):
 
 @pytest.mark.parametrize("f", [QQ, GF2])
 def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
-    # rank raises on its k-th call, in a sweep's walk or in a step for an
-    # ω asked alone: every ω stored so far reads back right, and
-    # on the same walker the next sweep, or the next queries, starting with
-    # the ω that failed, are right
+    # rank raises on its k-th call in a step of K's walker to an ω without
+    # its first vertex (an interior ω of the sweep, whose leaves are mostly
+    # decided unstepped), in a sweep's walk or in a step for an ω asked
+    # alone: every ω stored so far reads back right, and on the same walker
+    # the next sweep, or the next queries, starting with the ω that failed,
+    # are right
     K = rp2_complex()
     reference = {omega: rebuilt_dims(K, omega, f) for omega in range(K.full_mask + 1)}
-    rank = srbetti.cohomology.rank
-    for k in (1, 2, 5, 17, 40, 90):
+    rank, step, interior = srbetti.cohomology.rank, srbetti.cohomology._Walker._step, []
+
+    def marking(self, state, v):
+        interior.append(self is walker and v != 1)
+        try:
+            return step(self, state, v)
+        finally:
+            interior.pop()
+
+    for k in (1, 2, 5, 17, 40):
         calls, asked = [], []
 
         def failing(M, field):
-            calls.append(None)
-            if len(calls) == k:
-                raise RuntimeError("injected")
+            if interior and interior[-1]:
+                calls.append(None)
+                if len(calls) == k:
+                    raise RuntimeError("injected")
             return rank(M, field)
 
         for route in ("walk", "alone"):
@@ -639,6 +739,7 @@ def test_a_failed_push_leaves_no_half_built_level(monkeypatch, f):
             random.Random(k).shuffle(omegas)
             with monkeypatch.context() as patch:
                 patch.setattr(srbetti.cohomology, "rank", failing)
+                patch.setattr(srbetti.cohomology._Walker, "_step", marking)
                 with pytest.raises(RuntimeError, match="injected"):
                     if route == "walk":
                         betti_table(K, f)

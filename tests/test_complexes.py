@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,21 @@ def test_join_budget():
     points = from_facets(11, [1 << j for j in range(11)])  # 12 faces, below the warning
     with pytest.warns(UserWarning, match="^m=22 implies 2\\^22 subset enumerations$"):
         assert len(join(points, points).faces) == 12 * 12
+
+
+@pytest.mark.parametrize(
+    "facets, error",
+    [([0b11, 0b100], IsolatedVertexMissing), ([1 << 26], VertexOutOfRange), ([0], EmptyFacetList), ([], EmptyFacetList)],
+)
+def test_a_refused_input_warns_of_nothing(facets, error):
+    # the 2^m warning comes after the checks: an input refused at m = 26
+    # raises its error alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            from_facets(26, facets, max_vertices=30)
+    with pytest.warns(UserWarning, match="^m=26 implies 2\\^26 subset enumerations$"):
+        from_facets(26, [0b11, 0b100], allow_isolated=True, max_vertices=30)  # accepted: it warns
 
 
 def test_dimension_and_faces_by_dim():
